@@ -70,4 +70,21 @@ from .constructions import (
 )
 from .io_cli import ParseError, parse_coloring, parse_sg, render_coloring, render_sg
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "EvenRational", "antipode", "candidates", "circ_dist", "normalize_even",
+    "CapacityError", "Edge", "Sign", "SignedGraph", "StructuralMismatchError",
+    "UncolorableError", "chi_plus", "degeneracy", "girth_types", "is_balanced", "switch",
+    "switching_equivalent",
+    "BudgetExhausted", "ChiResult", "ChiUndecided", "Coloring", "Pin", "SolveBudget",
+    "chi_c", "chi_s", "circular_to_zero_free", "feasible_pq", "verify_coloring",
+    "zero_free_to_circular",
+    "CorruptCertificateError", "NotRefinableError", "RationalColoring",
+    "TightCycleCertificate", "TightDigraph", "cert_value", "find_tight_cycle", "refine",
+    "tight_digraph", "verify_rational",
+    "Indicator", "ShapeError", "ZSet", "predict_scaled_chi", "replace_edges", "z_set",
+    "GadgetEmbedding", "big_gamma", "circular_clique_signed", "gadget_interior_colors",
+    "gamma", "gamma_prime", "hat_clique", "k4_omega", "k4_omega_coloring", "mini_gadget",
+    "omega_d", "outerplanar_F", "positive_clique", "signed_cycle", "spal5", "wenger",
+    "wenger_coloring", "wenger_tilde", "wenger_tilde_coloring", "wenger_tilde_detail",
+    "ParseError", "parse_coloring", "parse_sg", "render_coloring", "render_sg",
+]

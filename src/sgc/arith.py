@@ -86,6 +86,19 @@ def circ_dist(i: int, j: int, p: int) -> int:
     return min(d, p - d)
 
 
+def circle_edge_ok(a, b, shift, r, q=1) -> bool:
+    """The one edge constraint, on the integer or the rational circle.
+
+    a and b are the endpoint colors on the circle of circumference r (ints
+    on the (r, q) grid, or Fractions with q = 1); shift is 0 for a positive
+    edge and r/2 for a negative one, whose constraint is measured against
+    the antipode of b.  The edge holds when a is at least q away from
+    b + shift both ways round the circle.
+    """
+    d = (a - b - shift) % r
+    return q <= d <= r - q
+
+
 def antipode(i: int, p: int) -> int:
     """The color opposite i on the even circle: i + p/2 mod p."""
     if p % 2:

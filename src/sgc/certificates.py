@@ -1,14 +1,17 @@
-"""Optimality certificates for circular colorings.
+"""Tight cycles and refinement of circular colorings.
 
 A coloring at the exact chi_c admits a "tight cycle": a directed closed
 walk whose every step advances the color by exactly 1 (positive edge) or
 by exactly 1 relative to the antipode (negative edge).  Counting s positive
-and t negative steps around the cycle forces r = 2(s+t)/(2a+t) for a
-non-negative integer a, which pins the value to a small rational.
+and t negative steps around the cycle forces r = 2(s+t)/(2a+t) for an
+integer a with 2a + t >= 1, which pins the value to a small rational.
 
 Conversely, a coloring whose tight digraph is acyclic is not optimal:
 repeatedly advancing a sink vertex clears all tight steps, after which the
 whole coloring can be scaled down to a strictly smaller circumference.
+A tight cycle is therefore necessary for optimality, not sufficient: C4
+with all edges positive, colored 0, 1, 2, 3 at r = 4, has one, yet its
+chi_c is 2.
 
 Everything here is exact Fraction arithmetic.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import frac_antipode, frac_circ_dist, rational_point
+from .arith import circle_edge_ok, frac_antipode, rational_point
 from .core import POS, SignedGraph
 from .solver import Coloring
 
@@ -31,7 +34,7 @@ class CorruptCertificateError(ValueError):
 
 
 class NotRefinableError(ValueError):
-    """The coloring carries a tight cycle, so no refinement exists."""
+    """The coloring carries a tight cycle, which refine cannot clear."""
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,9 @@ def verify_rational(g: SignedGraph, c: RationalColoring) -> bool:
     """Check an exact circular coloring against every edge."""
     if len(c.colors) != g.n:
         raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
-    r = c.r
-    for e in g.edges:
-        a, b = c.colors[e.u], c.colors[e.v]
-        if e.sign is POS:
-            if frac_circ_dist(a, b, r) < 1:
-                return False
-        else:
-            if frac_circ_dist(a, frac_antipode(b, r), r) < 1:
-                return False
-    return True
+    r, half = c.r, c.r / 2
+    return all(circle_edge_ok(c.colors[e.u], c.colors[e.v], 0 if e.sign is POS else half, r)
+               for e in g.edges)
 
 
 @dataclass(frozen=True)
@@ -89,16 +85,16 @@ class TightDigraph:
     arcs: tuple[Arc, ...]
 
 
-def _forward_gap(g: SignedGraph, c: RationalColoring, u: int, w: int, edge_idx: int) -> Fraction:
+def _forward_gap(g: SignedGraph, colors: Sequence[Fraction], r: Fraction,
+                 u: int, w: int, edge_idx: int) -> Fraction:
     """Clockwise gap from u's color to the target point at w along this edge.
 
     The target is w's color for a positive edge, its antipode for a negative
     one; the gap is >= 1 for every side of every edge of a verifying
     coloring, and == 1 exactly when the step (u, w) is tight.
     """
-    e = g.edges[edge_idx]
-    target = c.colors[w] if e.sign is POS else frac_antipode(c.colors[w], c.r)
-    return rational_point(target - c.colors[u], c.r)
+    target = colors[w] if g.edges[edge_idx].sign is POS else frac_antipode(colors[w], r)
+    return rational_point(target - colors[u], r)
 
 
 def tight_digraph(g: SignedGraph, c: RationalColoring) -> TightDigraph:
@@ -107,14 +103,8 @@ def tight_digraph(g: SignedGraph, c: RationalColoring) -> TightDigraph:
         raise ValueError("coloring does not verify; tight digraph undefined")
     arcs = []
     for idx, e in enumerate(g.edges):
-        if e.is_loop:
-            if _forward_gap(g, c, e.u, e.u, idx) == 1:
-                arcs.append((e.u, e.u, idx))
-            continue
-        if _forward_gap(g, c, e.u, e.v, idx) == 1:
-            arcs.append((e.u, e.v, idx))
-        if _forward_gap(g, c, e.v, e.u, idx) == 1:
-            arcs.append((e.v, e.u, idx))
+        sides = [(e.u, e.v)] if e.is_loop else [(e.u, e.v), (e.v, e.u)]
+        arcs.extend((u, w, idx) for u, w in sides if _forward_gap(g, c.colors, c.r, u, w, idx) == 1)
     return TightDigraph(g.n, tuple(arcs))
 
 
@@ -165,8 +155,11 @@ class TightCycleCertificate:
     """A verified tight cycle with its step counts and certified value.
 
     s positive steps and t negative steps around a closed tight walk force
-    s - (r/2 - 1)t = r*a for a non-negative integer a, hence
-    r = 2(s+t)/(2a+t).
+    s - (r/2 - 1)t = r*a, where the integer a is the walk's net number of
+    turns round the circle (negative when it turns backwards), and
+    2a + t >= 1, hence r = 2(s+t)/(2a+t).  The cycle shows why refine cannot
+    shrink this coloring; it does not prove that r is the circular
+    chromatic number.
     """
 
     cycle: tuple[Arc, ...]
@@ -180,8 +173,7 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
     """Validate a tight cycle and extract the value it certifies.
 
     Raises CorruptCertificateError when the arcs do not form a closed tight
-    walk under c, or when the step counts fail the integrality and
-    non-negativity conditions.
+    walk under c, or when the step counts give no integer a with 2a + t >= 1.
     """
     cycle = tuple(cycle)
     if not cycle:
@@ -198,7 +190,7 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
         nxt = cycle[(i + 1) % len(cycle)]
         if v != nxt[0]:
             raise CorruptCertificateError(f"arc {i} ends at {v}, arc {i+1} starts at {nxt[0]}")
-        if _forward_gap(g, c, u, v, idx) != 1:
+        if _forward_gap(g, c.colors, c.r, u, v, idx) != 1:
             raise CorruptCertificateError(f"arc {i}: step ({u},{v}) is not tight")
         if e.sign is POS:
             s += 1
@@ -209,80 +201,61 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
     if a.denominator != 1:
         raise CorruptCertificateError(f"step counts s={s}, t={t} give non-integral a={a}")
     a = int(a)
-    if a < 0:
-        raise CorruptCertificateError(f"negative a={a}")
     if 2 * a + t < 1:
-        raise CorruptCertificateError("degenerate cycle: 2a + t = 0 certifies nothing")
+        raise CorruptCertificateError(f"degenerate cycle: 2a + t = {2 * a + t} certifies nothing")
     certified = Fraction(2 * (s + t), 2 * a + t)
-    assert certified == r, "internal error: tight cycle value mismatch"
+    if certified != r:
+        raise RuntimeError("internal error: tight cycle value mismatch")
     return TightCycleCertificate(cycle, s, t, a, certified)
 
 
-def _constraint_sides(g: SignedGraph) -> list[tuple[int, int, int]]:
-    """Both directed sides (u, w, edge index) of every non-loop edge."""
-    sides = []
-    for idx, e in enumerate(g.edges):
-        if e.is_loop:
-            continue
-        sides.append((e.u, e.v, idx))
-        sides.append((e.v, e.u, idx))
-    return sides
-
-
 def refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
-    """Strictly improve a non-optimal coloring.
+    """Strictly improve a coloring that has no tight cycle.
 
-    Requires the tight digraph of c to be acyclic (a tight cycle raises
-    NotRefinableError: the value is already optimal for this coloring's
-    certificate).  Phase 1 repeatedly picks the lowest-index sink that has
-    an incoming tight step and advances its color by half its minimum
-    outgoing slack, which removes at least one tight step and creates none.
-    Phase 2, with no tight steps left, scales everything by 1/(1+eps) where
-    2*eps is the global minimum slack, yielding a verifying coloring at a
-    strictly smaller circumference.
+    A tight cycle raises NotRefinableError.  Phase 1 repeatedly picks the
+    lowest-index sink that has an incoming tight step and advances its color
+    by half its minimum outgoing slack, which removes at least one tight
+    step and creates none; only the sides of edges at the moved vertex are
+    re-tested.  Phase 2, with no tight steps left, scales everything by
+    1/(1+eps) where 2*eps is the global minimum slack, yielding a verifying
+    coloring at a strictly smaller circumference.
     """
-    if not verify_rational(g, c):
-        raise ValueError("coloring does not verify; nothing to refine")
-    sides = _constraint_sides(g)
-    neg_loop_slacks = [
-        c.r / 2 - 1 for e in g.edges if e.is_loop and e.sign is not POS
-    ]
-    if not sides and not neg_loop_slacks:
+    if not g.edges:
         raise ValueError("no edge constraints: refinement undefined")
-
     d = tight_digraph(g, c)
     if find_tight_cycle(d) is not None:
-        raise NotRefinableError("tight cycle present: coloring is optimal")
+        raise NotRefinableError("tight cycle present")
 
     colors = list(c.colors)
     r = c.r
-
-    def gap(u, w, idx):
-        e = g.edges[idx]
-        target = colors[w] if e.sign is POS else rational_point(colors[w] + r / 2, r)
-        return rational_point(target - colors[u], r)
-
-    arcs = {(u, w, idx) for (u, w, idx) in sides if gap(u, w, idx) == 1}
+    adj = g.adjacency()
+    arcs = set(d.arcs)  # no loop arcs: a tight loop is a tight cycle
     while arcs:
-        has_out = {u for (u, _, _) in arcs}
-        sinks = sorted({w for (_, w, _) in arcs} - has_out)
-        assert sinks, "internal error: acyclic tight digraph without a sink"
-        v = sinks[0]
-        out_slacks = [gap(u, w, idx) - 1 for (u, w, idx) in sides if u == v]
-        assert all(s > 0 for s in out_slacks), "internal error: sink with a tight out-step"
-        eps = min(out_slacks) / 2
+        sinks = {w for _, w, _ in arcs} - {u for u, _, _ in arcs}
+        if not sinks:
+            raise RuntimeError("internal error: acyclic tight digraph without a sink")
+        v = min(sinks)
+        out_sides = [(v, w, idx) for w, idx in adj[v] if w != v]
+        eps = (min(_forward_gap(g, colors, r, *side) for side in out_sides) - 1) / 2
+        if eps <= 0:
+            raise RuntimeError("internal error: sink with a tight out-step")
         colors[v] = rational_point(colors[v] + eps, r)
-        new_arcs = {(u, w, idx) for (u, w, idx) in sides if gap(u, w, idx) == 1}
+        sides = out_sides + [(w, v, idx) for _, w, idx in out_sides]
+        new_arcs = arcs.difference(sides).union(
+            side for side in sides if _forward_gap(g, colors, r, *side) == 1)
         if len(new_arcs) >= len(arcs):
             raise RuntimeError(
                 "internal error: refinement stalled (tight step count did not drop)"
             )
         arcs = new_arcs
 
-    slacks = [gap(u, w, idx) - 1 for (u, w, idx) in sides] + neg_loop_slacks
-    eps = min(slacks) / 2
-    assert eps > 0, "internal error: zero slack after clearing all tight steps"
+    # Every side once, loops included: a negative loop has slack r/2 - 1.
+    eps = (min(_forward_gap(g, colors, r, u, w, idx)
+               for u in range(g.n) for w, idx in adj[u]) - 1) / 2
+    if eps <= 0:
+        raise RuntimeError("internal error: zero slack after clearing all tight steps")
     scale = 1 + eps
     refined = RationalColoring(r / scale, tuple(x / scale for x in colors))
-    assert verify_rational(g, refined), "internal error: refined coloring invalid"
+    if not verify_rational(g, refined):
+        raise RuntimeError("internal error: refined coloring invalid")
     return refined

@@ -123,24 +123,12 @@ class SignedGraph:
     def components(self) -> list[list[int]]:
         """Vertex sets of the connected components, each sorted, in order of
         smallest vertex."""
-        seen = [False] * self.n
-        adj = self.adjacency()
         comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y, _ in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        queue.append(y)
-            comps.append(sorted(comp))
-        return comps
+        for (v, _), (_, via) in _lift_bfs(self, [0] * self.m, range(self.n)).items():
+            if via is None:
+                comps.append([])
+            comps[-1].append(v)
+        return [sorted(comp) for comp in comps]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
@@ -162,39 +150,48 @@ def switch(g: SignedGraph, s: Iterable[int]) -> SignedGraph:
     return SignedGraph(g.n, edges)
 
 
+def _lift_bfs(g: SignedGraph, labels: list[int],
+              roots: Iterable[int]) -> dict[tuple[int, int], tuple[int, int | None]]:
+    """Breadth-first search over the parity lift of g.
+
+    A state (v, x) says that some walk from the root reaches v with the
+    labels of its edges XOR-ing to x (labels[i] is edge i's label).  Each
+    root not yet reached at any parity starts a search at (root, 0).
+    Returns {state: (distance, index of the edge it was first reached by,
+    None for a root)} in discovery order.
+    """
+    adj = g.adjacency()
+    seen = [False] * g.n
+    reached: dict[tuple[int, int], tuple[int, int | None]] = {}
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        reached[(root, 0)] = (0, None)
+        queue = deque([(root, 0)])
+        while queue:
+            v, x = queue.popleft()
+            d = reached[(v, x)][0] + 1
+            for w, idx in adj[v]:
+                nxt = (w, x ^ labels[idx])
+                if nxt not in reached:
+                    seen[w] = True
+                    reached[nxt] = (d, idx)
+                    queue.append(nxt)
+    return reached
+
+
 def is_balanced(g: SignedGraph) -> tuple[bool, frozenset[int] | None]:
     """Whether some switching makes every edge positive.
 
     Returns (True, s) with a switching set s that does it, or (False, None).
-    A negative loop is an immediate obstruction; positive loops are harmless.
+    The graph is balanced iff no vertex is reached at both negative-edge
+    parities; a negative loop reaches its vertex at both at once.
     """
-    label = [0] * g.n
-    seen = [False] * g.n
-    adj = [[] for _ in range(g.n)]
-    for e in g.edges:
-        if e.is_loop:
-            if e.sign is NEG:
-                return False, None
-            continue
-        t = 0 if e.sign is POS else 1
-        adj[e.u].append((e.v, t))
-        adj[e.v].append((e.u, t))
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, t in adj[x]:
-                want = label[x] ^ t
-                if not seen[y]:
-                    seen[y] = True
-                    label[y] = want
-                    queue.append(y)
-                elif label[y] != want:
-                    return False, None
-    return True, frozenset(v for v in range(g.n) if label[v])
+    reached = _lift_bfs(g, [int(e.sign is NEG) for e in g.edges], range(g.n))
+    if len(reached) > g.n:
+        return False, None
+    return True, frozenset(v for v, x in reached if x)
 
 
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -235,41 +232,25 @@ class GirthTypeTable:
 def girth_types(g: SignedGraph) -> GirthTypeTable:
     """Minimum closed-walk lengths by sign and length parity.
 
-    Works on the 4-fold parity lift: BFS from (v, 0, 0) over states
-    (vertex, negative parity, length parity); a closed walk of type (i, j)
-    through v corresponds to one final edge step into (v, i, j).
+    Works on the 4-fold parity lift: an edge's label is its negative bit
+    plus 2, so a state's x holds (negative parity, length parity) in its two
+    bits.  A closed walk of type (i, j) through v is a walk from (v, 0) to a
+    neighbor w followed by one final edge step back into (v, i + 2j).
     """
-    adj = [[] for _ in range(g.n)]
-    for e in g.edges:
-        t = 0 if e.sign is POS else 1
-        adj[e.u].append((e.v, t))
-        if e.u != e.v:
-            adj[e.v].append((e.u, t))
+    labels = [2 | (e.sign is NEG) for e in g.edges]
+    adj = g.adjacency()
     best: dict[tuple[int, int], int | None] = {(i, j): None for i in (0, 1) for j in (0, 1)}
     for start in range(g.n):
-        if not adj[start]:
-            continue
-        dist = {(start, 0, 0): 0}
-        queue = deque([(start, 0, 0)])
-        while queue:
-            x, a, b = queue.popleft()
-            d = dist[(x, a, b)]
-            for y, t in adj[x]:
-                state = (y, a ^ t, b ^ 1)
-                if state not in dist:
-                    dist[state] = d + 1
-                    queue.append(state)
-        # Close the walk with one extra step w -> start.
-        for w, t in adj[start]:
-            for a in (0, 1):
-                for b in (0, 1):
-                    dw = dist.get((w, a, b))
-                    if dw is None:
-                        continue
-                    key = (a ^ t, (b ^ 1))
-                    length = dw + 1
-                    if best[key] is None or length < best[key]:
-                        best[key] = length
+        reached = _lift_bfs(g, labels, [start])
+        for w, idx in adj[start]:
+            for x in range(4):
+                if (w, x) not in reached:
+                    continue
+                y = x ^ labels[idx]
+                key = (y & 1, y >> 1)
+                length = reached[(w, x)][0] + 1
+                if best[key] is None or length < best[key]:
+                    best[key] = length
     return GirthTypeTable(tuple(sorted(best.items())))
 
 

@@ -219,7 +219,8 @@ def _cmd_chi(args) -> int:
         else:
             rc = RationalColoring.from_coloring(result.witness)
             cycle = find_tight_cycle(tight_digraph(g, rc))
-            assert cycle is not None, "optimal coloring must have a tight cycle"
+            if cycle is None:
+                raise RuntimeError("internal error: optimal coloring without a tight cycle")
             cert = cert_value(g, rc, cycle)
             verts = " -> ".join(str(a[0]) for a in cycle) + f" -> {cycle[0][0]}"
             print("certificate: tight cycle")
@@ -229,13 +230,22 @@ def _cmd_chi(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
+def _load_coloring(args) -> tuple[SignedGraph, Coloring] | None:
+    """The graph and coloring files of `check` and `refine`; None, after
+    reporting it, when the coloring is not at the circle size --r."""
     g = parse_sg(_read(args.file))
     c = parse_coloring(_read(args.coloring), g.n)
-    r = _parse_fraction(args.r)
-    if Fraction(c.p, c.q) != r:
+    if Fraction(c.p, c.q) != _parse_fraction(args.r):
         print(f"coloring file is at {c.p}/{c.q}, not {args.r}", file=sys.stderr)
+        return None
+    return g, c
+
+
+def _cmd_check(args) -> int:
+    loaded = _load_coloring(args)
+    if loaded is None:
         return 1
+    g, c = loaded
     if verify_coloring(g, c):
         print("valid coloring")
         return 0
@@ -322,12 +332,10 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    g = parse_sg(_read(args.file))
-    c = parse_coloring(_read(args.coloring), g.n)
-    r = _parse_fraction(args.r)
-    if Fraction(c.p, c.q) != r:
-        print(f"coloring file is at {c.p}/{c.q}, not {args.r}", file=sys.stderr)
+    loaded = _load_coloring(args)
+    if loaded is None:
         return 1
+    g, c = loaded
     rc = RationalColoring.from_coloring(c)
     try:
         out = refine(g, rc)
@@ -353,7 +361,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("chi", help="exact circular chromatic number")
     p.add_argument("file")
-    p.add_argument("--certify", action="store_true", help="print a tight-cycle certificate")
+    p.add_argument("--certify", action="store_true",
+                   help="print the witness's tight cycle and the value it pins")
     p.add_argument("--budget", type=int, default=None, help="node budget (default: SGC_BUDGET)")
     p.set_defaults(func=_cmd_chi)
 

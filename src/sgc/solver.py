@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import EvenRational, antipode, candidates, circ_dist
+from .arith import EvenRational, antipode, candidates, circle_edge_ok
 from .core import (CapacityError, POS, SignedGraph, UncolorableError,
-                   degeneracy, is_balanced)
+                   _lift_bfs, degeneracy, is_balanced)
 
 _KIND_POS, _KIND_NEG, _KIND_BOTH = 1, 2, 3
 
@@ -122,16 +122,9 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
     for i, x in enumerate(c.colors):
         if not (isinstance(x, int) and 0 <= x < c.p):
             raise ValueError(f"color {x!r} of vertex {i} out of range for p={c.p}")
-    p, q = c.p, c.q
-    for e in g.edges:
-        a, b = c.colors[e.u], c.colors[e.v]
-        if e.sign is POS:
-            if circ_dist(a, b, p) < q:
-                return False
-        else:
-            if circ_dist(a, antipode(b, p), p) < q:
-                return False
-    return True
+    p, q, half = c.p, c.q, c.p // 2
+    return all(circle_edge_ok(c.colors[e.u], c.colors[e.v], 0 if e.sign is POS else half, p, q)
+               for e in g.edges)
 
 
 def _edge_kinds(g: SignedGraph) -> dict[tuple[int, int], int]:
@@ -162,9 +155,9 @@ def _masks(p: int, q: int) -> list[list[int] | None]:
     for c in range(p):
         pm = nm = 0
         for j in range(p):
-            if circ_dist(c, j, p) >= q:
+            if circle_edge_ok(c, j, 0, p, q):
                 pm |= 1 << j
-            if circ_dist(c, (j + half) % p, p) >= q:
+            if circle_edge_ok(c, j, half, p, q):
                 nm |= 1 << j
         pos.append(pm)
         neg.append(nm)
@@ -309,7 +302,8 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     if sol is None:
         return None
     c = Coloring(p, q, tuple(sol))
-    assert verify_coloring(g, c), "internal error: solver emitted a bad coloring"
+    if not verify_coloring(g, c):
+        raise RuntimeError("internal error: solver emitted a bad coloring")
     return c
 
 
@@ -327,27 +321,21 @@ def _greedy_seed(g: SignedGraph) -> Coloring:
     if u_cap <= 2 * g.n:
         p = u_cap
         colors = [0] * g.n
-        placed = [False] * g.n
+        placed = [False] * g.n  # v itself is unplaced, which skips its loops
+        adj = g.adjacency()
         for v in reversed(order):
             forbidden = set()
-            for e in g.edges:
-                if e.is_loop:
-                    continue
-                w = None
-                if e.u == v and placed[e.v]:
-                    w = e.v
-                elif e.v == v and placed[e.u]:
-                    w = e.u
-                if w is None:
-                    continue
-                cw = colors[w]
-                forbidden.add(cw if e.sign is POS else antipode(cw, p))
+            for w, idx in adj[v]:
+                if placed[w]:
+                    cw = colors[w]
+                    forbidden.add(cw if g.edges[idx].sign is POS else antipode(cw, p))
             colors[v] = min(c for c in range(p) if c not in forbidden)
             placed[v] = True
         seed = Coloring(p, 1, tuple(colors))
     else:
         seed = Coloring(2 * g.n, 1, tuple(range(g.n)))
-    assert verify_coloring(g, seed), "internal error: seed coloring invalid"
+    if not verify_coloring(g, seed):
+        raise RuntimeError("internal error: seed coloring invalid")
     return seed
 
 
@@ -373,14 +361,16 @@ def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
     if balanced:
         colors = tuple(2 if v in sset else 0 for v in range(g.n))
         witness = Coloring(4, 2, colors)
-        assert verify_coloring(g, witness), "internal error: balance witness invalid"
+        if not verify_coloring(g, witness):
+            raise RuntimeError("internal error: balance witness invalid")
         return ChiResult(Fraction(2), witness, None)
 
     seed = _greedy_seed(g)
     cands = candidates(g.n, 2, Fraction(seed.p, seed.q))
     lo = 0  # value 2: proven infeasible by the balance test above
     hi = len(cands) - 1
-    assert cands[lo].value == 2 and cands[hi].value == Fraction(seed.p, seed.q)
+    if cands[lo].value != 2 or cands[hi].value != Fraction(seed.p, seed.q):
+        raise RuntimeError("internal error: candidate ladder misses its bracket")
     witness = seed
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -395,7 +385,8 @@ def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
         else:
             hi = mid
             witness = found
-    assert witness.p == cands[hi].p and witness.q == cands[hi].q
+    if (witness.p, witness.q) != (cands[hi].p, cands[hi].q):
+        raise RuntimeError("internal error: witness is not at the reported value")
     return ChiResult(cands[hi].value, witness, cands[lo].value)
 
 
@@ -412,22 +403,8 @@ def chi_s(g: SignedGraph, budget: SolveBudget | None = None) -> Fraction:
     if len(set(pairs)) != len(pairs):
         raise ValueError("underlying graph must be simple: parallel edges present")
 
-    in_tree = [False] * g.m
-    seen = [False] * g.n
-    adj = g.adjacency()
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, idx in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    in_tree[idx] = True
-                    queue.append(y)
-    cotree = [i for i in range(g.m) if not in_tree[i]]
+    tree = {idx for _, idx in _lift_bfs(g, [0] * g.m, range(g.n)).values()}
+    cotree = [i for i in range(g.m) if i not in tree]
     if len(cotree) > 12:
         raise CapacityError(f"2^{len(cotree)} signatures is beyond the exact enumeration guard")
 

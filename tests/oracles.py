@@ -184,3 +184,73 @@ def oracle_chi_plus(g: SignedGraph) -> int:
                 pairs.add((min(e.u, e.v), max(e.u, e.v)))
         best = min(best, oracle_chromatic(g.n, pairs))
     return best
+
+
+def oracle_components(g: SignedGraph) -> list[list[int]]:
+    """Connected components by union-find over the edge list, each sorted,
+    in order of smallest vertex."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in g.edges:
+        parent[find(e.u)] = find(e.v)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def oracle_refine(g: SignedGraph, r: Fraction, points) -> tuple | None:
+    """The refinement loop as first written, rescanning every side per step.
+
+    Takes a verifying coloring with at least one edge (circumference r,
+    Fraction points).  Returns (r', points') of the refined coloring, or
+    None when the tight digraph has a cycle.  Kept as the reference for the
+    incremental loop in sgc.certificates.refine.
+    """
+    def rational_point(x):
+        return x - (x / r).__floor__() * r
+
+    sides = []
+    for idx, e in enumerate(g.edges):
+        if e.is_loop:
+            continue
+        sides.append((e.u, e.v, idx))
+        sides.append((e.v, e.u, idx))
+    neg_loop_slacks = [
+        r / 2 - 1 for e in g.edges if e.is_loop and e.sign is not POS
+    ]
+    if r == 2 and neg_loop_slacks:
+        return None  # a negative loop is a tight step onto itself at r = 2
+
+    colors = list(points)
+
+    def gap(u, w, idx):
+        e = g.edges[idx]
+        target = colors[w] if e.sign is POS else rational_point(colors[w] + r / 2)
+        return rational_point(target - colors[u])
+
+    arcs = {(u, w, idx) for (u, w, idx) in sides if gap(u, w, idx) == 1}
+    while arcs:
+        has_out = {u for (u, _, _) in arcs}
+        sinks = sorted({w for (_, w, _) in arcs} - has_out)
+        if not sinks:
+            return None  # what is left of the tight digraph is all cycles
+        v = sinks[0]
+        out_slacks = [gap(u, w, idx) - 1 for (u, w, idx) in sides if u == v]
+        assert all(s > 0 for s in out_slacks), "sink with a tight out-step"
+        eps = min(out_slacks) / 2
+        colors[v] = rational_point(colors[v] + eps)
+        new_arcs = {(u, w, idx) for (u, w, idx) in sides if gap(u, w, idx) == 1}
+        assert len(new_arcs) < len(arcs), "refinement stalled"
+        arcs = new_arcs
+
+    slacks = [gap(u, w, idx) - 1 for (u, w, idx) in sides] + neg_loop_slacks
+    eps = min(slacks) / 2
+    scale = 1 + eps
+    return r / scale, tuple(x / scale for x in colors)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sgc.arith import (EvenRational, antipode, candidates, circ_dist,
-                       frac_antipode, frac_circ_dist, normalize_even,
-                       rational_point)
+                       circle_edge_ok, frac_antipode, frac_circ_dist,
+                       normalize_even, rational_point)
 
 
 class TestEvenRational:
@@ -145,6 +145,22 @@ class TestRationalCircle:
         x = rational_point(x, r)
         assert frac_antipode(frac_antipode(x, r), r) == x
         assert frac_circ_dist(x, frac_antipode(x, r), r) == r / 2
+
+
+class TestCircleEdge:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_agrees_with_distances_on_both_circles(self, half, data):
+        p = 2 * half
+        q = data.draw(st.integers(1, half))
+        a = data.draw(st.integers(0, p - 1))
+        b = data.draw(st.integers(0, p - 1))
+        assert circle_edge_ok(a, b, 0, p, q) == (circ_dist(a, b, p) >= q)
+        assert circle_edge_ok(a, b, half, p, q) == (circ_dist(a, antipode(b, p), p) >= q)
+        r = Fraction(p, q)
+        x, y = Fraction(a, q), Fraction(b, q)
+        assert circle_edge_ok(x, y, 0, r) == (frac_circ_dist(x, y, r) >= 1)
+        assert circle_edge_ok(x, y, r / 2, r) == (frac_circ_dist(x, frac_antipode(y, r), r) >= 1)
 
 
 class TestCandidates:

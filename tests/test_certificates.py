@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import oracles
 import pytest
 from gen import grids, signed_graphs
 from hypothesis import given, settings
@@ -150,6 +151,18 @@ class TestCertValue:
         with pytest.raises(CorruptCertificateError):
             cert_value(C4_NEG, OPT, ((1, 0, 0), (0, 1, 0)))  # slack direction
 
+    def test_negative_a_is_accepted(self):
+        # The tight cycle 0 -> 2 -> 4 -> 3 -> 1 -> 0 of this optimal witness
+        # runs backwards around the circle: s = 0, t = 5 and a = -1 give
+        # r = 2*5/(2*(-1) + 5) = 10/3.
+        g = sg(5, [(0, 1, NEG), (0, 2, NEG), (0, 3, POS), (1, 2, POS),
+                   (1, 3, NEG), (2, 4, NEG), (3, 4, NEG)])
+        res = chi_c(g)
+        assert res.value == Fraction(10, 3)
+        rc = RationalColoring.from_coloring(res.witness)
+        cert = cert_value(g, rc, find_tight_cycle(tight_digraph(g, rc)))
+        assert (cert.s, cert.t, cert.a, cert.r) == (0, 5, -1, Fraction(10, 3))
+
     def test_requires_valid_coloring(self):
         bad = RationalColoring.from_coloring(Coloring(8, 3, (0, 3, 6, 0)))
         with pytest.raises(ValueError):
@@ -215,3 +228,23 @@ class TestRefine:
         out = refine(g, rc)
         assert out.r < rc.r
         assert verify_rational(g, out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_graphs(max_n=5, max_m=7, min_m=1), grids(10), st.data())
+    def test_matches_rescanning_oracle(self, g, pq, data):
+        # Random colorings, or the solver's when the draw breaks an edge:
+        # both tight-cycle and acyclic (refinable) colorings come up.
+        p, q = pq
+        c = Coloring(p, q, tuple(data.draw(st.integers(0, p - 1)) for _ in range(g.n)))
+        if not verify_coloring(g, c):
+            c = feasible_pq(g, p, q)
+            if c is None:
+                return
+        rc = RationalColoring.from_coloring(c)
+        want = oracles.oracle_refine(g, rc.r, rc.colors)
+        if want is None:
+            with pytest.raises(NotRefinableError):
+                refine(g, rc)
+        else:
+            out = refine(g, rc)
+            assert (out.r, out.colors) == want

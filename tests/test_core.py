@@ -62,6 +62,11 @@ class TestSignedGraph:
         assert not g.is_connected()
         assert C4_NEG.is_connected()
 
+    @settings(max_examples=200, deadline=None)
+    @given(signed_graphs(max_n=7, max_m=8))
+    def test_components_agree_with_union_find(self, g):
+        assert g.components() == oracles.oracle_components(g)
+
 
 class TestSwitch:
     def test_flips_cut_edges_only(self):

@@ -157,6 +157,20 @@ class TestCliChi:
             "  r = 2(s+t)/(2a+t) = 8/3\n"
         )
 
+    def test_golden_certificate_with_negative_a(self, run, tmp_path):
+        src = tmp_path / "neg_a.sg"
+        src.write_text("sg 5\ne 0 1 -\ne 0 2 -\ne 0 3 +\ne 1 2 +\ne 1 3 -\ne 2 4 -\ne 3 4 -\n")
+        code, out, err = run("chi", src, "--certify")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"chi_c = 10/3\n"
+            f"witness: {tmp_path / 'neg_a.col'}\n"
+            "certificate: tight cycle\n"
+            "  cycle: 0 -> 2 -> 4 -> 3 -> 1 -> 0\n"
+            "  s = 0 positive arcs, t = 5 negative arcs, a = -1\n"
+            "  r = 2(s+t)/(2a+t) = 10/3\n"
+        )
+
     def test_uncolorable_exit(self, run, tmp_path):
         src = tmp_path / "loop.sg"
         src.write_text("sg 1\ne 0 0 +\n")

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 import pytest
@@ -88,6 +93,26 @@ class TestFeasiblePq:
             feasible_pq(DIGON, 7, 2)
         with pytest.raises(ValueError):
             feasible_pq(DIGON, 8, 0)
+
+    def test_output_guard_survives_python_O(self):
+        # python -O strips asserts; the check on the emitted coloring must
+        # still raise when the search returns a coloring that breaks an edge.
+        script = (
+            "assert False, 'asserts are on'\n"
+            "import sgc.core, sgc.solver\n"
+            "sgc.solver._search = lambda n, *rest: [0] * n\n"
+            "g = sgc.core.SignedGraph.from_triples(2, [(0, 1, '+')])\n"
+            "try:\n"
+            "    sgc.solver.feasible_pq(g, 4, 1)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(sys.modules["sgc.solver"].__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "internal error: solver emitted a bad coloring\n"
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExhausted):
@@ -190,6 +215,16 @@ class TestChiS:
         # signature and is attained by some signature on the same skeleton.
         bound = chi_s(g)
         assert chi_c(g).value <= bound
+
+    @settings(max_examples=25, deadline=None)
+    @given(signed_graphs(max_n=4, max_m=5, loops=False, parallel=False))
+    def test_equals_brute_force_max_over_all_signatures(self, g):
+        brute = max(
+            oracles.oracle_chi(SignedGraph(g.n, tuple(
+                e._replace(sign=s) for e, s in zip(g.edges, signs))))
+            for signs in itertools.product((POS, NEG), repeat=g.m)
+        )
+        assert chi_s(g) == brute
 
 
 class TestZeroFreeConversions:
