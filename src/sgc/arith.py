@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import gcd
 
 # A point on the rational circle of circumference r is an exact nonnegative
-# Fraction < r.  Helpers below (rational_point, frac_circ_dist, frac_antipode)
-# keep values in that canonical range.
+# Fraction < r.  The helpers below (rational_point, frac_antipode) keep values
+# in that canonical range.
 RationalPoint = Fraction
 
 
@@ -113,12 +113,6 @@ def rational_point(x: Fraction, r: Fraction) -> Fraction:
     return x - (x / r).__floor__() * r
 
 
-def frac_circ_dist(a: Fraction, b: Fraction, r: Fraction) -> Fraction:
-    """Distance on the rational circle of circumference r."""
-    d = rational_point(a - b, r)
-    return min(d, r - d)
-
-
 def frac_antipode(x: Fraction, r: Fraction) -> Fraction:
     """The point opposite x on the rational circle."""
     return rational_point(x + r / 2, r)
@@ -137,14 +131,28 @@ def candidates(n: int, lo, hi) -> list[EvenRational]:
     rational p/q with even p <= 2n; this enumerates those, normalizes, and
     returns them deduplicated in ascending value order.  lo/hi accept ints,
     Fractions, or EvenRationals.
+
+    The bounds cut each numerator's q range by integer cross-multiplication
+    (lo <= p/q <= hi); the pairs are reduced, deduplicated and sorted as
+    integers, with no Fraction built.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     lo_v, hi_v = _as_fraction(lo), _as_fraction(hi)
-    vals = set()
+    if hi_v <= 0:
+        return []
+    lo_n, lo_d = lo_v.numerator, lo_v.denominator
+    hi_n, hi_d = hi_v.numerator, hi_v.denominator
+    pairs = set()
     for p in range(2, 2 * n + 1, 2):
-        for q in range(1, p // 2 + 1):
-            v = Fraction(p, q)
-            if lo_v <= v <= hi_v:
-                vals.add(v)
-    return [normalize_even(v.numerator, v.denominator) for v in sorted(vals)]
+        q_min = -(-p * hi_d // hi_n)  # p/q <= hi  <=>  q >= p*hi_d/hi_n
+        q_max = p // 2 if lo_n <= 0 else min(p // 2, p * lo_d // lo_n)
+        for q in range(max(q_min, 1), q_max + 1):
+            g = gcd(p, q)
+            pairs.add((p // g, q // g))
+    # Distinct fractions with denominators <= n differ by at least 1/n^2, so
+    # floor(a * n^2 / b) orders them exactly.
+    scale = n * n
+    ordered = sorted(pairs, key=lambda ab: ab[0] * scale // ab[1])
+    return [EvenRational(a, b) if a % 2 == 0 else EvenRational(2 * a, 2 * b)
+            for a, b in ordered]

@@ -419,7 +419,8 @@ def k4_omega_coloring(p: int, q: int) -> Coloring:
     skipped).
     """
     inner = wenger_tilde_coloring(p, q).colors
-    assert inner[8] == inner[9], "terminals must share a color to replicate"
+    if inner[8] != inner[9]:
+        raise RuntimeError("internal error: terminals must share a color to replicate")
     internals = [w for w in range(len(inner)) if w not in (8, 9)]
     colors = [inner[8]] * 4
     for _ in range(6):

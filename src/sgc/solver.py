@@ -7,6 +7,12 @@ ascending order, and when no pins are given on a connected graph the first
 branching vertex is fixed to color 0 (sound by rotation symmetry).  Repeat
 runs produce byte-identical witnesses.
 
+The search is one iterative loop over an explicit stack of frames, so its
+depth is not bounded by Python's recursion limit.  Propagation queues the
+vertices whose domain shrank and revises their neighbors; the support of a
+domain across an edge is the OR of its rotations over the edge kind's
+window of allowed offsets, computed by doubling and memoised per search.
+
 All color arithmetic is exact integers; budgets are node counts (one node =
 one attempted vertex<-color assignment) plus an optional wall-clock cap.
 An exhausted budget raises, it never returns a wrong answer.
@@ -15,7 +21,6 @@ An exhausted budget raises, it never returns a wrong answer.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -127,9 +132,10 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
                for e in g.edges)
 
 
-def _edge_kinds(g: SignedGraph) -> dict[tuple[int, int], int]:
-    """Collapse parallel edges into one constraint kind per vertex pair.
+def _adjacency(g: SignedGraph) -> list[list[tuple[int, int]]]:
+    """adj[v] = sorted (neighbor, constraint kind) pairs, one per neighbor.
 
+    Parallel edges collapse into one constraint kind per vertex pair.
     Negative loops constrain nothing (distance to the antipode is p/2 >= q)
     and are dropped; positive loops must be rejected by the caller.
     """
@@ -140,120 +146,146 @@ def _edge_kinds(g: SignedGraph) -> dict[tuple[int, int], int]:
         key = (min(e.u, e.v), max(e.u, e.v))
         k = _KIND_POS if e.sign is POS else _KIND_NEG
         kinds[key] = kinds.get(key, 0) | k
-    return kinds
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for (a, b), kind in sorted(kinds.items()):
+        adj[a].append((b, kind))
+        adj[b].append((a, kind))
+    for lst in adj:
+        lst.sort()
+    return adj
 
 
-def _masks(p: int, q: int) -> list[list[int] | None]:
-    """masks[kind][c] = bitmask of neighbor colors compatible with color c.
+def _window(dx: int, lo: int, hi: int, p: int, full: int) -> int:
+    """OR of the rotations of dx (a p-bit color set) by every offset lo..hi.
 
-    The negative-edge relation is symmetric (distance from one endpoint to
-    the other's antipode does not depend on the direction), so one table
-    serves both directions of an edge.
+    Needs 0 <= lo <= hi < p.  Doubling: after the loop s holds the OR of the
+    shifts by 0..span-1, so O(log p) big-int operations in all; the single
+    fold at the end wraps bits p..2p-2 round the circle.
     """
-    pos, neg = [], []
-    half = p // 2
-    for c in range(p):
-        pm = nm = 0
-        for j in range(p):
-            if circle_edge_ok(c, j, 0, p, q):
-                pm |= 1 << j
-            if circle_edge_ok(c, j, half, p, q):
-                nm |= 1 << j
-        pos.append(pm)
-        neg.append(nm)
-    both = [pos[c] & neg[c] for c in range(p)]
-    return [None, pos, neg, both]
+    s, span, width = dx, 1, hi - lo + 1
+    while 2 * span <= width:
+        s |= s << span
+        span *= 2
+    if span < width:
+        s |= s << (width - span)
+    s <<= lo
+    return (s | s >> p) & full
 
 
-def _search(n: int, adj: list[list[tuple[int, int]]], masks, domains: list[int],
-            budget: SolveBudget) -> list[int] | None:
-    """Backtracking with arc-consistency over bitmask domains.
+def _support(kind: int, dx: int, p: int, q: int) -> int:
+    """The colors compatible, across an edge of this kind, with some color of dx.
+
+    A neighbor color sits at offset t from a color of dx where t runs over
+    [q, p-q] for a positive edge, the same window shifted by p/2 for a
+    negative one, and [q, p/2-q] u [p/2+q, p-q] when the pair carries both.
+    """
+    half, full = p // 2, (1 << p) - 1
+    if kind == _KIND_BOTH:
+        if 2 * q > half:
+            return 0
+        s = _window(dx, q, half - q, p, full)
+    else:
+        s = _window(dx, q, p - q, p, full)
+    if kind == _KIND_POS:
+        return s
+    turned = (s << half | s >> half) & full
+    return turned if kind == _KIND_NEG else s | turned
+
+
+def _search(n: int, adj: list[list[tuple[int, int]]], p: int, q: int,
+            domains: list[int], budget: SolveBudget) -> list[int] | None:
+    """Backtracking with arc consistency over bitmask domains, iteratively.
+
+    Branches on the unassigned vertex with the smallest domain (ties to the
+    lowest index), trying its colors in ascending order; an explicit stack
+    of frames (vertex, its domain when picked, untried colors, trail of the
+    domains its assignment changed) stands in for recursion.  Propagation
+    pops a vertex whose domain shrank and intersects each neighbor's domain
+    with that domain's support (_support, memoised per edge kind for this
+    call), queueing the neighbors that shrink.  Arc consistency has a unique
+    fixpoint, so this order of revisions gives the same domains, tree, node
+    count and solution as any other.  Revising an assigned vertex never
+    changes it, since its neighbors were all revised against its color
+    first, so the loop does not test for one.
 
     domains is consumed destructively.  Returns the first solution in the
     canonical order, or None.
     """
-    assigned = [False] * n
-
-    def propagate(queue: deque) -> tuple[list[tuple[int, int]], bool]:
-        """Revise target domains until fixpoint; returns (trail, ok)."""
-        trail = []
-        pending = set(queue)
+    if n == 0:
+        return []
+    taken = p + 1  # size of an assigned vertex: above every popcount
+    size = [d.bit_count() for d in domains]
+    memos = {kind: {} for kind in (_KIND_POS, _KIND_NEG, _KIND_BOTH)}
+    groups = []  # groups[x] = [(kind, memo of kind, neighbors over kind)]
+    for x in range(n):
+        by_kind: dict[int, list[int]] = {}
+        for w, kind in adj[x]:
+            by_kind.setdefault(kind, []).append(w)
+        groups.append([(kind, memos[kind], ws) for kind, ws in sorted(by_kind.items())])
+    spend = budget.spend
+    queue = list(range(n))
+    queued = [True] * n
+    # A frame is (vertex, its domain when picked, colors not yet tried,
+    # trail of (vertex, old domain) pairs written by its propagation).
+    frames: list[tuple[int, int, int, list]] = []
+    v, saved, untried, trail = -1, 0, 0, []  # the root: no vertex assigned
+    while True:
+        ok = True
         while queue:
-            item = queue.popleft()
-            pending.discard(item)
-            w, x, kind = item
-            if assigned[w]:
-                continue
-            mk = masks[kind]
+            x = queue.pop()
+            queued[x] = False
             dx = domains[x]
-            if (dx & (dx - 1)) == 0:
-                union = mk[dx.bit_length() - 1]
-            else:
-                union = 0
-                while dx:
-                    lsb = dx & -dx
-                    union |= mk[lsb.bit_length() - 1]
-                    dx &= dx - 1
-            nd = domains[w] & union
-            if nd != domains[w]:
-                trail.append((w, domains[w]))
-                domains[w] = nd
-                if nd == 0:
-                    return trail, False
-                for y, k2 in adj[w]:
-                    if not assigned[y]:
-                        nxt = (y, w, k2)
-                        if nxt not in pending:
-                            pending.add(nxt)
-                            queue.append(nxt)
-        return trail, True
-
-    def undo(trail):
-        for v, old in reversed(trail):
-            domains[v] = old
-
-    # Initial fixpoint: every directed constraint once (covers pins).
-    q0 = deque()
-    for v in range(n):
-        for w, kind in adj[v]:
-            q0.append((w, v, kind))
-    _, ok = propagate(q0)
-    if not ok:
-        return None
-
-    nassigned = 0
-
-    def rec() -> bool:
-        nonlocal nassigned
-        if nassigned == n:
-            return True
-        v, vsize = -1, 1 << 30
-        for x in range(n):
-            if not assigned[x]:
-                s = domains[x].bit_count()
-                if s < vsize:
-                    v, vsize = x, s
-        d = domains[v]
-        saved = d
-        while d:
-            lsb = d & -d
-            d ^= lsb
-            budget.spend()
-            assigned[v] = True
-            nassigned += 1
-            domains[v] = lsb
-            trail, ok = propagate(deque((w, v, kind) for w, kind in adj[v]))
-            if ok and rec():
-                return True
-            undo(trail)
-            domains[v] = saved
-            assigned[v] = False
-            nassigned -= 1
-        return False
-
-    if rec():
-        return [domains[v].bit_length() - 1 for v in range(n)]
-    return None
+            for kind, memo, ws in groups[x]:
+                sup = memo.get(dx)
+                if sup is None:
+                    sup = memo[dx] = _support(kind, dx, p, q)
+                for w in ws:
+                    dw = domains[w]
+                    nd = dw & sup
+                    if nd != dw:
+                        if not nd:
+                            ok = False
+                            break
+                        trail.append((w, dw))
+                        domains[w] = nd
+                        size[w] = nd.bit_count()
+                        if not queued[w]:
+                            queued[w] = True
+                            queue.append(w)
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            smallest = min(size)
+            if smallest == taken:
+                return [d.bit_length() - 1 for d in domains]
+            frames.append((v, saved, untried, trail))
+            v = size.index(smallest)
+            saved = untried = domains[v]
+        else:  # undo v's failed color; back up past every exhausted vertex
+            for x in queue:
+                queued[x] = False
+            queue.clear()
+            while True:
+                if v < 0:
+                    return None
+                for w, dw in reversed(trail):
+                    domains[w] = dw
+                    size[w] = dw.bit_count()
+                if untried:
+                    break
+                domains[v] = saved
+                size[v] = saved.bit_count()
+                v, saved, untried, trail = frames.pop()
+        lsb = untried & -untried
+        untried ^= lsb
+        spend()
+        domains[v] = lsb
+        size[v] = taken
+        trail = []
+        queue.append(v)
+        queued[v] = True
 
 
 def feasible_pq(g: SignedGraph, p: int, q: int,
@@ -290,15 +322,7 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     if not pin_map and g.n >= 1 and g.is_connected():
         domains[0] = 1  # rotation symmetry: some solution has f(0) = 0
 
-    kinds = _edge_kinds(g)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for (a, b), kind in sorted(kinds.items()):
-        adj[a].append((b, kind))
-        adj[b].append((a, kind))
-    for lst in adj:
-        lst.sort()
-
-    sol = _search(g.n, adj, _masks(p, q), domains, budget)
+    sol = _search(g.n, _adjacency(g), p, q, domains, budget)
     if sol is None:
         return None
     c = Coloring(p, q, tuple(sol))

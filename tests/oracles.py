@@ -3,14 +3,23 @@
 Every function here recomputes a quantity from first principles with no
 propagation, no heuristics, and no shared code with the implementation
 under test.  They are exponential and meant for tiny inputs only.
+
+The exceptions are reference copies of earlier library code, kept verbatim
+so that a rewrite can be held to exactly the same outputs: the recursive
+search kernel with its mask tables (oracle_search, oracle_masks), the
+candidate ladder (oracle_candidate_ladder) and frac_circ_dist.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
+from sgc.arith import (EvenRational, _as_fraction, circle_edge_ok, normalize_even,
+                       rational_point)
 from sgc.core import NEG, POS, SignedGraph
+from sgc.solver import SolveBudget
 
 
 def gap(p: int, x: int, y: int) -> int:
@@ -254,3 +263,142 @@ def oracle_refine(g: SignedGraph, r: Fraction, points) -> tuple | None:
     eps = min(slacks) / 2
     scale = 1 + eps
     return r / scale, tuple(x / scale for x in colors)
+
+
+def frac_circ_dist(a: Fraction, b: Fraction, r: Fraction) -> Fraction:
+    """Distance on the rational circle of circumference r."""
+    d = rational_point(a - b, r)
+    return min(d, r - d)
+
+
+def oracle_candidate_ladder(n: int, lo, hi) -> list[EvenRational]:
+    """All possible chi_c values in [lo, hi] of an n-vertex signed graph.
+
+    Any signed graph on n vertices that has a cycle attains its chi_c at a
+    rational p/q with even p <= 2n; this enumerates those, normalizes, and
+    returns them deduplicated in ascending value order.  lo/hi accept ints,
+    Fractions, or EvenRationals.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    lo_v, hi_v = _as_fraction(lo), _as_fraction(hi)
+    vals = set()
+    for p in range(2, 2 * n + 1, 2):
+        for q in range(1, p // 2 + 1):
+            v = Fraction(p, q)
+            if lo_v <= v <= hi_v:
+                vals.add(v)
+    return [normalize_even(v.numerator, v.denominator) for v in sorted(vals)]
+
+
+def oracle_masks(p: int, q: int) -> list[list[int] | None]:
+    """masks[kind][c] = bitmask of neighbor colors compatible with color c.
+
+    The negative-edge relation is symmetric (distance from one endpoint to
+    the other's antipode does not depend on the direction), so one table
+    serves both directions of an edge.
+    """
+    pos, neg = [], []
+    half = p // 2
+    for c in range(p):
+        pm = nm = 0
+        for j in range(p):
+            if circle_edge_ok(c, j, 0, p, q):
+                pm |= 1 << j
+            if circle_edge_ok(c, j, half, p, q):
+                nm |= 1 << j
+        pos.append(pm)
+        neg.append(nm)
+    both = [pos[c] & neg[c] for c in range(p)]
+    return [None, pos, neg, both]
+
+
+def oracle_search(n: int, adj: list[list[tuple[int, int]]], masks, domains: list[int],
+            budget: SolveBudget) -> list[int] | None:
+    """Backtracking with arc-consistency over bitmask domains.
+
+    domains is consumed destructively.  Returns the first solution in the
+    canonical order, or None.
+    """
+    assigned = [False] * n
+
+    def propagate(queue: deque) -> tuple[list[tuple[int, int]], bool]:
+        """Revise target domains until fixpoint; returns (trail, ok)."""
+        trail = []
+        pending = set(queue)
+        while queue:
+            item = queue.popleft()
+            pending.discard(item)
+            w, x, kind = item
+            if assigned[w]:
+                continue
+            mk = masks[kind]
+            dx = domains[x]
+            if (dx & (dx - 1)) == 0:
+                union = mk[dx.bit_length() - 1]
+            else:
+                union = 0
+                while dx:
+                    lsb = dx & -dx
+                    union |= mk[lsb.bit_length() - 1]
+                    dx &= dx - 1
+            nd = domains[w] & union
+            if nd != domains[w]:
+                trail.append((w, domains[w]))
+                domains[w] = nd
+                if nd == 0:
+                    return trail, False
+                for y, k2 in adj[w]:
+                    if not assigned[y]:
+                        nxt = (y, w, k2)
+                        if nxt not in pending:
+                            pending.add(nxt)
+                            queue.append(nxt)
+        return trail, True
+
+    def undo(trail):
+        for v, old in reversed(trail):
+            domains[v] = old
+
+    # Initial fixpoint: every directed constraint once (covers pins).
+    q0 = deque()
+    for v in range(n):
+        for w, kind in adj[v]:
+            q0.append((w, v, kind))
+    _, ok = propagate(q0)
+    if not ok:
+        return None
+
+    nassigned = 0
+
+    def rec() -> bool:
+        nonlocal nassigned
+        if nassigned == n:
+            return True
+        v, vsize = -1, 1 << 30
+        for x in range(n):
+            if not assigned[x]:
+                s = domains[x].bit_count()
+                if s < vsize:
+                    v, vsize = x, s
+        d = domains[v]
+        saved = d
+        while d:
+            lsb = d & -d
+            d ^= lsb
+            budget.spend()
+            assigned[v] = True
+            nassigned += 1
+            domains[v] = lsb
+            trail, ok = propagate(deque((w, v, kind) for w, kind in adj[v]))
+            if ok and rec():
+                return True
+            undo(trail)
+            domains[v] = saved
+            assigned[v] = False
+            nassigned -= 1
+        return False
+
+    if rec():
+        return [domains[v].bit_length() - 1 for v in range(n)]
+    return None

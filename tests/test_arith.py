@@ -9,9 +9,10 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import frac_circ_dist
 from sgc.arith import (EvenRational, antipode, candidates, circ_dist,
-                       circle_edge_ok, frac_antipode, frac_circ_dist,
-                       normalize_even, rational_point)
+                       circle_edge_ok, frac_antipode, normalize_even,
+                       rational_point)
 
 
 class TestEvenRational:
@@ -175,6 +176,12 @@ class TestCandidates:
     def test_rejects_empty_vertex_set(self):
         with pytest.raises(ValueError):
             candidates(0, 2, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.fractions(-1, 90, max_denominator=50),
+           st.fractions(-1, 90, max_denominator=50))
+    def test_matches_the_fraction_ladder_it_replaced(self, n, lo, hi):
+        assert candidates(n, lo, hi) == oracles.oracle_candidate_ladder(n, lo, hi)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5))

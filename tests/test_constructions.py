@@ -40,6 +40,7 @@ from sgc import (
     wenger_tilde_coloring,
     wenger_tilde_detail,
 )
+from sgc import constructions
 
 
 def triples(g: SignedGraph) -> list[tuple[int, int, str]]:
@@ -395,6 +396,13 @@ class TestCliqueComposition:
     def test_sizes(self):
         g = k4_omega()
         assert (g.n, g.m) == (124, 360)
+
+    def test_reference_coloring_checks_its_terminals(self, monkeypatch):
+        # The guard raises (not asserts), so it also runs under python -O.
+        bad = Coloring(28, 6, tuple(range(12)))
+        monkeypatch.setattr(constructions, "wenger_tilde_coloring", lambda p, q: bad)
+        with pytest.raises(RuntimeError, match="terminals must share a color"):
+            k4_omega_coloring(28, 6)
 
     def test_reference_coloring(self):
         c = k4_omega_coloring(28, 6)

@@ -14,6 +14,8 @@ import pytest
 from gen import grids, signed_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sgc import solver
+from sgc.constructions import signed_cycle
 from sgc.core import NEG, POS, CapacityError, SignedGraph, UncolorableError
 from sgc.solver import (BudgetExhausted, ChiUndecided, Coloring, Pin,
                         SolveBudget, chi_c, chi_s, circular_to_zero_free,
@@ -26,6 +28,7 @@ def sg(n, triples):
 
 C4_NEG = sg(4, [(0, 1, POS), (1, 2, POS), (2, 3, POS), (3, 0, NEG)])
 DIGON = sg(2, [(0, 1, POS), (0, 1, NEG)])
+KINDS = (solver._KIND_POS, solver._KIND_NEG, solver._KIND_BOTH)
 
 
 class TestVerifyColoring:
@@ -137,6 +140,66 @@ class TestFeasiblePq:
             oracles.brute_feasible(g, p, q, pins=((pins[0].vertex, pins[0].color),)) is not None)
         if got is not None:
             assert got.colors[pins[0].vertex] == pins[0].color
+
+
+class TestSearchKernel:
+    """The iterative kernel against the recursive one it replaced."""
+
+    @staticmethod
+    def _run(search, *args, max_nodes):
+        budget = SolveBudget(max_nodes=max_nodes)
+        try:
+            out = search(*args, budget)
+        except BudgetExhausted as exc:
+            out = ("exhausted", exc.nodes)
+        return out, budget.nodes
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_deep_cycle_does_not_recurse(self, negative):
+        g = signed_cycle(999, negative)
+        c = feasible_pq(g, 6, 2)
+        assert c is not None and verify_coloring(g, c)
+
+    @settings(max_examples=500, deadline=None)
+    @given(signed_graphs(min_n=2, max_n=14, max_m=40), grids(24), st.data())
+    def test_same_solutions_and_nodes_as_recursive_oracle(self, g, pq, data):
+        p, q = pq
+        full = (1 << p) - 1
+        # Mostly open domains, so that searches go deep and backtrack.
+        domain = st.integers(0, 9).flatmap(lambda k: (
+            st.just(full) if k < 7 else
+            st.integers(0, p - 1).map(lambda c: 1 << c) if k == 7 else
+            st.integers(1, full)))
+        domains = [data.draw(domain) for _ in range(g.n)]
+        max_nodes = data.draw(st.integers(1, 2000))
+        adj = solver._adjacency(g)
+        got = self._run(solver._search, g.n, adj, p, q, list(domains), max_nodes=max_nodes)
+        want = self._run(oracles.oracle_search, g.n, adj, oracles.oracle_masks(p, q),
+                         list(domains), max_nodes=max_nodes)
+        assert got == want
+
+    @pytest.mark.parametrize("p", range(2, 121, 2))
+    def test_singleton_supports_equal_mask_tables(self, p):
+        half = p // 2
+        # Every q up to p = 40; above that, q at the ends of the offset windows.
+        window_edges = {1, 2, 3, half // 2 - 1, half // 2, half // 2 + 1, half - 1, half}
+        qs = range(1, half + 1) if p <= 40 else sorted(q for q in window_edges if q >= 1)
+        for q in qs:
+            masks = oracles.oracle_masks(p, q)
+            for kind in KINDS:
+                assert [solver._support(kind, 1 << c, p, q) for c in range(p)] == masks[kind]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids(60), st.sampled_from(KINDS), st.data())
+    def test_support_of_a_domain_is_the_union_over_its_colors(self, pq, kind, data):
+        p, q = pq
+        dx = data.draw(st.integers(1, (1 << p) - 1))
+        masks = oracles.oracle_masks(p, q)[kind]
+        union = 0
+        for c in range(p):
+            if dx >> c & 1:
+                union |= masks[c]
+        assert solver._support(kind, dx, p, q) == union
 
 
 class TestChiC:
