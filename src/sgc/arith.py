@@ -12,11 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-# A point on the rational circle of circumference r is an exact nonnegative
-# Fraction < r.  The helpers below (rational_point, frac_antipode) keep values
-# in that canonical range.
-RationalPoint = Fraction
-
 
 @dataclass(frozen=True)
 class EvenRational:
@@ -86,17 +81,24 @@ def circ_dist(i: int, j: int, p: int) -> int:
     return min(d, p - d)
 
 
+def circle_gap(a, b, shift, r):
+    """Clockwise gap from the point b + shift to a, in [0, r).
+
+    a and b are colors on the circle of circumference r (ints on an integer
+    grid, or Fractions); shift is 0 for a positive edge and r/2 for a
+    negative one, whose constraint is measured against the antipode of b.
+    Going the other way round, the gap is r minus this one (or 0).
+    """
+    return (a - b - shift) % r
+
+
 def circle_edge_ok(a, b, shift, r, q=1) -> bool:
     """The one edge constraint, on the integer or the rational circle.
 
-    a and b are the endpoint colors on the circle of circumference r (ints
-    on the (r, q) grid, or Fractions with q = 1); shift is 0 for a positive
-    edge and r/2 for a negative one, whose constraint is measured against
-    the antipode of b.  The edge holds when a is at least q away from
-    b + shift both ways round the circle.
+    The edge holds when a is at least q away from b + shift both ways round
+    the circle of circumference r (q = 1 on the rational circle).
     """
-    d = (a - b - shift) % r
-    return q <= d <= r - q
+    return q <= circle_gap(a, b, shift, r) <= r - q
 
 
 def antipode(i: int, p: int) -> int:
@@ -106,16 +108,6 @@ def antipode(i: int, p: int) -> int:
     if not 0 <= i < p:
         raise ValueError(f"color {i} out of range for p={p}")
     return (i + p // 2) % p
-
-
-def rational_point(x: Fraction, r: Fraction) -> Fraction:
-    """Reduce x modulo r into the canonical range [0, r)."""
-    return x - (x / r).__floor__() * r
-
-
-def frac_antipode(x: Fraction, r: Fraction) -> Fraction:
-    """The point opposite x on the rational circle."""
-    return rational_point(x + r / 2, r)
 
 
 def _as_fraction(x) -> Fraction:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import circle_edge_ok, frac_antipode, rational_point
-from .core import POS, SignedGraph
+from .arith import circle_gap
+from .core import POS, Edge, SignedGraph
 from .solver import Coloring
 
 Arc = tuple[int, int, int]  # (from vertex, to vertex, edge index)
@@ -68,13 +68,37 @@ class RationalColoring:
         return Coloring(p, q, tuple(colors))
 
 
-def verify_rational(g: SignedGraph, c: RationalColoring) -> bool:
-    """Check an exact circular coloring against every edge."""
+def _gap(e: Edge, colors: Sequence[Fraction], r: Fraction, half: Fraction) -> Fraction:
+    """Clockwise gap from u's color to v's target point along edge e.
+
+    The target is v's color for a positive edge, its antipode for a negative
+    one.  The edge holds iff 1 <= gap <= r - 1; the step (u, v) is tight iff
+    gap == 1, and the step (v, u), whose gap is r - gap, iff gap == r - 1.
+    """
+    return circle_gap(colors[e.v], colors[e.u], 0 if e.sign is POS else half, r)
+
+
+def _edge_gaps(g: SignedGraph, c: RationalColoring) -> Optional[list[Fraction]]:
+    """One gap per edge of g in edge order, or None when an edge fails."""
     if len(c.colors) != g.n:
         raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
     r, half = c.r, c.r / 2
-    return all(circle_edge_ok(c.colors[e.u], c.colors[e.v], 0 if e.sign is POS else half, r)
-               for e in g.edges)
+    gaps = [_gap(e, c.colors, r, half) for e in g.edges]
+    top = r - 1
+    return gaps if all(1 <= gap <= top for gap in gaps) else None
+
+
+def _tight_steps(e: Edge, idx: int, gap: Fraction, r: Fraction) -> list[Arc]:
+    """The tight steps along edge idx, given its gap."""
+    steps = [(e.u, e.v, idx)] if gap == 1 else []
+    if gap == r - 1 and not e.is_loop:
+        steps.append((e.v, e.u, idx))
+    return steps
+
+
+def verify_rational(g: SignedGraph, c: RationalColoring) -> bool:
+    """Check an exact circular coloring against every edge."""
+    return _edge_gaps(g, c) is not None
 
 
 @dataclass(frozen=True)
@@ -85,27 +109,13 @@ class TightDigraph:
     arcs: tuple[Arc, ...]
 
 
-def _forward_gap(g: SignedGraph, colors: Sequence[Fraction], r: Fraction,
-                 u: int, w: int, edge_idx: int) -> Fraction:
-    """Clockwise gap from u's color to the target point at w along this edge.
-
-    The target is w's color for a positive edge, its antipode for a negative
-    one; the gap is >= 1 for every side of every edge of a verifying
-    coloring, and == 1 exactly when the step (u, w) is tight.
-    """
-    target = colors[w] if g.edges[edge_idx].sign is POS else frac_antipode(colors[w], r)
-    return rational_point(target - colors[u], r)
-
-
 def tight_digraph(g: SignedGraph, c: RationalColoring) -> TightDigraph:
     """The digraph of tight steps; rejects non-verifying colorings."""
-    if not verify_rational(g, c):
+    gaps = _edge_gaps(g, c)
+    if gaps is None:
         raise ValueError("coloring does not verify; tight digraph undefined")
-    arcs = []
-    for idx, e in enumerate(g.edges):
-        sides = [(e.u, e.v)] if e.is_loop else [(e.u, e.v), (e.v, e.u)]
-        arcs.extend((u, w, idx) for u, w in sides if _forward_gap(g, c.colors, c.r, u, w, idx) == 1)
-    return TightDigraph(g.n, tuple(arcs))
+    return TightDigraph(g.n, tuple(arc for idx, (e, gap) in enumerate(zip(g.edges, gaps))
+                                   for arc in _tight_steps(e, idx, gap, c.r)))
 
 
 def find_tight_cycle(d: TightDigraph) -> Optional[tuple[Arc, ...]]:
@@ -178,9 +188,10 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
     cycle = tuple(cycle)
     if not cycle:
         raise CorruptCertificateError("empty cycle")
-    if not verify_rational(g, c):
+    gaps = _edge_gaps(g, c)
+    if gaps is None:
         raise ValueError("coloring does not verify; nothing to certify")
-    s = t = 0
+    t = 0
     for i, (u, v, idx) in enumerate(cycle):
         if not 0 <= idx < g.m:
             raise CorruptCertificateError(f"arc {i}: no edge {idx}")
@@ -190,13 +201,10 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
         nxt = cycle[(i + 1) % len(cycle)]
         if v != nxt[0]:
             raise CorruptCertificateError(f"arc {i} ends at {v}, arc {i+1} starts at {nxt[0]}")
-        if _forward_gap(g, c.colors, c.r, u, v, idx) != 1:
+        if (gaps[idx] if u == e.u else c.r - gaps[idx]) != 1:
             raise CorruptCertificateError(f"arc {i}: step ({u},{v}) is not tight")
-        if e.sign is POS:
-            s += 1
-        else:
-            t += 1
-    r = c.r
+        t += e.sign is not POS
+    s, r = len(cycle) - t, c.r
     a = (s - (r / 2 - 1) * t) / r
     if a.denominator != 1:
         raise CorruptCertificateError(f"step counts s={s}, t={t} give non-integral a={a}")
@@ -227,7 +235,8 @@ def refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
         raise NotRefinableError("tight cycle present")
 
     colors = list(c.colors)
-    r = c.r
+    r, half = c.r, c.r / 2
+    gaps = _edge_gaps(g, c)
     adj = g.adjacency()
     arcs = set(d.arcs)  # no loop arcs: a tight loop is a tight cycle
     while arcs:
@@ -235,23 +244,23 @@ def refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
         if not sinks:
             raise RuntimeError("internal error: acyclic tight digraph without a sink")
         v = min(sinks)
-        out_sides = [(v, w, idx) for w, idx in adj[v] if w != v]
-        eps = (min(_forward_gap(g, colors, r, *side) for side in out_sides) - 1) / 2
+        at_v = {idx for w, idx in adj[v] if w != v}
+        eps = (min(gaps[idx] if v == g.edges[idx].u else r - gaps[idx] for idx in at_v) - 1) / 2
         if eps <= 0:
             raise RuntimeError("internal error: sink with a tight out-step")
-        colors[v] = rational_point(colors[v] + eps, r)
-        sides = out_sides + [(w, v, idx) for _, w, idx in out_sides]
-        new_arcs = arcs.difference(sides).union(
-            side for side in sides if _forward_gap(g, colors, r, *side) == 1)
+        colors[v] = (colors[v] + eps) % r
+        for idx in at_v:
+            gaps[idx] = _gap(g.edges[idx], colors, r, half)
+        new_arcs = {arc for arc in arcs if arc[2] not in at_v}.union(
+            *(_tight_steps(g.edges[idx], idx, gaps[idx], r) for idx in at_v))
         if len(new_arcs) >= len(arcs):
             raise RuntimeError(
                 "internal error: refinement stalled (tight step count did not drop)"
             )
         arcs = new_arcs
 
-    # Every side once, loops included: a negative loop has slack r/2 - 1.
-    eps = (min(_forward_gap(g, colors, r, u, w, idx)
-               for u in range(g.n) for w, idx in adj[u]) - 1) / 2
+    # A negative loop's gap is r/2, so its slack r/2 - 1 needs no special case.
+    eps = (min(min(gap, r - gap) for gap in gaps) - 1) / 2
     if eps <= 0:
         raise RuntimeError("internal error: zero slack after clearing all tight steps")
     scale = 1 + eps

@@ -46,6 +46,10 @@ def _clique_edges(p: int, q: int, n_limit: int) -> list[tuple[int, int, Sign]]:
     hold at once (a parallel pair), and i = j yields a negative loop since
     the antipodal distance is exactly p/2 >= q.
     """
+    if p < 2 or p % 2:
+        raise ValueError("p must be even and at least 2")
+    if not (1 <= q <= p // 2):
+        raise ValueError("q must satisfy 1 <= q <= p/2")
     half = p // 2
     edges: list[tuple[int, int, Sign]] = []
     for i in range(n_limit):
@@ -60,10 +64,6 @@ def _clique_edges(p: int, q: int, n_limit: int) -> list[tuple[int, int, Sign]]:
 
 def circular_clique_signed(p: int, q: int) -> SignedGraph:
     """The universal target graph for (p,q)-coloring, on vertices 0..p-1."""
-    if p < 2 or p % 2:
-        raise ValueError("p must be even and at least 2")
-    if not (1 <= q <= p // 2):
-        raise ValueError("q must satisfy 1 <= q <= p/2")
     return SignedGraph.from_triples(p, _clique_edges(p, q, p))
 
 
@@ -73,10 +73,6 @@ def hat_clique(p: int, q: int) -> SignedGraph:
     Every color class pair {i, antipode(i)} has one representative here, so
     this smaller graph admits the same homomorphisms up to switching.
     """
-    if p < 2 or p % 2:
-        raise ValueError("p must be even and at least 2")
-    if not (1 <= q <= p // 2):
-        raise ValueError("q must satisfy 1 <= q <= p/2")
     return SignedGraph.from_triples(p // 2, _clique_edges(p, q, p // 2))
 
 

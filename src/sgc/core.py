@@ -281,12 +281,11 @@ def degeneracy(g: SignedGraph) -> tuple[int, list[int]]:
 
 def _chromatic_number(n: int, neighbors: list[set[int]]) -> int:
     """Exact chromatic number of a simple graph by branch and bound."""
-    if n == 0:
-        return 0
-    if all(not nb for nb in neighbors):
-        return 1
-    # Order vertices by descending degree for earlier pruning.
-    order = sorted(range(n), key=lambda v: (-len(neighbors[v]), v))
+    # Isolated vertices take color 0, so the recursion branches only on the
+    # others, by descending degree for earlier pruning.
+    order = sorted((v for v in range(n) if neighbors[v]), key=lambda v: (-len(neighbors[v]), v))
+    if not order:
+        return min(n, 1)
     colors = [-1] * n
     best = n
 
@@ -294,7 +293,7 @@ def _chromatic_number(n: int, neighbors: list[set[int]]) -> int:
         nonlocal best
         if used >= best:
             return
-        if i == n:
+        if i == len(order):
             best = used
             return
         v = order[i]

@@ -125,6 +125,8 @@ def parse_coloring(text: str, n: int) -> Coloring:
                 header = (int(ps), int(qs))
             except ValueError:
                 raise ParseError(lineno, f"bad p/q {parts[1]!r}") from None
+            if min(header) < 1:
+                raise ParseError(lineno, f"p and q must be at least 1, got {parts[1]!r}")
             continue
         if len(parts) != 2:
             raise ParseError(lineno, "expected '<vertex> <color>'")

@@ -7,7 +7,8 @@ under test.  They are exponential and meant for tiny inputs only.
 The exceptions are reference copies of earlier library code, kept verbatim
 so that a rewrite can be held to exactly the same outputs: the recursive
 search kernel with its mask tables (oracle_search, oracle_masks), the
-candidate ladder (oracle_candidate_ladder) and frac_circ_dist.
+candidate ladder (oracle_candidate_ladder) and the rational circle helpers
+(rational_point, frac_antipode, frac_circ_dist).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from sgc.arith import (EvenRational, _as_fraction, circle_edge_ok, normalize_even,
-                       rational_point)
+from sgc.arith import EvenRational, _as_fraction, circle_edge_ok, normalize_even
 from sgc.core import NEG, POS, SignedGraph
 from sgc.solver import SolveBudget
 
@@ -263,6 +263,16 @@ def oracle_refine(g: SignedGraph, r: Fraction, points) -> tuple | None:
     eps = min(slacks) / 2
     scale = 1 + eps
     return r / scale, tuple(x / scale for x in colors)
+
+
+def rational_point(x: Fraction, r: Fraction) -> Fraction:
+    """Reduce x modulo r into the canonical range [0, r)."""
+    return x - (x / r).__floor__() * r
+
+
+def frac_antipode(x: Fraction, r: Fraction) -> Fraction:
+    """The point opposite x on the rational circle."""
+    return rational_point(x + r / 2, r)
 
 
 def frac_circ_dist(a: Fraction, b: Fraction, r: Fraction) -> Fraction:

@@ -9,10 +9,9 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import frac_circ_dist
+from oracles import frac_antipode, frac_circ_dist, rational_point
 from sgc.arith import (EvenRational, antipode, candidates, circ_dist,
-                       circle_edge_ok, frac_antipode, normalize_even,
-                       rational_point)
+                       circle_edge_ok, circle_gap, normalize_even)
 
 
 class TestEvenRational:
@@ -162,6 +161,8 @@ class TestCircleEdge:
         x, y = Fraction(a, q), Fraction(b, q)
         assert circle_edge_ok(x, y, 0, r) == (frac_circ_dist(x, y, r) >= 1)
         assert circle_edge_ok(x, y, r / 2, r) == (frac_circ_dist(x, frac_antipode(y, r), r) >= 1)
+        assert circle_gap(x, y, 0, r) == rational_point(x - y, r)
+        assert circle_gap(x, y, r / 2, r) == rational_point(x - frac_antipode(y, r), r)
 
 
 class TestCandidates:

@@ -9,7 +9,6 @@ import pytest
 from gen import grids, signed_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sgc.arith import frac_antipode, rational_point
 from sgc.certificates import (CorruptCertificateError, NotRefinableError,
                               RationalColoring, TightDigraph, cert_value,
                               find_tight_cycle, refine, tight_digraph,
@@ -32,8 +31,8 @@ def expected_arcs(g, c):
     for idx, e in enumerate(g.edges):
         pairs = [(e.u, e.u)] if e.is_loop else [(e.u, e.v), (e.v, e.u)]
         for u, w in pairs:
-            target = c.colors[w] if e.sign is POS else frac_antipode(c.colors[w], c.r)
-            if rational_point(target - c.colors[u], c.r) == 1:
+            target = c.colors[w] if e.sign is POS else oracles.frac_antipode(c.colors[w], c.r)
+            if oracles.rational_point(target - c.colors[u], c.r) == 1:
                 arcs.append((u, w, idx))
     return sorted(arcs)
 
@@ -95,6 +94,12 @@ class TestTightDigraph:
             return
         rc = RationalColoring.from_coloring(c)
         assert sorted(tight_digraph(g, rc).arcs) == expected_arcs(g, rc)
+        # refine's output holds points off the solver's 1/q grid.
+        try:
+            out = refine(g, rc)
+        except ValueError:  # a tight cycle (NotRefinableError), or no edges
+            return
+        assert sorted(tight_digraph(g, out).arcs) == expected_arcs(g, out)
 
 
 class TestFindTightCycle:

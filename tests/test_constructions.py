@@ -100,6 +100,8 @@ class TestCircularCliqueSigned:
     def test_validation(self, p, q):
         with pytest.raises(ValueError):
             circular_clique_signed(p, q)
+        with pytest.raises(ValueError):
+            hat_clique(p, q)
 
 
 class TestHatClique:

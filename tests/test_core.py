@@ -192,6 +192,12 @@ class TestChiPlus:
         with pytest.raises(UncolorableError):
             chi_plus(sg(1, [(0, 0, POS)]))
 
+    def test_many_isolated_vertices_do_not_deepen_the_search(self):
+        # Branching on each of the 1,497 isolated vertices too would recurse
+        # past the default recursion limit.
+        k3_plus_isolated = sg(1500, [(0, 1, POS), (1, 2, POS), (2, 0, POS)])
+        assert chi_plus(k3_plus_isolated) == 2
+
     def test_capacity_guard(self):
         path = sg(14, [(i, i + 1, POS) for i in range(13)])
         with pytest.raises(CapacityError):

@@ -231,6 +231,14 @@ class TestCliCheck:
         assert code == 1
         assert "bad rational" in err
 
+    @pytest.mark.parametrize("pq", ["3/0", "0/1", "-2/1"])
+    def test_bad_coloring_header(self, run, c4_file, tmp_path, pq):
+        col = tmp_path / "c.col"
+        col.write_text(f"coloring {pq}\n0 0\n1 1\n2 0\n3 1\n")
+        code, out, err = run("check", c4_file, "--r", "3", "--coloring", col)
+        assert (code, out) == (1, "")
+        assert err == f"parse error: line 1: p and q must be at least 1, got '{pq}'\n"
+
 
 class TestCliZset:
     def test_golden_digon(self, run, tmp_path):
