@@ -12,7 +12,6 @@ from .core import (
     SignedGraph,
     StructuralMismatchError,
     UncolorableError,
-    chi_plus,
     degeneracy,
     girth_types,
     is_balanced,
@@ -27,6 +26,7 @@ from .solver import (
     Pin,
     SolveBudget,
     chi_c,
+    chi_plus,
     chi_s,
     circular_to_zero_free,
     feasible_pq,
@@ -73,10 +73,10 @@ from .io_cli import ParseError, parse_coloring, parse_sg, render_coloring, rende
 __all__ = [
     "EvenRational", "antipode", "candidates", "circ_dist", "normalize_even",
     "CapacityError", "Edge", "Sign", "SignedGraph", "StructuralMismatchError",
-    "UncolorableError", "chi_plus", "degeneracy", "girth_types", "is_balanced", "switch",
+    "UncolorableError", "degeneracy", "girth_types", "is_balanced", "switch",
     "switching_equivalent",
     "BudgetExhausted", "ChiResult", "ChiUndecided", "Coloring", "Pin", "SolveBudget",
-    "chi_c", "chi_s", "circular_to_zero_free", "feasible_pq", "verify_coloring",
+    "chi_c", "chi_plus", "chi_s", "circular_to_zero_free", "feasible_pq", "verify_coloring",
     "zero_free_to_circular",
     "CorruptCertificateError", "NotRefinableError", "RationalColoring",
     "TightCycleCertificate", "TightDigraph", "cert_value", "find_tight_cycle", "refine",

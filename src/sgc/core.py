@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 
 class CapacityError(Exception):
-    """An exact enumeration was requested beyond the supported size."""
+    """The input is beyond a solver's supported size."""
 
 
 class UncolorableError(Exception):
@@ -277,69 +277,3 @@ def degeneracy(g: SignedGraph) -> tuple[int, list[int]]:
             if alive[y]:
                 deg[y] -= 1
     return d, order
-
-
-def _chromatic_number(n: int, neighbors: list[set[int]]) -> int:
-    """Exact chromatic number of a simple graph by branch and bound."""
-    # Isolated vertices take color 0, so the recursion branches only on the
-    # others, by descending degree for earlier pruning.
-    order = sorted((v for v in range(n) if neighbors[v]), key=lambda v: (-len(neighbors[v]), v))
-    if not order:
-        return min(n, 1)
-    colors = [-1] * n
-    best = n
-
-    def run(i: int, used: int) -> None:
-        nonlocal best
-        if used >= best:
-            return
-        if i == len(order):
-            best = used
-            return
-        v = order[i]
-        taken = {colors[w] for w in neighbors[v] if colors[w] >= 0}
-        # Colors 0..used-1 reuse an old class; color `used` opens a new one
-        # and is only worth trying while used+1 can still beat `best`.
-        for c in range(min(used + 1, best - 1)):
-            if c in taken:
-                continue
-            colors[v] = c
-            run(i + 1, max(used, c + 1))
-            colors[v] = -1
-
-    run(0, 0)
-    return best
-
-
-def chi_plus(g: SignedGraph) -> int:
-    """Minimum over all switchings of the chromatic number of the positive
-    part.
-
-    Exact enumeration of the 2^(n-c) essentially distinct switchings (one
-    vertex per component held fixed); guarded by CapacityError above n-c=12.
-    A positive loop survives every switching, so no proper coloring exists.
-    """
-    if g.has_positive_loop():
-        raise UncolorableError("positive loop: no proper coloring of the positive part")
-    if g.n == 0:
-        return 0
-    comps = g.components()
-    free = [v for comp in comps for v in comp[1:]]
-    if len(free) > 12:
-        raise CapacityError(f"2^{len(free)} switchings is beyond the exact enumeration guard")
-    best = g.n + 1
-    for bits in range(1 << len(free)):
-        sset = {free[i] for i in range(len(free)) if (bits >> i) & 1}
-        neighbors = [set() for _ in range(g.n)]
-        for e in g.edges:
-            if e.is_loop:
-                continue
-            flipped = (e.u in sset) != (e.v in sset)
-            sign = -e.sign if flipped else e.sign
-            if sign is POS:
-                neighbors[e.u].add(e.v)
-                neighbors[e.v].add(e.u)
-        best = min(best, _chromatic_number(g.n, neighbors))
-        if best == 1:
-            break
-    return best

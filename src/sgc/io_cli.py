@@ -193,26 +193,32 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _env_budget() -> SolveBudget | None:
-    raw = os.environ.get("SGC_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return SolveBudget(max_nodes=int(raw))
-    except ValueError:
-        raise _UsageError(f"SGC_BUDGET must be an integer, got {raw!r}") from None
+def _node_budget(nodes: int | None = None) -> SolveBudget | None:
+    """A node budget of `nodes` (from --budget) when given, else of
+    SGC_BUDGET when set, else None; a negative count is a usage error."""
+    source = "--budget"
+    if nodes is None:
+        source, raw = "SGC_BUDGET", os.environ.get("SGC_BUDGET")
+        if raw is None:
+            return None
+        try:
+            nodes = int(raw)
+        except ValueError:
+            raise _UsageError(f"SGC_BUDGET must be an integer, got {raw!r}") from None
+    if nodes < 0:
+        raise _UsageError(f"{source} must be nonnegative, got {nodes}")
+    return SolveBudget(max_nodes=nodes)
 
 
 def _cmd_chi(args) -> int:
+    col_path = Path(args.file).with_suffix(".col")
+    if col_path == Path(args.file):
+        raise _UsageError(f"the witness would overwrite the input {args.file}; "
+                          "name the graph file with another suffix")
     g = parse_sg(_read(args.file))
-    if args.budget is not None:
-        budget = SolveBudget(max_nodes=args.budget)
-    else:
-        budget = _env_budget()
-    result = chi_c(g, budget=budget)
+    result = chi_c(g, budget=_node_budget(args.budget))
     print(f"chi_c = {fmt_value(result.value)}")
     if result.witness is not None:
-        col_path = Path(args.file).with_suffix(".col")
         col_path.write_text(render_coloring(result.witness), encoding="utf-8")
         print(f"witness: {col_path}")
     if args.certify:
@@ -259,7 +265,7 @@ def _cmd_zset(args) -> int:
     g = parse_sg(_read(args.file))
     er = normalize_even(*_parse_fraction(args.r).as_integer_ratio())
     ind = Indicator(g, args.u, args.v)
-    zs = z_set(ind, er.p, er.q, budget=_env_budget())
+    zs = z_set(ind, er.p, er.q, budget=_node_budget())
     print(f"Z-set at r = {fmt_value(er.value)} (grid {er.p}/{er.q}):")
     for d, ok in enumerate(zs.member):
         print(f"  d = {Fraction(d, er.q)} : {'yes' if ok else 'no'}")
@@ -352,7 +358,7 @@ def _cmd_refine(args) -> int:
 
 def _cmd_chis(args) -> int:
     g = parse_sg(_read(args.file))
-    value = chi_s(g, budget=_env_budget())
+    value = chi_s(g, budget=_node_budget())
     print(f"chi_s = {fmt_value(value)}")
     return 0
 

@@ -3,9 +3,10 @@
 The search is deterministic backtracking over bitmask color domains with
 arc-consistency propagation: the branching vertex is the one with the
 smallest remaining domain (ties to the lowest index), colors are tried in
-ascending order, and when no pins are given on a connected graph the first
-branching vertex is fixed to color 0 (sound by rotation symmetry).  Repeat
-runs produce byte-identical witnesses.
+ascending order, and when no pins are given vertex 0 is fixed to color 0
+(sound by rotation symmetry; the unpinned search branches vertex 0 first
+and tries color 0 first anyway).  Repeat runs produce byte-identical
+witnesses.
 
 The search is one iterative loop over an explicit stack of frames, so its
 depth is not bounded by Python's recursion limit.  Propagation queues the
@@ -319,8 +320,11 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     domains = [full] * g.n
     for v, c in pin_map.items():
         domains[v] = 1 << c
-    if not pin_map and g.n >= 1 and g.is_connected():
-        domains[0] = 1  # rotation symmetry: some solution has f(0) = 0
+    if not pin_map and g.n >= 1:
+        # Rotating every color at once maps solutions to solutions, so some
+        # solution has f(0) = 0; connected or not, the unpinned search would
+        # branch vertex 0 first and try color 0 first, so witnesses agree.
+        domains[0] = 1
 
     sol = _search(g.n, _adjacency(g), p, q, domains, budget)
     if sol is None:
@@ -443,6 +447,31 @@ def chi_s(g: SignedGraph, budget: SolveBudget | None = None) -> Fraction:
         ))
         best = max(best, chi_c(sg, budget=budget).value)
     return best
+
+
+def chi_plus(g: SignedGraph) -> int:
+    """Minimum over all switchings of the chromatic number of the positive
+    part.
+
+    A k-coloring of the positive part after switching at S, negated on S,
+    is a 0-free 2k-coloring (colors +-1..+-k, Zaslavsky 1982), and every
+    0-free 2k-coloring arises so; zero_free_to_circular maps those exactly
+    onto the (2k,1)-colorings.  So the value is the least k with a
+    (2k,1)-coloring, and k <= n since the identity spread at (2n,1) colors
+    the graph.  A positive loop survives every switching, so no proper
+    coloring exists.  Guarded by CapacityError above n-c = 12 (c components).
+    """
+    if g.has_positive_loop():
+        raise UncolorableError("positive loop: no proper coloring of the positive part")
+    free = g.n - len(g.components())
+    if free > 12:
+        raise CapacityError(f"n - c = {free} is above the chi_plus guard of 12")
+    if g.n == 0:
+        return 0
+    k = 1
+    while feasible_pq(g, 2 * k, 1) is None:
+        k += 1
+    return k
 
 
 def zero_free_to_circular(f: Sequence[int], k: int) -> Coloring:

@@ -8,9 +8,9 @@ from gen import signed_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sgc.core import (NEG, POS, CapacityError, Edge, Sign, SignedGraph,
-                      StructuralMismatchError, UncolorableError, chi_plus,
-                      degeneracy, girth_types, is_balanced, switch,
-                      switching_equivalent)
+                      StructuralMismatchError, UncolorableError, degeneracy,
+                      girth_types, is_balanced, switch, switching_equivalent)
+from sgc.solver import chi_plus
 
 
 def sg(n, triples):

@@ -184,6 +184,12 @@ class TestCliChi:
         code, out, err = run("chi", src, "--budget", "1")
         assert code == 3
         assert err.startswith("budget exhausted: chi_c in (8/3, 4]")
+        code, out, err = run("chi", src, "--budget", "-5")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --budget must be nonnegative, got -5\n"
+        code, out, err = run("chi", src, "--budget", "0")
+        assert code == 3
+        assert err.startswith("budget exhausted: chi_c in (8/3, 4]")
 
     def test_budget_env(self, run, tmp_path, monkeypatch):
         src = tmp_path / "F.sg"
@@ -195,6 +201,21 @@ class TestCliChi:
         code, out, err = run("chi", src)
         assert code == 1
         assert "SGC_BUDGET must be an integer" in err
+        monkeypatch.setenv("SGC_BUDGET", "-3")
+        for argv in (("chi", src), ("zset", src, "--u", 0, "--v", 1, "--r", 4),
+                     ("chis", src)):
+            code, out, err = run(*argv)
+            assert (code, out) == (1, "")
+            assert err == "usage error: SGC_BUDGET must be nonnegative, got -3\n"
+
+    def test_witness_never_overwrites_the_input(self, run, tmp_path):
+        src = tmp_path / "tri.col"
+        text = "sg 3\ne 0 1 +\ne 1 2 +\ne 2 0 +\n"
+        src.write_text(text)
+        code, out, err = run("chi", src)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: the witness would overwrite the input")
+        assert src.read_text() == text
 
     def test_missing_file(self, run):
         code, out, err = run("chi", "nope.sg")

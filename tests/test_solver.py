@@ -12,7 +12,7 @@ from pathlib import Path
 import oracles
 import pytest
 from gen import grids, signed_graphs
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sgc import solver
 from sgc.constructions import signed_cycle
@@ -140,6 +140,38 @@ class TestFeasiblePq:
             oracles.brute_feasible(g, p, q, pins=((pins[0].vertex, pins[0].color),)) is not None)
         if got is not None:
             assert got.colors[pins[0].vertex] == pins[0].color
+
+
+class TestRotationPin:
+    """Without pins, vertex 0 is fixed to color 0, on any graph."""
+
+    def test_isolated_vertex_costs_no_refutation_nodes(self):
+        k4 = [(a, b, POS) for a, b in itertools.combinations(range(4), 2)]
+        for n in (4, 5):  # K4(+) alone, then with an isolated vertex 4
+            budget = SolveBudget()
+            assert feasible_pq(sg(n, k4), 6, 2, budget=budget) is None
+            assert budget.nodes == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(signed_graphs(max_n=5, max_m=8), min_size=2, max_size=3),
+           grids(10), st.data())
+    def test_first_solution_of_the_open_search_in_no_more_nodes(self, parts, pq, data):
+        p, q = pq
+        triples, n = [], 0
+        for part in parts:
+            triples += [(e.u + n, e.v + n, e.sign) for e in part.edges]
+            n += part.n
+        perm = data.draw(st.permutations(range(n)))
+        g = sg(n, [(perm[u], perm[v], sign) for u, v, sign in triples])
+        cap = SolveBudget(max_nodes=20_000)
+        try:
+            want = solver._search(n, solver._adjacency(g), p, q, [(1 << p) - 1] * n, cap)
+        except BudgetExhausted:
+            assume(False)
+        budget = SolveBudget(max_nodes=cap.nodes)
+        got = feasible_pq(g, p, q, budget=budget)
+        assert (None if got is None else list(got.colors)) == want
+        assert budget.nodes <= cap.nodes
 
 
 class TestSearchKernel:
