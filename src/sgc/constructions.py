@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import circ_dist
+from .arith import circle_edge_ok
 from .core import NEG, POS, Edge, Sign, SignedGraph
 from .indicators import Indicator, replace_edges
 from .solver import Coloring
@@ -41,23 +41,21 @@ def signed_cycle(length: int, negative: bool) -> SignedGraph:
 def _clique_edges(p: int, q: int, n_limit: int) -> list[tuple[int, int, Sign]]:
     """Signed-circular-clique edges restricted to vertices below n_limit.
 
-    Pair i,j is positive when their circular distance is at least q, and
-    negative when the distance from i to j's antipode is at least q; both can
-    hold at once (a parallel pair), and i = j yields a negative loop since
-    the antipodal distance is exactly p/2 >= q.
+    Pair i,j is positive when colors i and j pass a positive edge's test,
+    and negative when they pass a negative edge's test (j at least q from
+    i's antipode); both can hold at once (a parallel pair), and i = j yields
+    a negative loop since the antipodal distance is exactly p/2 >= q.
     """
     if p < 2 or p % 2:
         raise ValueError("p must be even and at least 2")
     if not (1 <= q <= p // 2):
         raise ValueError("q must satisfy 1 <= q <= p/2")
-    half = p // 2
     edges: list[tuple[int, int, Sign]] = []
     for i in range(n_limit):
         for j in range(i, n_limit):
-            d = circ_dist(i, j, p)
-            if i != j and d >= q:
+            if circle_edge_ok(j, i, 0, p, q):
                 edges.append((i, j, POS))
-            if half - d >= q:
+            if circle_edge_ok(j, i, p // 2, p, q):
                 edges.append((i, j, NEG))
     return edges
 

@@ -429,6 +429,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"no such file: {exc.filename}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     except UncolorableError as exc:
         print(f"uncolorable: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,11 @@ witnesses.
 
 The search is one iterative loop over an explicit stack of frames, so its
 depth is not bounded by Python's recursion limit.  Propagation queues the
-vertices whose domain shrank and revises their neighbors; the support of a
-domain across an edge is the OR of its rotations over the edge kind's
-window of allowed offsets, computed by doubling and memoised per search.
+vertices whose domain shrank and revises their neighbors.  Every adjacent
+vertex pair carries one constraint, a p-bit mask of the offsets allowed
+between its colors, and the support of a domain across the pair is the
+sumset of the domain with that mask, computed by doubling and memoised per
+search.
 
 All color arithmetic is exact integers; budgets are node counts (one node =
 one attempted vertex<-color assignment) plus an optional wall-clock cap.
@@ -29,8 +31,6 @@ from typing import Optional, Sequence
 from .arith import EvenRational, antipode, candidates, circle_edge_ok
 from .core import (CapacityError, POS, SignedGraph, UncolorableError,
                    _lift_bfs, degeneracy, is_balanced)
-
-_KIND_POS, _KIND_NEG, _KIND_BOTH = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -133,67 +133,66 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
                for e in g.edges)
 
 
-def _adjacency(g: SignedGraph) -> list[list[tuple[int, int]]]:
-    """adj[v] = sorted (neighbor, constraint kind) pairs, one per neighbor.
+def _adjacency(g: SignedGraph, p: int, q: int) -> list[list[tuple[int, int]]]:
+    """adj[v] = (neighbor, offset mask) pairs, one per neighbor, ascending.
 
-    Parallel edges collapse into one constraint kind per vertex pair.
-    Negative loops constrain nothing (distance to the antipode is p/2 >= q)
-    and are dropped; positive loops must be rejected by the caller.
+    Bit t of a pair's p-bit mask is set when the neighbor may sit t steps
+    round the circle from v: the window [q, p-q] for a positive edge, that
+    window turned by p/2 for a negative one, and the AND of the masks of
+    all edges between the pair.  Both windows are symmetric under t -> -t,
+    so one mask serves both directions.  Negative loops constrain nothing
+    (distance to the antipode is p/2 >= q) and are dropped; positive loops
+    must be rejected by the caller.
     """
-    kinds: dict[tuple[int, int], int] = {}
+    half, full = p // 2, (1 << p) - 1
+    pos = ((1 << (p - 2 * q + 1)) - 1) << q
+    neg = (pos << half | pos >> half) & full
+    masks: dict[tuple[int, int], int] = {}
     for e in g.edges:
         if e.is_loop:
             continue
         key = (min(e.u, e.v), max(e.u, e.v))
-        k = _KIND_POS if e.sign is POS else _KIND_NEG
-        kinds[key] = kinds.get(key, 0) | k
+        masks[key] = masks.get(key, full) & (pos if e.sign is POS else neg)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for (a, b), kind in sorted(kinds.items()):
-        adj[a].append((b, kind))
-        adj[b].append((a, kind))
-    for lst in adj:
-        lst.sort()
+    for (a, b), mask in sorted(masks.items()):
+        adj[a].append((b, mask))
+        adj[b].append((a, mask))
     return adj
 
 
-def _window(dx: int, lo: int, hi: int, p: int, full: int) -> int:
-    """OR of the rotations of dx (a p-bit color set) by every offset lo..hi.
+def _support(mask: int, dx: int, p: int) -> int:
+    """The colors at an offset in mask from some color of dx: their sumset.
 
-    Needs 0 <= lo <= hi < p.  Doubling: after the loop s holds the OR of the
-    shifts by 0..span-1, so O(log p) big-int operations in all; the single
-    fold at the end wraps bits p..2p-2 round the circle.
+    For each maximal run lo..lo+width-1 of mask's set bits, taken round the
+    circle, this ORs the rotations of dx (a p-bit color set) by every offset
+    of the run.  Doubling makes that O(log p) big-int operations per run: a
+    positive or a negative pair has one run, a parallel pair two, and an
+    empty mask none, so it supports nothing.  Bits pushed past p - 1 (up to
+    3p - 3) are folded back round the circle at the end.
     """
-    s, span, width = dx, 1, hi - lo + 1
-    while 2 * span <= width:
-        s |= s << span
-        span *= 2
-    if span < width:
-        s |= s << (width - span)
-    s <<= lo
-    return (s | s >> p) & full
+    runs = []
+    while mask:
+        lo = (mask & -mask).bit_length() - 1
+        t = mask >> lo
+        width = (t ^ (t + 1)).bit_length() - 1  # trailing ones of t
+        runs.append((lo, width))
+        mask = t >> width << (lo + width)
+    if len(runs) > 1 and runs[0][0] == 0 and sum(runs[-1]) == p:
+        runs[-1] = (runs[-1][0], runs[-1][1] + runs.pop(0)[1])  # one doubling, not two
+    acc = 0
+    for lo, width in runs:
+        s, span = dx, 1
+        while 2 * span <= width:
+            s |= s << span
+            span *= 2
+        if span < width:
+            s |= s << (width - span)
+        acc |= s << lo
+    acc |= acc >> p
+    return (acc | acc >> p) & ((1 << p) - 1)
 
 
-def _support(kind: int, dx: int, p: int, q: int) -> int:
-    """The colors compatible, across an edge of this kind, with some color of dx.
-
-    A neighbor color sits at offset t from a color of dx where t runs over
-    [q, p-q] for a positive edge, the same window shifted by p/2 for a
-    negative one, and [q, p/2-q] u [p/2+q, p-q] when the pair carries both.
-    """
-    half, full = p // 2, (1 << p) - 1
-    if kind == _KIND_BOTH:
-        if 2 * q > half:
-            return 0
-        s = _window(dx, q, half - q, p, full)
-    else:
-        s = _window(dx, q, p - q, p, full)
-    if kind == _KIND_POS:
-        return s
-    turned = (s << half | s >> half) & full
-    return turned if kind == _KIND_NEG else s | turned
-
-
-def _search(n: int, adj: list[list[tuple[int, int]]], p: int, q: int,
+def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
             domains: list[int], budget: SolveBudget) -> list[int] | None:
     """Backtracking with arc consistency over bitmask domains, iteratively.
 
@@ -202,7 +201,7 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int, q: int,
     of frames (vertex, its domain when picked, untried colors, trail of the
     domains its assignment changed) stands in for recursion.  Propagation
     pops a vertex whose domain shrank and intersects each neighbor's domain
-    with that domain's support (_support, memoised per edge kind for this
+    with that domain's support (_support, memoised per offset mask for this
     call), queueing the neighbors that shrink.  Arc consistency has a unique
     fixpoint, so this order of revisions gives the same domains, tree, node
     count and solution as any other.  Revising an assigned vertex never
@@ -216,13 +215,13 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int, q: int,
         return []
     taken = p + 1  # size of an assigned vertex: above every popcount
     size = [d.bit_count() for d in domains]
-    memos = {kind: {} for kind in (_KIND_POS, _KIND_NEG, _KIND_BOTH)}
-    groups = []  # groups[x] = [(kind, memo of kind, neighbors over kind)]
+    memos: dict[int, dict[int, int]] = {}
+    groups = []  # groups[x] = [(mask, memo of mask, neighbors over mask)]
     for x in range(n):
-        by_kind: dict[int, list[int]] = {}
-        for w, kind in adj[x]:
-            by_kind.setdefault(kind, []).append(w)
-        groups.append([(kind, memos[kind], ws) for kind, ws in sorted(by_kind.items())])
+        by_mask: dict[int, list[int]] = {}
+        for w, mask in adj[x]:
+            by_mask.setdefault(mask, []).append(w)
+        groups.append([(mask, memos.setdefault(mask, {}), ws) for mask, ws in by_mask.items()])
     spend = budget.spend
     queue = list(range(n))
     queued = [True] * n
@@ -236,10 +235,10 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int, q: int,
             x = queue.pop()
             queued[x] = False
             dx = domains[x]
-            for kind, memo, ws in groups[x]:
+            for mask, memo, ws in groups[x]:
                 sup = memo.get(dx)
                 if sup is None:
-                    sup = memo[dx] = _support(kind, dx, p, q)
+                    sup = memo[dx] = _support(mask, dx, p)
                 for w in ws:
                     dw = domains[w]
                     nd = dw & sup
@@ -326,7 +325,7 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
         # branch vertex 0 first and try color 0 first, so witnesses agree.
         domains[0] = 1
 
-    sol = _search(g.n, _adjacency(g), p, q, domains, budget)
+    sol = _search(g.n, _adjacency(g, p, q), p, domains, budget)
     if sol is None:
         return None
     c = Coloring(p, q, tuple(sol))
@@ -459,13 +458,10 @@ def chi_plus(g: SignedGraph) -> int:
     onto the (2k,1)-colorings.  So the value is the least k with a
     (2k,1)-coloring, and k <= n since the identity spread at (2n,1) colors
     the graph.  A positive loop survives every switching, so no proper
-    coloring exists.  Guarded by CapacityError above n-c = 12 (c components).
+    coloring exists.
     """
     if g.has_positive_loop():
         raise UncolorableError("positive loop: no proper coloring of the positive part")
-    free = g.n - len(g.components())
-    if free > 12:
-        raise CapacityError(f"n - c = {free} is above the chi_plus guard of 12")
     if g.n == 0:
         return 0
     k = 1

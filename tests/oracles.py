@@ -6,8 +6,8 @@ under test.  They are exponential and meant for tiny inputs only.
 
 The exceptions are reference copies of earlier library code, kept verbatim
 so that a rewrite can be held to exactly the same outputs: the recursive
-search kernel with its mask tables (oracle_search, oracle_masks), the
-candidate ladder (oracle_candidate_ladder) and the rational circle helpers
+search kernel with its edge kinds and mask tables (oracle_search,
+oracle_adjacency, oracle_masks), the candidate ladder (oracle_candidate_ladder) and the rational circle helpers
 (rational_point, frac_antipode, frac_circ_dist).
 """
 
@@ -299,6 +299,32 @@ def oracle_candidate_ladder(n: int, lo, hi) -> list[EvenRational]:
             if lo_v <= v <= hi_v:
                 vals.add(v)
     return [normalize_even(v.numerator, v.denominator) for v in sorted(vals)]
+
+
+_KIND_POS, _KIND_NEG, _KIND_BOTH = 1, 2, 3  # the indices of oracle_masks
+
+
+def oracle_adjacency(g: SignedGraph) -> list[list[tuple[int, int]]]:
+    """adj[v] = sorted (neighbor, constraint kind) pairs, one per neighbor.
+
+    Parallel edges collapse into one constraint kind per vertex pair.
+    Negative loops constrain nothing (distance to the antipode is p/2 >= q)
+    and are dropped; positive loops must be rejected by the caller.
+    """
+    kinds: dict[tuple[int, int], int] = {}
+    for e in g.edges:
+        if e.is_loop:
+            continue
+        key = (min(e.u, e.v), max(e.u, e.v))
+        k = _KIND_POS if e.sign is POS else _KIND_NEG
+        kinds[key] = kinds.get(key, 0) | k
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for (a, b), kind in sorted(kinds.items()):
+        adj[a].append((b, kind))
+        adj[b].append((a, kind))
+    for lst in adj:
+        lst.sort()
+    return adj
 
 
 def oracle_masks(p: int, q: int) -> list[list[int] | None]:

@@ -7,6 +7,7 @@ transcriptions: any accidental edit to either copy turns a test red.
 from fractions import Fraction
 from itertools import combinations
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,7 @@ from sgc import (
     wenger_tilde_detail,
 )
 from sgc import constructions
+from sgc.core import NEG, POS
 
 
 def triples(g: SignedGraph) -> list[tuple[int, int, str]]:
@@ -95,6 +97,14 @@ class TestCircularCliqueSigned:
         g = circular_clique_signed(8, 2)
         at_02 = [e.sign.symbol for e in g.edges if (e.u, e.v) == (0, 2)]
         assert sorted(at_02) == ["+", "-"]
+
+    @pytest.mark.parametrize("p", range(2, 25, 2))
+    def test_edge_list_is_every_pair_the_edge_predicate_admits(self, p):
+        for q in range(1, p // 2 + 1):
+            want = [(i, j, sign) for i in range(p) for j in range(i, p) for sign in (POS, NEG)
+                    if oracles.edge_ok(p, q, sign, i, j)]
+            got = [(e.u, e.v, e.sign) for e in circular_clique_signed(p, q).edges]
+            assert got == want, (p, q)
 
     @pytest.mark.parametrize("p,q", [(7, 2), (0, 1), (6, 0), (6, 4)])
     def test_validation(self, p, q):

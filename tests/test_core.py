@@ -7,7 +7,7 @@ import pytest
 from gen import signed_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sgc.core import (NEG, POS, CapacityError, Edge, Sign, SignedGraph,
+from sgc.core import (NEG, POS, Edge, Sign, SignedGraph,
                       StructuralMismatchError, UncolorableError, degeneracy,
                       girth_types, is_balanced, switch, switching_equivalent)
 from sgc.solver import chi_plus
@@ -198,10 +198,10 @@ class TestChiPlus:
         k3_plus_isolated = sg(1500, [(0, 1, POS), (1, 2, POS), (2, 0, POS)])
         assert chi_plus(k3_plus_isolated) == 2
 
-    def test_capacity_guard(self):
+    def test_long_path_is_not_refused(self):
+        # n - c = 13 free vertices: chi_plus has no size guard.
         path = sg(14, [(i, i + 1, POS) for i in range(13)])
-        with pytest.raises(CapacityError):
-            chi_plus(path)
+        assert chi_plus(path) == 1
 
     @settings(max_examples=120, deadline=None)
     @given(signed_graphs(max_n=4, max_m=7))

@@ -171,6 +171,11 @@ class TestCliChi:
             "  r = 2(s+t)/(2a+t) = 10/3\n"
         )
 
+    def test_unreadable_graph_path(self, run, tmp_path):
+        code, out, err = run("chi", tmp_path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"cannot open {tmp_path}: ") and err.count("\n") == 1
+
     def test_uncolorable_exit(self, run, tmp_path):
         src = tmp_path / "loop.sg"
         src.write_text("sg 1\ne 0 0 +\n")

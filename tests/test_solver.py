@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -28,7 +30,31 @@ def sg(n, triples):
 
 C4_NEG = sg(4, [(0, 1, POS), (1, 2, POS), (2, 3, POS), (3, 0, NEG)])
 DIGON = sg(2, [(0, 1, POS), (0, 1, NEG)])
-KINDS = (solver._KIND_POS, solver._KIND_NEG, solver._KIND_BOTH)
+# The edge kinds of oracles.oracle_search, as oracles.oracle_masks indexes
+# them, mapped to the signs of a 2-vertex pair that carries that kind.
+KINDS = {oracles._KIND_POS: (POS,), oracles._KIND_NEG: (NEG,), oracles._KIND_BOTH: (POS, NEG)}
+
+
+def pair_mask(signs, p, q):
+    """The offset mask solver._adjacency gives one pair carrying these signs."""
+    adj = solver._adjacency(sg(2, [(0, 1, sign) for sign in signs]), p, q)
+    assert len(adj[0]) == 1 and adj[1] == [(0, adj[0][0][1])]
+    return adj[0][0][1]
+
+
+def rotate(bits, c, p):
+    return (bits << c | bits >> (p - c)) & ((1 << p) - 1)
+
+
+@st.composite
+def offset_masks(draw, p):
+    """p-bit masks: empty, full, arbitrary, or a union of runs that may wrap."""
+    full = (1 << p) - 1
+    runs = st.tuples(st.integers(0, p - 1), st.integers(1, p)).map(
+        lambda run: rotate((1 << run[1]) - 1, run[0], p))
+    union = st.lists(runs, min_size=1, max_size=3).map(
+        lambda parts: functools.reduce(operator.or_, parts))
+    return draw(st.one_of(st.just(0), st.just(full), st.integers(0, full), union))
 
 
 class TestVerifyColoring:
@@ -165,7 +191,7 @@ class TestRotationPin:
         g = sg(n, [(perm[u], perm[v], sign) for u, v, sign in triples])
         cap = SolveBudget(max_nodes=20_000)
         try:
-            want = solver._search(n, solver._adjacency(g), p, q, [(1 << p) - 1] * n, cap)
+            want = solver._search(n, solver._adjacency(g, p, q), p, [(1 << p) - 1] * n, cap)
         except BudgetExhausted:
             assume(False)
         budget = SolveBudget(max_nodes=cap.nodes)
@@ -204,10 +230,10 @@ class TestSearchKernel:
             st.integers(1, full)))
         domains = [data.draw(domain) for _ in range(g.n)]
         max_nodes = data.draw(st.integers(1, 2000))
-        adj = solver._adjacency(g)
-        got = self._run(solver._search, g.n, adj, p, q, list(domains), max_nodes=max_nodes)
-        want = self._run(oracles.oracle_search, g.n, adj, oracles.oracle_masks(p, q),
-                         list(domains), max_nodes=max_nodes)
+        got = self._run(solver._search, g.n, solver._adjacency(g, p, q), p, list(domains),
+                        max_nodes=max_nodes)
+        want = self._run(oracles.oracle_search, g.n, oracles.oracle_adjacency(g),
+                         oracles.oracle_masks(p, q), list(domains), max_nodes=max_nodes)
         assert got == want
 
     @pytest.mark.parametrize("p", range(2, 121, 2))
@@ -218,11 +244,12 @@ class TestSearchKernel:
         qs = range(1, half + 1) if p <= 40 else sorted(q for q in window_edges if q >= 1)
         for q in qs:
             masks = oracles.oracle_masks(p, q)
-            for kind in KINDS:
-                assert [solver._support(kind, 1 << c, p, q) for c in range(p)] == masks[kind]
+            for kind, signs in KINDS.items():
+                mask = pair_mask(signs, p, q)
+                assert [solver._support(mask, 1 << c, p) for c in range(p)] == masks[kind]
 
     @settings(max_examples=200, deadline=None)
-    @given(grids(60), st.sampled_from(KINDS), st.data())
+    @given(grids(60), st.sampled_from(sorted(KINDS)), st.data())
     def test_support_of_a_domain_is_the_union_over_its_colors(self, pq, kind, data):
         p, q = pq
         dx = data.draw(st.integers(1, (1 << p) - 1))
@@ -231,7 +258,18 @@ class TestSearchKernel:
         for c in range(p):
             if dx >> c & 1:
                 union |= masks[c]
-        assert solver._support(kind, dx, p, q) == union
+        assert solver._support(pair_mask(KINDS[kind], p, q), dx, p) == union
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda p: st.tuples(
+        st.just(p), offset_masks(p), st.integers(0, (1 << p) - 1))))
+    def test_support_is_the_or_of_the_mask_rotated_by_each_color(self, case):
+        p, mask, dx = case
+        want = 0
+        for c in range(p):
+            if dx >> c & 1:
+                want |= rotate(mask, c, p)
+        assert solver._support(mask, dx, p) == want
 
 
 class TestChiC:
