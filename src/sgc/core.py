@@ -8,9 +8,10 @@ rely on.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
@@ -133,6 +134,11 @@ class SignedGraph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
+    @cached_property
+    def _pieces(self):
+        """_repeated_pieces(self), computed on first use and kept."""
+        return _repeated_pieces(self)
+
 
 def switch(g: SignedGraph, s: Iterable[int]) -> SignedGraph:
     """Flip the sign of every edge with exactly one endpoint in s.
@@ -179,6 +185,121 @@ def _lift_bfs(g: SignedGraph, labels: list[int],
                     reached[nxt] = (d, idx)
                     queue.append(nxt)
     return reached
+
+
+def _blocks(nbrs: list[list[int]], keep: list[bool]) -> list[list[int]]:
+    """Vertex lists of the blocks (2-connected pieces and bridges) of the
+    simple graph nbrs induced on the vertices v with keep[v]: Hopcroft-Tarjan,
+    by an explicit stack."""
+    index = [-1] * len(nbrs)
+    low = index[:]
+    count = 0
+    blocks = []
+    for root, kept in enumerate(keep):
+        if not kept or index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack, dfs = [root], [(root, iter(nbrs[root]))]
+        while dfs:
+            v, it = dfs[-1]
+            for w in it:
+                if keep[w]:
+                    iw = index[w]
+                    if iw < 0:
+                        index[w] = low[w] = count
+                        count += 1
+                        stack.append(w)
+                        dfs.append((w, iter(nbrs[w])))
+                        break
+                    if iw < low[v]:
+                        low[v] = iw
+            else:
+                dfs.pop()
+                if dfs:
+                    u = dfs[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= index[u]:  # u cuts v's subtree off: one block
+                        block = [u]
+                        while block[-1] != v:
+                            block.append(stack.pop())
+                        blocks.append(block)
+    return blocks
+
+
+def _repeated_pieces(g: SignedGraph):
+    """The 2-separated pieces of g that occur at least twice, and g without them.
+
+    A separation pair {a, b} is sought only inside a block whose vertices
+    all have at least three neighbors in the block (a degree-2 vertex
+    splits off nothing but itself): b must cut the block once a is gone.
+    Each component of g - {a, b} touching both a and b is a piece; its key
+    is its edge list with a, b relabelled 0, 1 and its other vertices 2, 3,
+    ... in ascending order (edges between a and b stay outside).  Every
+    piece whose key occurs at least twice is cut out.  Returns None when
+    none is, or (quotient, kept, terminals, graphs): the quotient is g on
+    the kept vertices (relabelled by ascending index into kept), graphs
+    holds one relabelled graph per key, and terminals lists (a, b, key
+    index) in quotient labels for each cut piece whose terminals survive.
+
+    This depends on g alone: SignedGraph._pieces computes it once per graph.
+    """
+    nbr_sets: list[set[int]] = [set() for _ in range(g.n)]
+    for e in g.edges:
+        if not e.is_loop:
+            nbr_sets[e.u].add(e.v)
+            nbr_sets[e.v].add(e.u)
+    nbrs = [sorted(s) for s in nbr_sets]
+    pieces = []  # (a, b, internal vertices, key)
+    for block in _blocks(nbrs, [True] * g.n):
+        inside = set(block)
+        if len(block) < 4 or any(len(nbr_sets[x] & inside) < 3 for x in block):
+            continue
+        keep = [False] * g.n
+        for x in block:
+            keep[x] = True
+        pairs = set()
+        for a in block:
+            keep[a] = False
+            seen: set[int] = set()
+            for sub in _blocks(nbrs, keep):
+                pairs.update((min(a, b), max(a, b)) for b in sub if b in seen)
+                seen.update(sub)
+            keep[a] = True
+        for a, b in sorted(pairs):
+            done = {a, b}
+            for start in nbrs[a]:
+                if start in done:
+                    continue
+                comp, todo = {start}, [start]
+                while todo:
+                    for w in nbrs[todo.pop()]:
+                        if w not in comp and w != a and w != b:
+                            comp.add(w)
+                            todo.append(w)
+                done |= comp
+                if nbr_sets[b] & comp:
+                    label = {a: 0, b: 1}
+                    label.update((w, i) for i, w in enumerate(sorted(comp), 2))
+                    key = (len(label), tuple(
+                        (min(label[e.u], label[e.v]), max(label[e.u], label[e.v]), e.sign)
+                        for e in g.edges if e.u in comp or e.v in comp))
+                    pieces.append((a, b, comp, key))
+    counts = Counter(key for *_, key in pieces)
+    cut = [piece for piece in pieces if counts[piece[3]] > 1]
+    gone = set().union(*(comp for _, _, comp, _ in cut))
+    kept = tuple(v for v in range(g.n) if v not in gone)
+    label = {v: i for i, v in enumerate(kept)}
+    keys: dict[tuple, int] = {}
+    terminals = tuple((label[a], label[b], keys.setdefault(key, len(keys)))
+                      for a, b, _, key in cut if a in label and b in label)
+    if not terminals:
+        return None
+    quotient = SignedGraph(len(kept), tuple(
+        Edge(label[e.u], label[e.v], e.sign) for e in g.edges if e.u in label and e.v in label))
+    graphs = tuple(SignedGraph(n, tuple(Edge(*edge) for edge in edges)) for n, edges in keys)
+    return quotient, kept, terminals, graphs
 
 
 def is_balanced(g: SignedGraph) -> tuple[bool, frozenset[int] | None]:

@@ -14,7 +14,16 @@ vertices whose domain shrank and revises their neighbors.  Every adjacent
 vertex pair carries one constraint, a p-bit mask of the offsets allowed
 between its colors, and the support of a domain across the pair is the
 sumset of the domain with that mask, computed by doubling and memoised per
-search.
+search.  Failures back up by conflict-directed backjumping rather than
+chronologically, and while the state is symmetric under c -> -c a refuted
+color also refutes its mirror; both skip only subtrees without a solution,
+so the first solution found, and hence every witness, is the one the
+chronological search finds, in no more nodes.
+
+Before that search, feasible_pq cuts out every 2-separated piece whose
+edge list occurs at least twice, replaces each by the set of terminal
+offsets it allows (computed once per distinct piece), and refutes the
+instance outright when that smaller quotient has no coloring.
 
 All color arithmetic is exact integers; budgets are node counts (one node =
 one attempted vertex<-color assignment) plus an optional wall-clock cap.
@@ -133,21 +142,26 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
                for e in g.edges)
 
 
-def _adjacency(g: SignedGraph, p: int, q: int) -> list[list[tuple[int, int]]]:
+def _adjacency(g: SignedGraph, p: int, q: int,
+               relations: Sequence[tuple[int, int, int]] = ()) -> list[list[tuple[int, int]]]:
     """adj[v] = (neighbor, offset mask) pairs, one per neighbor, ascending.
 
     Bit t of a pair's p-bit mask is set when the neighbor may sit t steps
     round the circle from v: the window [q, p-q] for a positive edge, that
     window turned by p/2 for a negative one, and the AND of the masks of
-    all edges between the pair.  Both windows are symmetric under t -> -t,
-    so one mask serves both directions.  Negative loops constrain nothing
-    (distance to the antipode is p/2 >= q) and are dropped; positive loops
-    must be rejected by the caller.
+    all edges between the pair and of every relation (a, b, mask) given on
+    it.  Both windows are symmetric under t -> -t, so one mask serves both
+    directions; relations must be symmetric too.  Negative loops constrain
+    nothing (distance to the antipode is p/2 >= q) and are dropped;
+    positive loops must be rejected by the caller.
     """
     half, full = p // 2, (1 << p) - 1
     pos = ((1 << (p - 2 * q + 1)) - 1) << q
     neg = (pos << half | pos >> half) & full
     masks: dict[tuple[int, int], int] = {}
+    for a, b, mask in relations:
+        key = (min(a, b), max(a, b))
+        masks[key] = masks.get(key, full) & mask
     for e in g.edges:
         if e.is_loop:
             continue
@@ -192,29 +206,51 @@ def _support(mask: int, dx: int, p: int) -> int:
     return (acc | acc >> p) & ((1 << p) - 1)
 
 
+def _reflect(d: int, p: int) -> int:
+    """The color set {-c mod p : c in d} of a p-bit color set d."""
+    return (d & 1) | int(format(d >> 1, f"0{p - 1}b")[::-1], 2) << 1
+
+
 def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
             domains: list[int], budget: SolveBudget) -> list[int] | None:
-    """Backtracking with arc consistency over bitmask domains, iteratively.
+    """Backtracking with arc consistency over bitmask domains, iteratively,
+    with conflict-directed backjumping and reflection pruning.
 
     Branches on the unassigned vertex with the smallest domain (ties to the
     lowest index), trying its colors in ascending order; an explicit stack
-    of frames (vertex, its domain when picked, untried colors, trail of the
-    domains its assignment changed) stands in for recursion.  Propagation
-    pops a vertex whose domain shrank and intersects each neighbor's domain
-    with that domain's support (_support, memoised per offset mask for this
-    call), queueing the neighbors that shrink.  Arc consistency has a unique
-    fixpoint, so this order of revisions gives the same domains, tree, node
-    count and solution as any other.  Revising an assigned vertex never
-    changes it, since its neighbors were all revised against its color
-    first, so the loop does not test for one.
+    of frames stands in for recursion.  Propagation pops a vertex whose
+    domain shrank and intersects each neighbor's domain with that domain's
+    support (_support, memoised per offset mask for this call), queueing
+    the neighbors that shrink.  Arc consistency has a unique fixpoint, so
+    the domains at a node depend only on the decisions above it.  Revising
+    an assigned vertex never changes it, since its neighbors were all
+    revised against its color first, so the loop does not test for one.
 
-    domains is consumed destructively.  Returns the first solution in the
-    canonical order, or None.
+    Backjumping (conflict-directed, Prosser 1993): why[x] is a bitmask of
+    the decision vertices behind the colors removed from x's domain (an
+    assigned vertex stands for itself), and the trail restores it with the
+    domain.  A wipeout of w revised from x has conflict why[w] | why[x].  A
+    failed color whose conflict lacks the branching vertex fails for every
+    color of it, so the search skips that vertex's other colors; an
+    exhausted vertex passes on the union of its colors' conflicts and its
+    why when picked, and the search backs up to the deepest decision in it.
+    An empty conflict refutes the instance.
+
+    Reflection: every offset mask is symmetric under t -> -t, so while each
+    root domain is closed under c -> -c and every decision above is 0 or
+    p/2, so is the whole state, and a refuted color c refutes -c as well.
+
+    Both prunings skip only subtrees that hold no solution: the search
+    returns the first solution in the chronological order, in no more
+    nodes.  domains is consumed destructively.  Returns that solution, or
+    None.
     """
     if n == 0:
         return []
     taken = p + 1  # size of an assigned vertex: above every popcount
+    fixed = 1 | 1 << p // 2  # the colors c with c == -c
     size = [d.bit_count() for d in domains]
+    why = [0] * n
     memos: dict[int, dict[int, int]] = {}
     groups = []  # groups[x] = [(mask, memo of mask, neighbors over mask)]
     for x in range(n):
@@ -225,16 +261,20 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
     spend = budget.spend
     queue = list(range(n))
     queued = [True] * n
-    # A frame is (vertex, its domain when picked, colors not yet tried,
-    # trail of (vertex, old domain) pairs written by its propagation).
-    frames: list[tuple[int, int, int, list]] = []
-    v, saved, untried, trail = -1, 0, 0, []  # the root: no vertex assigned
+    # A frame is (vertex, its domain and why when picked, colors not yet
+    # tried, conflicts of its failed colors, whether reflection holds at it,
+    # trail of (vertex, old domain, old why) written by its propagation).
+    frames: list[tuple[int, int, int, int, int, bool, list]] = []
+    full = (1 << p) - 1
+    mirrored = all(d == full or _reflect(d, p) == d for d in domains)
+    v, saved, saved_why, untried, conf, trail = -1, 0, 0, 0, 0, []
     while True:
-        ok = True
+        conflict = -1
         while queue:
             x = queue.pop()
             queued[x] = False
             dx = domains[x]
+            yx = why[x]
             for mask, memo, ws in groups[x]:
                 sup = memo.get(dx)
                 if sup is None:
@@ -243,49 +283,103 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
                     dw = domains[w]
                     nd = dw & sup
                     if nd != dw:
+                        yw = why[w]
                         if not nd:
-                            ok = False
+                            conflict = yw | yx
                             break
-                        trail.append((w, dw))
+                        trail.append((w, dw, yw))
                         domains[w] = nd
+                        why[w] = yw | yx
                         size[w] = nd.bit_count()
                         if not queued[w]:
                             queued[w] = True
                             queue.append(w)
-                if not ok:
+                if conflict >= 0:
                     break
-            if not ok:
+            if conflict >= 0:
                 break
-        if ok:
+        if conflict < 0:
             smallest = min(size)
             if smallest == taken:
                 return [d.bit_length() - 1 for d in domains]
-            frames.append((v, saved, untried, trail))
+            frames.append((v, saved, saved_why, untried, conf, mirrored, trail))
+            if v >= 0:
+                mirrored = mirrored and domains[v] & fixed != 0
             v = size.index(smallest)
             saved = untried = domains[v]
-        else:  # undo v's failed color; back up past every exhausted vertex
+            saved_why = why[v]
+            conf = 0
+        else:  # undo v's failed color; back up to the deepest decision in conflict
             for x in queue:
                 queued[x] = False
             queue.clear()
             while True:
-                if v < 0:
+                if not conflict:
                     return None
-                for w, dw in reversed(trail):
+                for w, dw, yw in reversed(trail):
                     domains[w] = dw
+                    why[w] = yw
                     size[w] = dw.bit_count()
-                if untried:
-                    break
+                bit = 1 << v
+                if conflict & bit:
+                    conf |= conflict ^ bit
+                    if mirrored:
+                        c = domains[v].bit_length() - 1
+                        untried &= ~(1 << (p - c) % p)
+                    if untried:
+                        break
+                    conflict = conf | saved_why
                 domains[v] = saved
+                why[v] = saved_why
                 size[v] = saved.bit_count()
-                v, saved, untried, trail = frames.pop()
+                v, saved, saved_why, untried, conf, mirrored, trail = frames.pop()
         lsb = untried & -untried
         untried ^= lsb
         spend()
         domains[v] = lsb
+        why[v] = 1 << v
         size[v] = taken
         trail = []
         queue.append(v)
         queued[v] = True
+
+
+def _relation(h: SignedGraph, p: int, q: int, budget: SolveBudget) -> int:
+    """The symmetric offset mask {+-d : h has a (p,q)-coloring with vertex 0
+    at 0 and vertex 1 at d}; d up to p/2 suffices, by reflection."""
+    adj = _adjacency(h, p, q)
+    full = (1 << p) - 1
+    mask = 0
+    for d in range(p // 2 + 1):
+        if _search(h.n, adj, p, [1, 1 << d] + [full] * (h.n - 2), budget) is not None:
+            mask |= 1 << d | 1 << (p - d) % p
+    return mask
+
+
+def _quotient_refuted(g: SignedGraph, p: int, q: int, pin_map: dict[int, int],
+                      budget: SolveBudget) -> bool:
+    """Whether g without its repeated pieces, each replaced by its terminal
+    relation (computed once per key), has no (p,q)-coloring.
+
+    Every coloring of g colors the quotient: the relations only state what
+    the pieces force on their terminals, and pins on cut vertices are
+    dropped.  So a refuted quotient refutes g.  Without a pin left, the
+    quotient's lowest vertex is fixed to 0 by rotation symmetry.
+    """
+    structure = g._pieces
+    if structure is None:
+        return False
+    quotient, kept, terminals, graphs = structure
+    masks = [_relation(h, p, q, budget) for h in graphs]
+    full = (1 << p) - 1
+    domains = [full] * quotient.n
+    for i, v in enumerate(kept):
+        if v in pin_map:
+            domains[i] = 1 << pin_map[v]
+    if all(d == full for d in domains):
+        domains[0] = 1
+    adj = _adjacency(quotient, p, q, [(a, b, masks[k]) for a, b, k in terminals])
+    return _search(quotient.n, adj, p, domains, budget) is None
 
 
 def feasible_pq(g: SignedGraph, p: int, q: int,
@@ -297,6 +391,13 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     A positive loop makes every (p,q) infeasible in a structural way and
     raises UncolorableError instead.  BudgetExhausted propagates when the
     budget runs out before a decision.
+
+    When g has repeated 2-separated pieces (core._repeated_pieces), each
+    distinct piece's terminal relation is computed first and the quotient
+    searched; a refuted quotient returns None.  Otherwise, or when the
+    quotient has a coloring, the search runs on g itself, so a witness is
+    always the canonical one.  Relations live for this call only, and every
+    node of theirs is spent from the caller's budget.
     """
     _validate_pq(p, q)
     if g.has_positive_loop():
@@ -325,6 +426,8 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
         # branch vertex 0 first and try color 0 first, so witnesses agree.
         domains[0] = 1
 
+    if _quotient_refuted(g, p, q, pin_map, budget):
+        return None
     sol = _search(g.n, _adjacency(g, p, q), p, domains, budget)
     if sol is None:
         return None

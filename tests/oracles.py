@@ -7,7 +7,9 @@ under test.  They are exponential and meant for tiny inputs only.
 The exceptions are reference copies of earlier library code, kept verbatim
 so that a rewrite can be held to exactly the same outputs: the recursive
 search kernel with its edge kinds and mask tables (oracle_search,
-oracle_adjacency, oracle_masks), the candidate ladder (oracle_candidate_ladder) and the rational circle helpers
+oracle_adjacency, oracle_masks), the iterative chronological kernel that
+replaced it, before backjumping (chrono_search, chrono_support), the
+candidate ladder (oracle_candidate_ladder) and the rational circle helpers
 (rational_point, frac_antipode, frac_circ_dist).
 """
 
@@ -438,3 +440,131 @@ def oracle_search(n: int, adj: list[list[tuple[int, int]]], masks, domains: list
     if rec():
         return [domains[v].bit_length() - 1 for v in range(n)]
     return None
+
+
+def chrono_support(mask: int, dx: int, p: int) -> int:
+    """The colors at an offset in mask from some color of dx: their sumset.
+
+    For each maximal run lo..lo+width-1 of mask's set bits, taken round the
+    circle, this ORs the rotations of dx (a p-bit color set) by every offset
+    of the run.  Doubling makes that O(log p) big-int operations per run: a
+    positive or a negative pair has one run, a parallel pair two, and an
+    empty mask none, so it supports nothing.  Bits pushed past p - 1 (up to
+    3p - 3) are folded back round the circle at the end.
+    """
+    runs = []
+    while mask:
+        lo = (mask & -mask).bit_length() - 1
+        t = mask >> lo
+        width = (t ^ (t + 1)).bit_length() - 1  # trailing ones of t
+        runs.append((lo, width))
+        mask = t >> width << (lo + width)
+    if len(runs) > 1 and runs[0][0] == 0 and sum(runs[-1]) == p:
+        runs[-1] = (runs[-1][0], runs[-1][1] + runs.pop(0)[1])  # one doubling, not two
+    acc = 0
+    for lo, width in runs:
+        s, span = dx, 1
+        while 2 * span <= width:
+            s |= s << span
+            span *= 2
+        if span < width:
+            s |= s << (width - span)
+        acc |= s << lo
+    acc |= acc >> p
+    return (acc | acc >> p) & ((1 << p) - 1)
+
+
+def chrono_search(n: int, adj: list[list[tuple[int, int]]], p: int,
+            domains: list[int], budget: SolveBudget) -> list[int] | None:
+    """Backtracking with arc consistency over bitmask domains, iteratively.
+
+    Branches on the unassigned vertex with the smallest domain (ties to the
+    lowest index), trying its colors in ascending order; an explicit stack
+    of frames (vertex, its domain when picked, untried colors, trail of the
+    domains its assignment changed) stands in for recursion.  Propagation
+    pops a vertex whose domain shrank and intersects each neighbor's domain
+    with that domain's support (_support, memoised per offset mask for this
+    call), queueing the neighbors that shrink.  Arc consistency has a unique
+    fixpoint, so this order of revisions gives the same domains, tree, node
+    count and solution as any other.  Revising an assigned vertex never
+    changes it, since its neighbors were all revised against its color
+    first, so the loop does not test for one.
+
+    domains is consumed destructively.  Returns the first solution in the
+    canonical order, or None.
+    """
+    if n == 0:
+        return []
+    taken = p + 1  # size of an assigned vertex: above every popcount
+    size = [d.bit_count() for d in domains]
+    memos: dict[int, dict[int, int]] = {}
+    groups = []  # groups[x] = [(mask, memo of mask, neighbors over mask)]
+    for x in range(n):
+        by_mask: dict[int, list[int]] = {}
+        for w, mask in adj[x]:
+            by_mask.setdefault(mask, []).append(w)
+        groups.append([(mask, memos.setdefault(mask, {}), ws) for mask, ws in by_mask.items()])
+    spend = budget.spend
+    queue = list(range(n))
+    queued = [True] * n
+    # A frame is (vertex, its domain when picked, colors not yet tried,
+    # trail of (vertex, old domain) pairs written by its propagation).
+    frames: list[tuple[int, int, int, list]] = []
+    v, saved, untried, trail = -1, 0, 0, []  # the root: no vertex assigned
+    while True:
+        ok = True
+        while queue:
+            x = queue.pop()
+            queued[x] = False
+            dx = domains[x]
+            for mask, memo, ws in groups[x]:
+                sup = memo.get(dx)
+                if sup is None:
+                    sup = memo[dx] = chrono_support(mask, dx, p)
+                for w in ws:
+                    dw = domains[w]
+                    nd = dw & sup
+                    if nd != dw:
+                        if not nd:
+                            ok = False
+                            break
+                        trail.append((w, dw))
+                        domains[w] = nd
+                        size[w] = nd.bit_count()
+                        if not queued[w]:
+                            queued[w] = True
+                            queue.append(w)
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            smallest = min(size)
+            if smallest == taken:
+                return [d.bit_length() - 1 for d in domains]
+            frames.append((v, saved, untried, trail))
+            v = size.index(smallest)
+            saved = untried = domains[v]
+        else:  # undo v's failed color; back up past every exhausted vertex
+            for x in queue:
+                queued[x] = False
+            queue.clear()
+            while True:
+                if v < 0:
+                    return None
+                for w, dw in reversed(trail):
+                    domains[w] = dw
+                    size[w] = dw.bit_count()
+                if untried:
+                    break
+                domains[v] = saved
+                size[v] = saved.bit_count()
+                v, saved, untried, trail = frames.pop()
+        lsb = untried & -untried
+        untried ^= lsb
+        spend()
+        domains[v] = lsb
+        size[v] = taken
+        trail = []
+        queue.append(v)
+        queued[v] = True

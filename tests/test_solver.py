@@ -6,6 +6,7 @@ import functools
 import itertools
 import operator
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,11 +15,12 @@ from pathlib import Path
 import oracles
 import pytest
 from gen import grids, signed_graphs
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sgc import solver
-from sgc.constructions import signed_cycle
+from sgc.constructions import big_gamma, k4_omega, signed_cycle
 from sgc.core import NEG, POS, CapacityError, SignedGraph, UncolorableError
+from sgc.indicators import Indicator, replace_edges
 from sgc.solver import (BudgetExhausted, ChiUndecided, Coloring, Pin,
                         SolveBudget, chi_c, chi_s, circular_to_zero_free,
                         feasible_pq, verify_coloring, zero_free_to_circular)
@@ -30,6 +32,7 @@ def sg(n, triples):
 
 C4_NEG = sg(4, [(0, 1, POS), (1, 2, POS), (2, 3, POS), (3, 0, NEG)])
 DIGON = sg(2, [(0, 1, POS), (0, 1, NEG)])
+K4 = [(a, b, POS) for a, b in itertools.combinations(range(4), 2)]
 # The edge kinds of oracles.oracle_search, as oracles.oracle_masks indexes
 # them, mapped to the signs of a 2-vertex pair that carries that kind.
 KINDS = {oracles._KIND_POS: (POS,), oracles._KIND_NEG: (NEG,), oracles._KIND_BOTH: (POS, NEG)}
@@ -172,11 +175,12 @@ class TestRotationPin:
     """Without pins, vertex 0 is fixed to color 0, on any graph."""
 
     def test_isolated_vertex_costs_no_refutation_nodes(self):
-        k4 = [(a, b, POS) for a, b in itertools.combinations(range(4), 2)]
+        spent = []
         for n in (4, 5):  # K4(+) alone, then with an isolated vertex 4
             budget = SolveBudget()
-            assert feasible_pq(sg(n, k4), 6, 2, budget=budget) is None
-            assert budget.nodes == 3
+            assert feasible_pq(sg(n, K4), 6, 2, budget=budget) is None
+            spent.append(budget.nodes)
+        assert spent[0] == spent[1]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(signed_graphs(max_n=5, max_m=8), min_size=2, max_size=3),
@@ -201,7 +205,7 @@ class TestRotationPin:
 
 
 class TestSearchKernel:
-    """The iterative kernel against the recursive one it replaced."""
+    """The backjumping kernel against the kernels it replaced."""
 
     @staticmethod
     def _run(search, *args, max_nodes):
@@ -230,11 +234,92 @@ class TestSearchKernel:
             st.integers(1, full)))
         domains = [data.draw(domain) for _ in range(g.n)]
         max_nodes = data.draw(st.integers(1, 2000))
-        got = self._run(solver._search, g.n, solver._adjacency(g, p, q), p, list(domains),
-                        max_nodes=max_nodes)
-        want = self._run(oracles.oracle_search, g.n, oracles.oracle_adjacency(g),
-                         oracles.oracle_masks(p, q), list(domains), max_nodes=max_nodes)
-        assert got == want
+        got, got_nodes = self._run(solver._search, g.n, solver._adjacency(g, p, q), p,
+                                   list(domains), max_nodes=max_nodes)
+        want, want_nodes = self._run(oracles.oracle_search, g.n, oracles.oracle_adjacency(g),
+                                     oracles.oracle_masks(p, q), list(domains),
+                                     max_nodes=max_nodes)
+        # Backjumping and reflection only skip subtrees without a solution:
+        # the same answer whenever the oracle decides, never more nodes, and
+        # an exhausted budget only where the oracle's is exhausted too.
+        assert got_nodes <= want_nodes
+        if not isinstance(want, tuple):
+            assert got == want
+        if isinstance(got, tuple):
+            assert isinstance(want, tuple)
+
+    @settings(max_examples=500, deadline=None)
+    @given(signed_graphs(min_n=2, max_n=14, max_m=40), grids(24), st.booleans(), st.data())
+    def test_first_solution_of_the_chronological_kernel_in_no_more_nodes(
+            self, g, pq, closed, data):
+        p, q = pq
+        full = (1 << p) - 1
+        fixed = st.sampled_from([0, p // 2]).map(lambda c: 1 << c)
+        # When closed, every root domain is closed under c -> -c, so the
+        # reflection pruning can fire; otherwise pins and domains are free.
+        if closed:
+            closure = st.integers(1, full).map(lambda d: functools.reduce(
+                operator.or_, (1 << (-c % p) | 1 << c for c in range(p) if d >> c & 1)))
+            domain = st.one_of(st.just(full), st.just(full), fixed, closure)
+        else:
+            domain = st.one_of(st.just(full), st.just(full), fixed,
+                               st.integers(0, p - 1).map(lambda c: 1 << c), st.integers(1, full))
+        domains = [data.draw(domain) for _ in range(g.n)]
+        adj = solver._adjacency(g, p, q)
+        want, want_nodes = self._run(oracles.chrono_search, g.n, adj, p, list(domains),
+                                     max_nodes=20_000)
+        got, got_nodes = self._run(solver._search, g.n, adj, p, list(domains),
+                                   max_nodes=20_000)
+        assert got_nodes <= want_nodes
+        if not isinstance(want, tuple):
+            assert got == want
+
+    def test_every_single_pin_of_tight_instances_matches_the_chronological_kernel(self):
+        # At a graph's own chi_c grid a coloring exists but is hard to find,
+        # so the search backs up often before it succeeds: a backjump past a
+        # choice that mattered, or a mirror dropped outside symmetry, shows
+        # up as a different first solution under some pin.
+        rng = random.Random(2)
+        for _ in range(150):
+            n = rng.randint(8, 16)
+            g = sg(n, [(u, (u + 1 + rng.randrange(n - 1)) % n, rng.choice([POS, NEG]))
+                       for u in (rng.randrange(n) for _ in range(rng.randint(2 * n, 3 * n)))])
+            try:
+                witness = chi_c(g, budget=SolveBudget(max_nodes=5000)).witness
+            except ChiUndecided:
+                continue
+            p, full = witness.p, (1 << witness.p) - 1
+            adj = solver._adjacency(g, p, witness.q)
+            for v, c in itertools.product(range(n), range(p)):
+                domains = [full] * n
+                domains[v] = 1 << c
+                cap = SolveBudget(max_nodes=5000)
+                try:
+                    want = oracles.chrono_search(n, adj, p, list(domains), cap)
+                except BudgetExhausted:
+                    continue
+                budget = SolveBudget()
+                assert solver._search(n, adj, p, domains, budget) == want
+                assert budget.nodes <= cap.nodes
+
+    def test_reflection_drops_the_mirror_of_a_refuted_color(self):
+        # K4(+) at (6,2), vertex 0 at 0: vertex 1 keeps {2, 4}; color 2
+        # fails, so color 4 = -2 is never tried.
+        adj = solver._adjacency(sg(4, K4), 6, 2)
+        budgets = []
+        for search in (oracles.chrono_search, solver._search):
+            budgets.append(SolveBudget())
+            assert search(4, adj, 6, [1, 63, 63, 63], budgets[-1]) is None
+        assert [b.nodes for b in budgets] == [3, 2]
+
+    def test_backjumping_skips_an_independent_component(self):
+        # The pin lands in C13; K4's refutation does not depend on C13's
+        # colors, so the search does not repeat it under each of them.
+        c13 = [(i, (i + 1) % 13, POS) for i in range(13)]
+        k4 = [(a + 13, b + 13, sign) for a, b, sign in K4]
+        budget = SolveBudget(max_nodes=2_000_000)
+        assert feasible_pq(sg(17, c13 + k4), 6, 2, budget=budget) is None
+        assert budget.nodes < 100
 
     @pytest.mark.parametrize("p", range(2, 121, 2))
     def test_singleton_supports_equal_mask_tables(self, p):
@@ -270,6 +355,82 @@ class TestSearchKernel:
             if dx >> c & 1:
                 want |= rotate(mask, c, p)
         assert solver._support(mask, dx, p) == want
+
+
+class TestRepeatedPieces:
+    """feasible_pq refutes through one relation per repeated 2-separated piece."""
+
+    def test_k4_omega_is_refuted_at_18_4(self):
+        budget = SolveBudget(max_nodes=3_000_000)
+        assert feasible_pq(k4_omega(), 18, 4, budget=budget) is None
+        assert budget.nodes <= 100_000
+
+    def test_back_to_back_calls_spend_identical_nodes(self):
+        spent = []
+        for _ in range(2):
+            budget = SolveBudget(max_nodes=3_000_000)
+            assert feasible_pq(k4_omega(), 18, 4, budget=budget) is None
+            spent.append(budget.nodes)
+        assert spent[0] == spent[1]
+
+    def test_k4_omega_has_one_piece_key_on_every_host_edge(self):
+        quotient, kept, terminals, graphs = k4_omega()._pieces
+        assert kept == (0, 1, 2, 3) and quotient.m == 6
+        assert sorted(terminals) == [(a, b, 0) for a, b in itertools.combinations(range(4), 2)]
+        assert len(graphs) == 1 and graphs[0].n == big_gamma().graph.n
+
+    @pytest.mark.parametrize("p", [4, 8, 12])
+    @pytest.mark.parametrize("host", [3, 4])
+    @pytest.mark.parametrize("far", [False, True])
+    def test_relations_reach_both_ends_of_the_half_circle(self, p, host, far):
+        # At q = p/2 a positive edge forces offset p/2 and a negative one
+        # offset 0.  x and y sit opposite terminal 0; terminal 1 then sits
+        # at offset p/2 (far) or 0 from terminal 0.  A host triangle or C4
+        # of such gadgets has a coloring except for a far triangle.
+        s = NEG if far else POS
+        ind = Indicator(sg(4, [(0, 2, POS), (0, 3, POS), (2, 3, NEG), (2, 1, s), (3, 1, s)]), 0, 1)
+        g = replace_edges(sg(host, [(i, (i + 1) % host, POS) for i in range(host)]), ind)
+        assert g._pieces is not None
+        want = oracles.chrono_search(g.n, solver._adjacency(g, p, p // 2), p,
+                                     [1] + [(1 << p) - 1] * (g.n - 1), SolveBudget())
+        got = feasible_pq(g, p, p // 2)
+        assert (None if got is None else list(got.colors)) == want
+        assert (want is None) == (far and host == 3)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(signed_graphs(min_n=3, max_n=4, max_m=6, loops=False, parallel=False),
+           st.integers(4, 6), grids(12), st.data())
+    def test_compositions_agree_with_the_chronological_search(self, host, k, pq, data):
+        p, q = pq
+        # A dense gadget on k vertices, so that blocks keep degree 3.
+        pairs = list(itertools.combinations(range(k), 2))
+        signs = data.draw(st.lists(st.sampled_from([POS, NEG]), min_size=len(pairs),
+                                   max_size=len(pairs)))
+        drop = data.draw(st.sets(st.sampled_from(pairs[1:]), max_size=2))
+        kept = [(a, b, s) for (a, b), s in zip(pairs, signs) if (a, b) not in drop]
+        ind = Indicator(sg(k, kept), 0, 1)
+        # Negative host edges get the same gadget or one with some signs
+        # flipped, whose pieces must not share the first one's relation.
+        flips = data.draw(st.sets(st.integers(0, len(kept) - 1)))
+        ind_neg = Indicator(sg(k, [(a, b, -s if i in flips else s)
+                                   for i, (a, b, s) in enumerate(kept)]), 0, 1)
+        g = replace_edges(host, ind, ind_neg)
+        assume(g._pieces is not None)
+        full = (1 << p) - 1
+        pins = ()
+        domains = [1] + [full] * (g.n - 1)
+        if data.draw(st.booleans()):
+            pin = Pin(data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, p - 1)))
+            pins, domains = (pin,), [full] * g.n
+            domains[pin.vertex] = 1 << pin.color
+        cap = SolveBudget(max_nodes=20_000)
+        try:
+            want = oracles.chrono_search(g.n, solver._adjacency(g, p, q), p, domains, cap)
+        except BudgetExhausted:
+            assume(False)
+        got = feasible_pq(g, p, q, pins=pins)
+        assert (None if got is None else list(got.colors)) == want
 
 
 class TestChiC:
