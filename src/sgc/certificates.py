@@ -13,13 +13,19 @@ A tight cycle is therefore necessary for optimality, not sufficient: C4
 with all edges positive, colored 0, 1, 2, 3 at r = 4, has one, yet its
 chi_c is 2.
 
-Everything here is exact Fraction arithmetic.
+Points and values are Fractions at the API.  Inside, each call puts the
+coloring on one integer grid: the circle of circumference r cut into
+R = r*D steps of 1/D, where D is the least common denominator of r/2 and
+the colors.  Gaps, tight steps, the turn count a and refinement moves are
+then integer arithmetic, and exact; refine doubles the grid when it needs a
+half step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .arith import circle_gap
@@ -68,32 +74,60 @@ class RationalColoring:
         return Coloring(p, q, tuple(colors))
 
 
-def _gap(e: Edge, colors: Sequence[Fraction], r: Fraction, half: Fraction) -> Fraction:
-    """Clockwise gap from u's color to v's target point along edge e.
+def _grid(c: RationalColoring) -> tuple[int, int, list[int]]:
+    """(D, R, X): c on the circle cut into R = r*D steps of 1/D.
+
+    D is the least integer that makes r/2 and every color integral, so
+    X[v] = colors[v]*D and the antipodal shift R/2 are whole steps.
+    """
+    r = c.r
+    half_den = r.denominator << (r.numerator & 1)  # the denominator of r/2
+    d = lcm(half_den, *(x.denominator for x in c.colors))
+    return d, r.numerator * (d // r.denominator), [x.numerator * (d // x.denominator)
+                                                  for x in c.colors]
+
+
+def _gap(e: Edge, xs: Sequence[int], big_r: int) -> int:
+    """Clockwise gap, in grid steps, from u's color to v's target point.
 
     The target is v's color for a positive edge, its antipode for a negative
-    one.  The edge holds iff 1 <= gap <= r - 1; the step (u, v) is tight iff
-    gap == 1, and the step (v, u), whose gap is r - gap, iff gap == r - 1.
+    one.  With D steps per unit, the edge holds iff D <= gap <= R - D; the
+    step (u, v) is tight iff gap == D, and the step (v, u), whose gap is
+    R - gap, iff gap == R - D.
     """
-    return circle_gap(colors[e.v], colors[e.u], 0 if e.sign is POS else half, r)
+    return circle_gap(xs[e.v], xs[e.u], 0 if e.sign is POS else big_r // 2, big_r)
 
 
-def _edge_gaps(g: SignedGraph, c: RationalColoring) -> Optional[list[Fraction]]:
-    """One gap per edge of g in edge order, or None when an edge fails."""
+def _edge_gaps(g: SignedGraph, c: RationalColoring
+               ) -> Optional[tuple[int, int, list[int], list[int]]]:
+    """(D, R, X, gaps): c's grid and one gap per edge of g in edge order, or
+    None when an edge fails."""
     if len(c.colors) != g.n:
         raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
-    r, half = c.r, c.r / 2
-    gaps = [_gap(e, c.colors, r, half) for e in g.edges]
-    top = r - 1
-    return gaps if all(1 <= gap <= top for gap in gaps) else None
+    d, big_r, xs = _grid(c)
+    gaps = [_gap(e, xs, big_r) for e in g.edges]
+    top = big_r - d
+    return (d, big_r, xs, gaps) if all(d <= gap <= top for gap in gaps) else None
 
 
-def _tight_steps(e: Edge, idx: int, gap: Fraction, r: Fraction) -> list[Arc]:
-    """The tight steps along edge idx, given its gap."""
-    steps = [(e.u, e.v, idx)] if gap == 1 else []
-    if gap == r - 1 and not e.is_loop:
+def _tight_steps(e: Edge, idx: int, gap: int, d: int, big_r: int) -> list[Arc]:
+    """The tight steps along edge idx, given its gap on the grid (D, R)."""
+    steps = [(e.u, e.v, idx)] if gap == d else []
+    if gap == big_r - d and not e.is_loop:
         steps.append((e.v, e.u, idx))
     return steps
+
+
+def _tight_grid(g: SignedGraph, c: RationalColoring
+                ) -> tuple[tuple[int, int, list[int], list[int]], tuple[Arc, ...]]:
+    """_edge_gaps(g, c) and every tight step in edge order; rejects
+    non-verifying colorings."""
+    grid = _edge_gaps(g, c)
+    if grid is None:
+        raise ValueError("coloring does not verify; tight digraph undefined")
+    d, big_r, _, gaps = grid
+    return grid, tuple(arc for idx, (e, gap) in enumerate(zip(g.edges, gaps))
+                       for arc in _tight_steps(e, idx, gap, d, big_r))
 
 
 def verify_rational(g: SignedGraph, c: RationalColoring) -> bool:
@@ -111,11 +145,7 @@ class TightDigraph:
 
 def tight_digraph(g: SignedGraph, c: RationalColoring) -> TightDigraph:
     """The digraph of tight steps; rejects non-verifying colorings."""
-    gaps = _edge_gaps(g, c)
-    if gaps is None:
-        raise ValueError("coloring does not verify; tight digraph undefined")
-    return TightDigraph(g.n, tuple(arc for idx, (e, gap) in enumerate(zip(g.edges, gaps))
-                                   for arc in _tight_steps(e, idx, gap, c.r)))
+    return TightDigraph(g.n, _tight_grid(g, c)[1])
 
 
 def find_tight_cycle(d: TightDigraph) -> Optional[tuple[Arc, ...]]:
@@ -188,9 +218,10 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
     cycle = tuple(cycle)
     if not cycle:
         raise CorruptCertificateError("empty cycle")
-    gaps = _edge_gaps(g, c)
-    if gaps is None:
+    grid = _edge_gaps(g, c)
+    if grid is None:
         raise ValueError("coloring does not verify; nothing to certify")
+    d, big_r, _, gaps = grid
     t = 0
     for i, (u, v, idx) in enumerate(cycle):
         if not 0 <= idx < g.m:
@@ -201,14 +232,15 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
         nxt = cycle[(i + 1) % len(cycle)]
         if v != nxt[0]:
             raise CorruptCertificateError(f"arc {i} ends at {v}, arc {i+1} starts at {nxt[0]}")
-        if (gaps[idx] if u == e.u else c.r - gaps[idx]) != 1:
+        if (gaps[idx] if u == e.u else big_r - gaps[idx]) != d:
             raise CorruptCertificateError(f"arc {i}: step ({u},{v}) is not tight")
         t += e.sign is not POS
     s, r = len(cycle) - t, c.r
-    a = (s - (r / 2 - 1) * t) / r
-    if a.denominator != 1:
-        raise CorruptCertificateError(f"step counts s={s}, t={t} give non-integral a={a}")
-    a = int(a)
+    turns = s * d - (big_r // 2 - d) * t  # R*a, in grid steps
+    if turns % big_r:
+        raise CorruptCertificateError(
+            f"step counts s={s}, t={t} give non-integral a={Fraction(turns, big_r)}")
+    a = turns // big_r
     if 2 * a + t < 1:
         raise CorruptCertificateError(f"degenerate cycle: 2a + t = {2 * a + t} certifies nothing")
     certified = Fraction(2 * (s + t), 2 * a + t)
@@ -224,47 +256,51 @@ def refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
     lowest-index sink that has an incoming tight step and advances its color
     by half its minimum outgoing slack, which removes at least one tight
     step and creates none; only the sides of edges at the moved vertex are
-    re-tested.  Phase 2, with no tight steps left, scales everything by
-    1/(1+eps) where 2*eps is the global minimum slack, yielding a verifying
-    coloring at a strictly smaller circumference.
+    re-tested; an odd slack first doubles the grid.  Phase 2, with no tight
+    steps left, scales everything by 1/(1+eps) where 2*eps is the global
+    minimum slack, yielding a verifying coloring at a strictly smaller
+    circumference.
     """
     if not g.edges:
         raise ValueError("no edge constraints: refinement undefined")
-    d = tight_digraph(g, c)
-    if find_tight_cycle(d) is not None:
+    (d, big_r, xs, gaps), tight = _tight_grid(g, c)
+    if find_tight_cycle(TightDigraph(g.n, tight)) is not None:
         raise NotRefinableError("tight cycle present")
 
-    colors = list(c.colors)
-    r, half = c.r, c.r / 2
-    gaps = _edge_gaps(g, c)
     adj = g.adjacency()
-    arcs = set(d.arcs)  # no loop arcs: a tight loop is a tight cycle
+    arcs = set(tight)  # no loop arcs: a tight loop is a tight cycle
     while arcs:
         sinks = {w for _, w, _ in arcs} - {u for u, _, _ in arcs}
         if not sinks:
             raise RuntimeError("internal error: acyclic tight digraph without a sink")
         v = min(sinks)
         at_v = {idx for w, idx in adj[v] if w != v}
-        eps = (min(gaps[idx] if v == g.edges[idx].u else r - gaps[idx] for idx in at_v) - 1) / 2
-        if eps <= 0:
+        slack = min(gaps[idx] if v == g.edges[idx].u else big_r - gaps[idx]
+                    for idx in at_v) - d
+        if slack <= 0:
             raise RuntimeError("internal error: sink with a tight out-step")
-        colors[v] = (colors[v] + eps) % r
+        if slack % 2:  # halve it on a grid twice as fine
+            d, big_r, slack = 2 * d, 2 * big_r, 2 * slack
+            xs = [2 * x for x in xs]
+            gaps = [2 * gap for gap in gaps]
+        xs[v] = (xs[v] + slack // 2) % big_r
         for idx in at_v:
-            gaps[idx] = _gap(g.edges[idx], colors, r, half)
+            gaps[idx] = _gap(g.edges[idx], xs, big_r)
         new_arcs = {arc for arc in arcs if arc[2] not in at_v}.union(
-            *(_tight_steps(g.edges[idx], idx, gaps[idx], r) for idx in at_v))
+            *(_tight_steps(g.edges[idx], idx, gaps[idx], d, big_r) for idx in at_v))
         if len(new_arcs) >= len(arcs):
             raise RuntimeError(
                 "internal error: refinement stalled (tight step count did not drop)"
             )
         arcs = new_arcs
 
-    # A negative loop's gap is r/2, so its slack r/2 - 1 needs no special case.
-    eps = (min(min(gap, r - gap) for gap in gaps) - 1) / 2
-    if eps <= 0:
+    # A negative loop's gap is R/2, so its slack R/2 - D needs no special case.
+    # Dividing by 1 + eps, eps = slack/(2D), takes grid point X to 2X/(2D + slack).
+    slack = min(min(gap, big_r - gap) for gap in gaps) - d
+    if slack <= 0:
         raise RuntimeError("internal error: zero slack after clearing all tight steps")
-    scale = 1 + eps
-    refined = RationalColoring(r / scale, tuple(x / scale for x in colors))
+    den = 2 * d + slack
+    refined = RationalColoring(Fraction(2 * big_r, den), tuple(Fraction(2 * x, den) for x in xs))
     if not verify_rational(g, refined):
         raise RuntimeError("internal error: refined coloring invalid")
     return refined

@@ -135,6 +135,18 @@ class SignedGraph:
         return self.n <= 1 or len(self.components()) == 1
 
     @cached_property
+    def _pair_signs(self) -> tuple[tuple[int, int, int], ...]:
+        """(a, b, signs) for each adjacent pair a < b, ascending; bit 0 of
+        signs is set when a positive edge joins the pair, bit 1 when a
+        negative one does.  Loops are left out."""
+        signs: dict[tuple[int, int], int] = {}
+        for e in self.edges:
+            if e.u != e.v:
+                key = (min(e.u, e.v), max(e.u, e.v))
+                signs[key] = signs.get(key, 0) | (1 if e.sign is POS else 2)
+        return tuple((a, b, s) for (a, b), s in sorted(signs.items()))
+
+    @cached_property
     def _pieces(self):
         """_repeated_pieces(self), computed on first use and kept."""
         return _repeated_pieces(self)

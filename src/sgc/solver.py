@@ -153,20 +153,18 @@ def _adjacency(g: SignedGraph, p: int, q: int,
     it.  Both windows are symmetric under t -> -t, so one mask serves both
     directions; relations must be symmetric too.  Negative loops constrain
     nothing (distance to the antipode is p/2 >= q) and are dropped;
-    positive loops must be rejected by the caller.
+    positive loops must be rejected by the caller.  The pairs and their
+    signs are g._pair_signs, kept on the graph; only the windows depend on
+    (p, q).
     """
     half, full = p // 2, (1 << p) - 1
     pos = ((1 << (p - 2 * q + 1)) - 1) << q
     neg = (pos << half | pos >> half) & full
-    masks: dict[tuple[int, int], int] = {}
+    window = (full, pos, neg, pos & neg)  # indexed by a pair's sign bits
+    masks = {(a, b): window[signs] for a, b, signs in g._pair_signs}
     for a, b, mask in relations:
         key = (min(a, b), max(a, b))
         masks[key] = masks.get(key, full) & mask
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        key = (min(e.u, e.v), max(e.u, e.v))
-        masks[key] = masks.get(key, full) & (pos if e.sign is POS else neg)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for (a, b), mask in sorted(masks.items()):
         adj[a].append((b, mask))

@@ -9,8 +9,10 @@ so that a rewrite can be held to exactly the same outputs: the recursive
 search kernel with its edge kinds and mask tables (oracle_search,
 oracle_adjacency, oracle_masks), the iterative chronological kernel that
 replaced it, before backjumping (chrono_search, chrono_support), the
-candidate ladder (oracle_candidate_ladder) and the rational circle helpers
-(rational_point, frac_antipode, frac_circ_dist).
+candidate ladder (oracle_candidate_ladder), the rational circle helpers
+(rational_point, frac_antipode, frac_circ_dist) and the Fraction certificate
+layer (frac_verify_rational, frac_tight_digraph, frac_cert_value,
+frac_refine and their helpers).
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from sgc.arith import EvenRational, _as_fraction, circle_edge_ok, normalize_even
-from sgc.core import NEG, POS, SignedGraph
+from sgc.arith import EvenRational, _as_fraction, circle_edge_ok, circle_gap, normalize_even
+from sgc.certificates import (Arc, CorruptCertificateError, NotRefinableError,
+                              RationalColoring, TightCycleCertificate, TightDigraph,
+                              find_tight_cycle)
+from sgc.core import NEG, POS, Edge, SignedGraph
 from sgc.solver import SolveBudget
 
 
@@ -568,3 +574,140 @@ def chrono_search(n: int, adj: list[list[tuple[int, int]]], p: int,
         trail = []
         queue.append(v)
         queued[v] = True
+
+
+# The certificate layer as it was on Fractions, before it moved onto one
+# integer grid; verbatim apart from the frac prefix on its names, so the
+# grid version can be held to the same arcs, values, results and errors.
+
+def frac_gap(e: Edge, colors: Sequence[Fraction], r: Fraction, half: Fraction) -> Fraction:
+    """Clockwise gap from u's color to v's target point along edge e.
+
+    The target is v's color for a positive edge, its antipode for a negative
+    one.  The edge holds iff 1 <= gap <= r - 1; the step (u, v) is tight iff
+    gap == 1, and the step (v, u), whose gap is r - gap, iff gap == r - 1.
+    """
+    return circle_gap(colors[e.v], colors[e.u], 0 if e.sign is POS else half, r)
+
+
+def frac_edge_gaps(g: SignedGraph, c: RationalColoring) -> Optional[list[Fraction]]:
+    """One gap per edge of g in edge order, or None when an edge fails."""
+    if len(c.colors) != g.n:
+        raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
+    r, half = c.r, c.r / 2
+    gaps = [frac_gap(e, c.colors, r, half) for e in g.edges]
+    top = r - 1
+    return gaps if all(1 <= gap <= top for gap in gaps) else None
+
+
+def frac_tight_steps(e: Edge, idx: int, gap: Fraction, r: Fraction) -> list[Arc]:
+    """The tight steps along edge idx, given its gap."""
+    steps = [(e.u, e.v, idx)] if gap == 1 else []
+    if gap == r - 1 and not e.is_loop:
+        steps.append((e.v, e.u, idx))
+    return steps
+
+
+def frac_verify_rational(g: SignedGraph, c: RationalColoring) -> bool:
+    """Check an exact circular coloring against every edge."""
+    return frac_edge_gaps(g, c) is not None
+
+
+def frac_tight_digraph(g: SignedGraph, c: RationalColoring) -> TightDigraph:
+    """The digraph of tight steps; rejects non-verifying colorings."""
+    gaps = frac_edge_gaps(g, c)
+    if gaps is None:
+        raise ValueError("coloring does not verify; tight digraph undefined")
+    return TightDigraph(g.n, tuple(arc for idx, (e, gap) in enumerate(zip(g.edges, gaps))
+                                   for arc in frac_tight_steps(e, idx, gap, c.r)))
+
+
+def frac_cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> TightCycleCertificate:
+    """Validate a tight cycle and extract the value it certifies.
+
+    Raises CorruptCertificateError when the arcs do not form a closed tight
+    walk under c, or when the step counts give no integer a with 2a + t >= 1.
+    """
+    cycle = tuple(cycle)
+    if not cycle:
+        raise CorruptCertificateError("empty cycle")
+    gaps = frac_edge_gaps(g, c)
+    if gaps is None:
+        raise ValueError("coloring does not verify; nothing to certify")
+    t = 0
+    for i, (u, v, idx) in enumerate(cycle):
+        if not 0 <= idx < g.m:
+            raise CorruptCertificateError(f"arc {i}: no edge {idx}")
+        e = g.edges[idx]
+        if {u, v} != {e.u, e.v}:
+            raise CorruptCertificateError(f"arc {i}: edge {idx} does not join {u} and {v}")
+        nxt = cycle[(i + 1) % len(cycle)]
+        if v != nxt[0]:
+            raise CorruptCertificateError(f"arc {i} ends at {v}, arc {i+1} starts at {nxt[0]}")
+        if (gaps[idx] if u == e.u else c.r - gaps[idx]) != 1:
+            raise CorruptCertificateError(f"arc {i}: step ({u},{v}) is not tight")
+        t += e.sign is not POS
+    s, r = len(cycle) - t, c.r
+    a = (s - (r / 2 - 1) * t) / r
+    if a.denominator != 1:
+        raise CorruptCertificateError(f"step counts s={s}, t={t} give non-integral a={a}")
+    a = int(a)
+    if 2 * a + t < 1:
+        raise CorruptCertificateError(f"degenerate cycle: 2a + t = {2 * a + t} certifies nothing")
+    certified = Fraction(2 * (s + t), 2 * a + t)
+    if certified != r:
+        raise RuntimeError("internal error: tight cycle value mismatch")
+    return TightCycleCertificate(cycle, s, t, a, certified)
+
+
+def frac_refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
+    """Strictly improve a coloring that has no tight cycle.
+
+    A tight cycle raises NotRefinableError.  Phase 1 repeatedly picks the
+    lowest-index sink that has an incoming tight step and advances its color
+    by half its minimum outgoing slack, which removes at least one tight
+    step and creates none; only the sides of edges at the moved vertex are
+    re-tested.  Phase 2, with no tight steps left, scales everything by
+    1/(1+eps) where 2*eps is the global minimum slack, yielding a verifying
+    coloring at a strictly smaller circumference.
+    """
+    if not g.edges:
+        raise ValueError("no edge constraints: refinement undefined")
+    d = frac_tight_digraph(g, c)
+    if find_tight_cycle(d) is not None:
+        raise NotRefinableError("tight cycle present")
+
+    colors = list(c.colors)
+    r, half = c.r, c.r / 2
+    gaps = frac_edge_gaps(g, c)
+    adj = g.adjacency()
+    arcs = set(d.arcs)  # no loop arcs: a tight loop is a tight cycle
+    while arcs:
+        sinks = {w for _, w, _ in arcs} - {u for u, _, _ in arcs}
+        if not sinks:
+            raise RuntimeError("internal error: acyclic tight digraph without a sink")
+        v = min(sinks)
+        at_v = {idx for w, idx in adj[v] if w != v}
+        eps = (min(gaps[idx] if v == g.edges[idx].u else r - gaps[idx] for idx in at_v) - 1) / 2
+        if eps <= 0:
+            raise RuntimeError("internal error: sink with a tight out-step")
+        colors[v] = (colors[v] + eps) % r
+        for idx in at_v:
+            gaps[idx] = frac_gap(g.edges[idx], colors, r, half)
+        new_arcs = {arc for arc in arcs if arc[2] not in at_v}.union(
+            *(frac_tight_steps(g.edges[idx], idx, gaps[idx], r) for idx in at_v))
+        if len(new_arcs) >= len(arcs):
+            raise RuntimeError(
+                "internal error: refinement stalled (tight step count did not drop)"
+            )
+        arcs = new_arcs
+
+    # A negative loop's gap is r/2, so its slack r/2 - 1 needs no special case.
+    eps = (min(min(gap, r - gap) for gap in gaps) - 1) / 2
+    if eps <= 0:
+        raise RuntimeError("internal error: zero slack after clearing all tight steps")
+    scale = 1 + eps
+    refined = RationalColoring(r / scale, tuple(x / scale for x in colors))
+    if not frac_verify_rational(g, refined):
+        raise RuntimeError("internal error: refined coloring invalid")
+    return refined

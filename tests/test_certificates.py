@@ -25,6 +25,47 @@ C4_NEG = sg(4, [(0, 1, POS), (1, 2, POS), (2, 3, POS), (3, 0, NEG)])
 OPT = RationalColoring.from_coloring(Coloring(8, 3, (0, 3, 6, 1)))
 
 
+@st.composite
+def off_grid_colorings(draw):
+    """A small signed graph with a coloring off any one solver grid.
+
+    r may have an odd numerator, and colors have mixed denominators.  Each
+    vertex sits at a random point, or one step (or one step past the
+    antipode) clockwise of an earlier vertex, nudged off it at times; so
+    tight steps, tight cycles and chains of refine moves with odd slack all
+    come up.  Edges are kept where they hold, and a few where they do not.
+    """
+    n = draw(st.integers(1, 6))
+    r = max(Fraction(draw(st.integers(4, 24)), draw(st.integers(1, 4))), Fraction(2))
+    fracs = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
+    xs = []
+    for v in range(n):
+        if v and draw(st.booleans()):
+            x = xs[draw(st.integers(0, v - 1))] + 1 + draw(st.sampled_from((0, r / 2)))
+            if draw(st.booleans()):
+                x += draw(fracs)
+        else:
+            x = draw(fracs)
+        xs.append(x % r)
+    edges = []
+    for _ in range(draw(st.integers(1, 8))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        sign = NEG if u == v else draw(st.sampled_from((POS, NEG)))
+        target = xs[v] if sign is POS else oracles.frac_antipode(xs[v], r)
+        if oracles.frac_circ_dist(xs[u], target, r) >= 1 or draw(st.integers(0, 19)) == 0:
+            edges.append((u, v, sign))
+    return sg(n, edges), RationalColoring(r, tuple(xs))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the ValueError or RuntimeError
+    it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
 def expected_arcs(g, c):
     """Recompute the tight steps directly from the definition."""
     arcs = []
@@ -253,3 +294,32 @@ class TestRefine:
         else:
             out = refine(g, rc)
             assert (out.r, out.colors) == want
+
+
+class TestIntegerGrid:
+    """The integer-grid layer against its Fraction original and the
+    rescanning refine oracle, on colorings off the solver's grids."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(off_grid_colorings(), st.data())
+    def test_matches_the_fraction_layer(self, gc, data):
+        g, rc = gc
+        ok = verify_rational(g, rc)
+        assert ok == oracles.frac_verify_rational(g, rc)
+        d = outcome(tight_digraph, g, rc)
+        assert d == outcome(oracles.frac_tight_digraph, g, rc)
+        cycle = find_tight_cycle(d) if ok else None
+        if cycle:
+            k = data.draw(st.integers(0, len(cycle) - 1))
+            reverse = tuple((v, u, idx) for u, v, idx in reversed(cycle))
+            for cyc in (cycle[k:] + cycle[:k], cycle + cycle, reverse, cycle[1:]):
+                assert outcome(cert_value, g, rc, cyc) == outcome(oracles.frac_cert_value,
+                                                                  g, rc, cyc)
+        out = outcome(refine, g, rc)
+        assert out == outcome(oracles.frac_refine, g, rc)
+        if ok and g.edges:
+            want = oracles.oracle_refine(g, rc.r, rc.colors)
+            if want is None:
+                assert out == (NotRefinableError, "tight cycle present")
+            else:
+                assert (out.r, out.colors) == want

@@ -1,11 +1,16 @@
 """Round-trip, error, and golden-output tests for the text formats and CLI."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgc
 from sgc import (
     Coloring,
     ParseError,
@@ -390,3 +395,17 @@ class TestCliUsage:
         code, out, err = run("frobnicate")
         assert code == 1
         assert err.startswith("usage error:")
+
+    def test_python_dash_m_sgc_runs_the_command(self, tmp_path):
+        # From a checkout, with the package on PYTHONPATH and not installed.
+        env = dict(os.environ, PYTHONPATH=str(Path(sgc.__file__).parent.parent))
+
+        def run_m(*argv):
+            return subprocess.run([sys.executable, "-m", "sgc", *argv], capture_output=True,
+                                  text=True, cwd=tmp_path, env=env, timeout=60)
+
+        done = run_m("gen", "wenger")
+        assert (done.returncode, done.stdout, done.stderr) == (0, render_sg(wenger()), "")
+        done = run_m()
+        assert done.returncode == 1
+        assert done.stderr.startswith("usage error:")
