@@ -116,17 +116,13 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def candidates(n: int, lo, hi) -> list[EvenRational]:
-    """All possible chi_c values in [lo, hi] of an n-vertex signed graph.
-
-    Any signed graph on n vertices that has a cycle attains its chi_c at a
-    rational p/q with even p <= 2n; this enumerates those, normalizes, and
-    returns them deduplicated in ascending value order.  lo/hi accept ints,
-    Fractions, or EvenRationals.
+def candidate_pairs(n: int, lo, hi) -> list[tuple[int, int]]:
+    """The (p, q) of every EvenRational that candidates(n, lo, hi) returns,
+    in the same ascending order, built as integer pairs only.
 
     The bounds cut each numerator's q range by integer cross-multiplication
-    (lo <= p/q <= hi); the pairs are reduced, deduplicated and sorted as
-    integers, with no Fraction built.
+    (lo <= p/q <= hi); the pairs are reduced, deduplicated, sorted and put
+    in even-numerator normal form as integers, with no Fraction built.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -146,5 +142,15 @@ def candidates(n: int, lo, hi) -> list[EvenRational]:
     # floor(a * n^2 / b) orders them exactly.
     scale = n * n
     ordered = sorted(pairs, key=lambda ab: ab[0] * scale // ab[1])
-    return [EvenRational(a, b) if a % 2 == 0 else EvenRational(2 * a, 2 * b)
-            for a, b in ordered]
+    return [(a, b) if a % 2 == 0 else (2 * a, 2 * b) for a, b in ordered]
+
+
+def candidates(n: int, lo, hi) -> list[EvenRational]:
+    """All possible chi_c values in [lo, hi] of an n-vertex signed graph.
+
+    Any signed graph on n vertices that has a cycle attains its chi_c at a
+    rational p/q with even p <= 2n; this enumerates those, normalizes, and
+    returns them deduplicated in ascending value order (candidate_pairs).
+    lo/hi accept ints, Fractions, or EvenRationals.
+    """
+    return [EvenRational(p, q) for p, q in candidate_pairs(n, lo, hi)]

@@ -98,7 +98,7 @@ class SignedGraph:
         return len(self.edges)
 
     def has_positive_loop(self) -> bool:
-        return any(e.is_loop and e.sign is POS for e in self.edges)
+        return self._positive_loop
 
     def degrees(self) -> list[int]:
         """Edge-multiplicity degrees; a loop contributes 2 to its vertex."""
@@ -145,6 +145,11 @@ class SignedGraph:
                 key = (min(e.u, e.v), max(e.u, e.v))
                 signs[key] = signs.get(key, 0) | (1 if e.sign is POS else 2)
         return tuple((a, b, s) for (a, b), s in sorted(signs.items()))
+
+    @cached_property
+    def _positive_loop(self) -> bool:
+        """Whether a positive loop is present, computed on first use and kept."""
+        return any(e.is_loop and e.sign is POS for e in self.edges)
 
     @cached_property
     def _pieces(self):

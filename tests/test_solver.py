@@ -302,6 +302,40 @@ class TestSearchKernel:
                 assert solver._search(n, adj, p, domains, budget) == want
                 assert budget.nodes <= cap.nodes
 
+    @settings(max_examples=400, deadline=None)
+    @given(signed_graphs(min_n=2, max_n=14, max_m=40), grids(24), st.data())
+    def test_degree_weighted_order_keeps_the_chronological_verdict(self, g, pq, data):
+        # The verdict-only searches branch on domain size over degree; that
+        # order may find another solution, never another verdict.
+        p, q = pq
+        full = (1 << p) - 1
+        pins = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.integers(0, p - 1),
+                                         max_size=3))
+        domains = [1 << pins[v] if v in pins else full for v in range(g.n)]
+        adj = solver._adjacency(g, p, q)
+        cap = SolveBudget(max_nodes=20_000)
+        try:
+            want = oracles.chrono_search(g.n, adj, p, list(domains), cap)
+        except BudgetExhausted:
+            assume(False)
+        # The cap only stops a broken kernel from running on; the weighted
+        # order is not held to the oracle's node count.
+        budget = SolveBudget(max_nodes=100 * cap.max_nodes)
+        got = solver._search(g.n, adj, p, list(domains), budget, solver._degrees(adj))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert verify_coloring(g, Coloring(p, q, tuple(got)))
+            assert all(got[v] == c for v, c in pins.items())
+
+    def test_degree_weighted_order_never_branches_an_assigned_vertex_again(self):
+        # Vertex 0 (three neighbors) is branched first; then the others keep
+        # five colors each, and 0's key must still top theirs, 5/2 and 5/1.
+        g = sg(4, [(0, 1, POS), (0, 2, POS), (0, 3, POS), (1, 2, NEG)])
+        adj = solver._adjacency(g, 8, 2)
+        budget = SolveBudget(max_nodes=100)
+        assert solver._search(4, adj, 8, [255] * 4, budget, solver._degrees(adj)) == [0, 2, 2, 2]
+        assert budget.nodes == 4
+
     def test_reflection_drops_the_mirror_of_a_refuted_color(self):
         # K4(+) at (6,2), vertex 0 at 0: vertex 1 keeps {2, 4}; color 2
         # fails, so color 4 = -2 is never tried.
@@ -364,6 +398,29 @@ class TestRepeatedPieces:
         budget = SolveBudget(max_nodes=3_000_000)
         assert feasible_pq(k4_omega(), 18, 4, budget=budget) is None
         assert budget.nodes <= 100_000
+
+    def test_k4_omega_at_18_4_takes_under_20000_nodes(self):
+        # The piece relation's searches branch on domain size over degree;
+        # in the canonical order the same refutation takes 72,935 nodes.
+        budget = SolveBudget(max_nodes=3_000_000)
+        assert feasible_pq(k4_omega(), 18, 4, budget=budget) is None
+        assert budget.nodes <= 20_000
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs(min_n=2, max_n=9, max_m=20), grids(16))
+    def test_relation_is_the_chronological_verdict_at_every_offset(self, h, pq):
+        # Bit d of the relation is set exactly when the chronological search
+        # colors h with vertex 0 at 0 and vertex 1 at d, for every d: the
+        # half circle the relation searches gives the rest by reflection.
+        p, q = pq
+        full = (1 << p) - 1
+        adj = solver._adjacency(h, p, q)
+        want = 0
+        for d in range(p):
+            domains = [1, 1 << d] + [full] * (h.n - 2)
+            if oracles.chrono_search(h.n, adj, p, domains, SolveBudget()) is not None:
+                want |= 1 << d
+        assert solver._relation(h, p, q, SolveBudget(max_nodes=1_000_000)) == want
 
     def test_back_to_back_calls_spend_identical_nodes(self):
         spent = []
