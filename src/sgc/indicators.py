@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import POS, Edge, SignedGraph
-from .solver import Pin, SolveBudget, feasible_pq
+# feasible_pq is not called here: it is imported because bench/spans.py rebinds it.
+from .solver import SolveBudget, _begin, _relation, feasible_pq
 
 
 class ShapeError(ValueError):
@@ -77,15 +78,15 @@ class ZSet:
 def z_set(ind: Indicator, p: int, q: int, budget: SolveBudget | None = None) -> ZSet:
     """Compute the Z-set of an indicator at circle size (p, q).
 
-    For each d in 0..p//2 this solves one pinned feasibility problem with
-    f(u) = 0, f(v) = d.  Pinning u to 0 loses nothing (rotate the circle);
-    restricting d to at most p//2 loses nothing (negate the circle).
+    The members are bits 0..p//2 of the terminal relation (solver._relation):
+    for each d, feasible_pq's verdict pinned at f(u) = 0, f(v) = d, found by
+    a verdict-only search.  Pinning u to 0 loses nothing (rotate the circle);
+    restricting d to at most p//2 loses nothing (negate the circle).  Errors
+    and an exhausted budget raise as in feasible_pq.
     """
-    member = []
-    for d in range(p // 2 + 1):
-        pins = (Pin(ind.u, 0), Pin(ind.v, d))
-        member.append(feasible_pq(ind.graph, p, q, pins=pins, budget=budget) is not None)
-    return ZSet(p, q, tuple(member))
+    budget = _begin(ind.graph, p, q, budget)
+    mask = _relation(ind.graph, ind.u, ind.v, p, q, budget)
+    return ZSet(p, q, tuple(bool(mask >> d & 1) for d in range(p // 2 + 1)))
 
 
 def replace_edges(

@@ -8,11 +8,11 @@ ascending order, and when no pins are given vertex 0 is fixed to color 0
 and tries color 0 first anyway).  Repeat runs produce byte-identical
 witnesses.  That order fixes which coloring is found first, so every
 search whose solution is returned keeps it: feasible_pq's own, and with it
-chi_c, chi_plus and z_set.  The searches whose verdict alone is used, for
-a piece's terminal relation and for the quotient (below), branch instead
-on the least domain size over degree (Bessiere and Regin 1996), which
-refutes in fewer nodes; it changes how much work a verdict takes, never
-the verdict.
+chi_c and chi_plus.  The verdict-only searches, for a terminal relation
+(a repeated piece's, or an indicator's Z-set) and for the quotient (below),
+branch instead on the least domain size over degree (Bessiere and Regin
+1996), which refutes in fewer nodes; it changes how much work a verdict
+takes, never the verdict.
 
 The search is one iterative loop over an explicit stack of frames, so its
 depth is not bounded by Python's recursion limit.  Propagation queues the
@@ -42,7 +42,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
 
 from .arith import EvenRational, antipode, circle_edge_ok
@@ -226,13 +225,13 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
     """Backtracking with arc consistency over bitmask domains, iteratively,
     with conflict-directed backjumping and reflection pruning.
 
-    Branches on the unassigned vertex with the smallest domain (ties to the
-    lowest index), trying its colors in ascending order; an explicit stack
-    of frames stands in for recursion.  Given weights (one positive int per
-    vertex), it branches instead on the least domain size / weight,
-    compared exactly, ties again to the lowest index; only callers that use
-    the verdict alone pass them, since the first solution depends on the
-    order.
+    Branches on the unassigned vertex with the least domain size / weight
+    (ties to the lowest index), trying its colors in ascending order; an
+    explicit stack of frames stands in for recursion.  size[x] holds that
+    key as the exact integer popcount * lcm / weights[x] (an assigned vertex
+    one above every other).  weights, one positive int per vertex, are all 1
+    when not given; only callers that use the verdict alone pass them, since
+    the first solution depends on the order.
 
     Propagation pops a vertex whose domain shrank and intersects each
     neighbor's domain with that domain's support (_support, memoised per
@@ -259,13 +258,13 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
     Both prunings skip only subtrees that hold no solution, whatever the
     branching order: the search returns the first solution of the
     chronological search in the same order, in no more nodes.  domains is
-    consumed destructively.  Returns that solution, or None.
+    consumed destructively.  Returns that solution, or None, also when a
+    root domain or a pair's mask is empty.
     """
     if n == 0:
         return []
     fixed = 1 | 1 << p // 2  # the colors c with c == -c
     full = (1 << p) - 1
-    size = [d.bit_count() for d in domains]
     why = [0] * n
     memos: dict[int, dict[int, int]] = {}
     groups = []  # groups[x] = [(mask, memo of mask, neighbors over mask)]
@@ -274,17 +273,11 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
         for w, mask in adj[x]:
             by_mask.setdefault(mask, []).append(w)
         groups.append([(mask, memos.setdefault(mask, {}), ws) for mask, ws in by_mask.items()])
-    if 0 in memos:  # a pair with no allowed offset: nothing to search
+    if 0 in memos or 0 in domains:  # no allowed offset or color: nothing to search
         return None
-    if weights is None:
-        scale = None
-        taken = p + 1  # size of an assigned vertex: above every popcount
-    else:
-        # size[x] / weights[x] as the exact integer size[x] * scale[x]; an
-        # assigned vertex's key still tops every unassigned one.
-        lcm = math.lcm(*weights)
-        scale = [lcm // w for w in weights]
-        taken = p * max(weights) + 1
+    scale = [1] * n if weights is None else [math.lcm(*weights) // w for w in weights]
+    size = [d.bit_count() * s for d, s in zip(domains, scale)]
+    taken = p * max(scale) + 1  # the key of an assigned vertex
     spend = budget.spend
     # A full domain supports every color across a non-empty mask, so only
     # the vertices with a smaller domain have anything to revise at the root.
@@ -318,7 +311,7 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
                         trail.append((w, dw, yw))
                         domains[w] = nd
                         why[w] = yw | yx
-                        size[w] = nd.bit_count()
+                        size[w] = nd.bit_count() * scale[w]
                         if not queued[w]:
                             queued[w] = True
                             queue.append(w)
@@ -333,11 +326,7 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
             frames.append((v, saved, saved_why, untried, conf, mirrored, trail))
             if v >= 0:
                 mirrored = mirrored and domains[v] & fixed != 0
-            if scale is None:
-                v = size.index(smallest)
-            else:
-                keys = list(map(mul, size, scale))
-                v = keys.index(min(keys))
+            v = size.index(smallest)
             saved = untried = domains[v]
             saved_why = why[v]
             conf = 0
@@ -351,7 +340,7 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
                 for w, dw, yw in reversed(trail):
                     domains[w] = dw
                     why[w] = yw
-                    size[w] = dw.bit_count()
+                    size[w] = dw.bit_count() * scale[w]
                 bit = 1 << v
                 if conflict & bit:
                     conf |= conflict ^ bit
@@ -363,7 +352,7 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
                     conflict = conf | saved_why
                 domains[v] = saved
                 why[v] = saved_why
-                size[v] = saved.bit_count()
+                size[v] = saved.bit_count() * scale[v]
                 v, saved, saved_why, untried, conf, mirrored, trail = frames.pop()
         lsb = untried & -untried
         untried ^= lsb
@@ -382,51 +371,65 @@ def _degrees(adj: list[list[tuple[int, int]]]) -> list[int]:
     return [len(nbrs) or 1 for nbrs in adj]
 
 
-def _relation(h: SignedGraph, p: int, q: int, budget: SolveBudget) -> int:
-    """The symmetric offset mask {+-d : h has a (p,q)-coloring with vertex 0
-    at 0 and vertex 1 at d}; d up to p/2 suffices, by reflection.
+def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudget) -> int:
+    """The symmetric offset mask {+-d : g has a (p,q)-coloring with vertex u
+    at 0 and vertex v != u at d}; d up to p/2 suffices, by reflection.
 
-    Each d is one pinned search whose verdict alone is kept, so it branches
-    on domain size over degree (_degrees): at 18/4 the big_gamma piece of
-    k4_omega is refuted at d = 0, 1 and 2 in 15,473 nodes, where the
-    canonical order takes 72,781.
+    The one loop over pinned separations: a repeated piece's relation (u, v
+    = 0, 1) and an indicator's Z-set (its bits 0..p/2).  Each d is one
+    pinned search whose verdict alone is kept, so it branches on domain size
+    over degree (_degrees): at 18/4 the big_gamma piece of k4_omega is
+    refuted at d = 0, 1 and 2 in 15,473 nodes; the canonical order takes
+    72,781.
     """
-    adj = _adjacency(h, p, q)
+    adj = _adjacency(g, p, q)
     weights = _degrees(adj)
     full = (1 << p) - 1
     mask = 0
     for d in range(p // 2 + 1):
-        if _search(h.n, adj, p, [1, 1 << d] + [full] * (h.n - 2), budget, weights) is not None:
+        domains = [full] * g.n
+        domains[u], domains[v] = 1, 1 << d
+        if _search(g.n, adj, p, domains, budget, weights) is not None:
             mask |= 1 << d | 1 << (p - d) % p
     return mask
 
 
-def _quotient_refuted(g: SignedGraph, p: int, q: int, pin_map: dict[int, int],
+def _quotient_refuted(g: SignedGraph, p: int, q: int, domains: list[int],
                       budget: SolveBudget) -> bool:
     """Whether g without its repeated pieces, each replaced by its terminal
-    relation (computed once per key), has no (p,q)-coloring.
+    relation (computed once per key), has no (p,q)-coloring within g's root
+    domains, as feasible_pq set them (they are left unchanged).
 
     Every coloring of g colors the quotient: the relations only state what
-    the pieces force on their terminals, and pins on cut vertices are
-    dropped.  So a refuted quotient refutes g.  Without a pin left, the
-    quotient's lowest vertex is fixed to 0 by rotation symmetry.  A
-    quotient coloring is never shown (g is searched whole instead), so this
-    search too branches on domain size over degree.
+    the pieces force on their terminals, and the domains of cut-out vertices
+    are dropped.  So a refuted quotient refutes g.  If no domain left is
+    pinned, the quotient's lowest vertex is fixed to 0 by rotation symmetry.
+    A quotient coloring is never shown (g is searched whole instead), so
+    this search too branches on domain size over degree.
     """
     structure = g._pieces
     if structure is None:
         return False
     quotient, kept, terminals, graphs = structure
-    masks = [_relation(h, p, q, budget) for h in graphs]
+    masks = [_relation(h, 0, 1, p, q, budget) for h in graphs]
     full = (1 << p) - 1
-    domains = [full] * quotient.n
-    for i, v in enumerate(kept):
-        if v in pin_map:
-            domains[i] = 1 << pin_map[v]
-    if all(d == full for d in domains):
-        domains[0] = 1
+    kept_domains = [domains[v] for v in kept]
+    if all(d == full for d in kept_domains):
+        kept_domains[0] = 1
     adj = _adjacency(quotient, p, q, [(a, b, masks[k]) for a, b, k in terminals])
-    return _search(quotient.n, adj, p, domains, budget, _degrees(adj)) is None
+    return _search(quotient.n, adj, p, kept_domains, budget, _degrees(adj)) is None
+
+
+def _begin(g: SignedGraph, p: int, q: int, budget: SolveBudget | None) -> SolveBudget:
+    """feasible_pq's and z_set's preamble: a valid grid, no positive loop,
+    and a started budget (a fresh one when none is given)."""
+    _validate_pq(p, q)
+    if g.has_positive_loop():
+        raise UncolorableError("positive loop: no circular coloring exists")
+    if budget is None:
+        budget = SolveBudget()
+    budget._start_clock()
+    return budget
 
 
 def feasible_pq(g: SignedGraph, p: int, q: int,
@@ -446,34 +449,24 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     always the canonical one.  Relations live for this call only, and every
     node of theirs is spent from the caller's budget.
     """
-    _validate_pq(p, q)
-    if g.has_positive_loop():
-        raise UncolorableError("positive loop: no circular coloring exists")
-    if budget is None:
-        budget = SolveBudget()
-    budget._start_clock()
-
-    pin_map: dict[int, int] = {}
+    budget = _begin(g, p, q, budget)
+    full = (1 << p) - 1
+    domains = [full] * g.n
     for pin in pins:
         if not 0 <= pin.vertex < g.n:
             raise ValueError(f"pin on non-vertex {pin.vertex}")
         if not 0 <= pin.color < p:
             raise ValueError(f"pin color {pin.color} out of range for p={p}")
-        if pin_map.get(pin.vertex, pin.color) != pin.color:
+        if domains[pin.vertex] not in (full, 1 << pin.color):
             raise ValueError(f"conflicting pins on vertex {pin.vertex}")
-        pin_map[pin.vertex] = pin.color
-
-    full = (1 << p) - 1
-    domains = [full] * g.n
-    for v, c in pin_map.items():
-        domains[v] = 1 << c
-    if not pin_map and g.n >= 1:
+        domains[pin.vertex] = 1 << pin.color
+    if not pins and g.n >= 1:
         # Rotating every color at once maps solutions to solutions, so some
         # solution has f(0) = 0; connected or not, the unpinned search would
         # branch vertex 0 first and try color 0 first, so witnesses agree.
         domains[0] = 1
 
-    if _quotient_refuted(g, p, q, pin_map, budget):
+    if _quotient_refuted(g, p, q, domains, budget):
         return None
     sol = _search(g.n, _adjacency(g, p, q), p, domains, budget)
     if sol is None:

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sgc import (
     BudgetExhausted,
     Indicator,
+    Pin,
     ShapeError,
     SignedGraph,
     SolveBudget,
@@ -20,6 +21,7 @@ from sgc import (
     predict_scaled_chi,
     replace_edges,
     signed_cycle,
+    wenger_tilde,
     z_set,
 )
 
@@ -112,6 +114,45 @@ class TestZSet:
         v = data.draw(st.integers(0, graph.n - 1).filter(lambda x: x != u))
         got = z_set(Indicator(graph, u, v), p, q).members()
         assert got == oracles.oracle_zset(graph, u, v, p, q)
+
+    @staticmethod
+    def _assert_pinned_verdicts(graph, p, q, data):
+        # Each member is feasible_pq's verdict pinned at (u: 0, v: d).
+        u = data.draw(st.integers(0, graph.n - 1))
+        v = data.draw(st.integers(0, graph.n - 1).filter(lambda x: x != u))
+        cap = SolveBudget(max_nodes=20_000)
+        try:
+            want = tuple(feasible_pq(graph, p, q, pins=(Pin(u, 0), Pin(v, d)), budget=cap)
+                         is not None for d in range(p // 2 + 1))
+        except BudgetExhausted:
+            assume(False)
+        # The cap only stops a broken search from running on; z_set branches
+        # in another order and is not held to feasible_pq's node count.
+        z = z_set(Indicator(graph, u, v), p, q, budget=SolveBudget(max_nodes=100 * cap.max_nodes))
+        assert z.member == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=gen.signed_graphs(min_n=2, max_n=9, max_m=20), grid=gen.grids(16),
+           data=st.data())
+    def test_members_are_the_pinned_feasible_pq_verdicts(self, graph, grid, data):
+        self._assert_pinned_verdicts(graph, *grid, data)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(graph=gen.gadget_compositions(), grid=gen.grids(12), data=st.data())
+    def test_members_are_the_pinned_verdicts_through_the_quotient(self, graph, grid, data):
+        # feasible_pq refutes through the quotient of the repeated gadgets;
+        # z_set searches the whole graph under each pinned separation.
+        assume(graph._pieces is not None)
+        self._assert_pinned_verdicts(graph, *grid, data)
+
+    def test_apex_z_set_takes_under_20000_nodes(self):
+        # The separations branch on domain size over degree; feasible_pq's
+        # canonical order, pinned at each d, takes 72,943 nodes in all.
+        budget = SolveBudget(max_nodes=3_000_000)
+        z = z_set(Indicator(wenger_tilde(), 8, 9), 18, 4, budget=budget)
+        assert z.members() == (3, 4, 5, 6, 7, 8, 9)
+        assert budget.nodes <= 20_000
 
 
 class TestReplaceEdges:

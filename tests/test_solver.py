@@ -14,7 +14,7 @@ from pathlib import Path
 
 import oracles
 import pytest
-from gen import grids, signed_graphs
+from gen import gadget_compositions, grids, signed_graphs
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sgc import solver
@@ -171,6 +171,22 @@ class TestFeasiblePq:
             assert got.colors[pins[0].vertex] == pins[0].color
 
 
+    @pytest.mark.parametrize("pins, message", [
+        ((Pin(4, 0),), "pin on non-vertex 4"),
+        ((Pin(-1, 0),), "pin on non-vertex -1"),
+        ((Pin(0, 8),), "pin color 8 out of range for p=8"),
+        ((Pin(1, 2), Pin(1, 3)), "conflicting pins on vertex 1"),
+    ])
+    def test_bad_pins_are_rejected(self, pins, message):
+        with pytest.raises(ValueError, match=message):
+            feasible_pq(C4_NEG, 8, 3, pins=pins)
+
+    def test_a_repeated_pin_is_one_pin(self):
+        once = feasible_pq(C4_NEG, 8, 3, pins=(Pin(1, 2),))
+        assert once is not None and once.colors[1] == 2
+        assert feasible_pq(C4_NEG, 8, 3, pins=(Pin(1, 2), Pin(1, 2))) == once
+
+
 class TestRotationPin:
     """Without pins, vertex 0 is fixed to color 0, on any graph."""
 
@@ -273,6 +289,10 @@ class TestSearchKernel:
         assert got_nodes <= want_nodes
         if not isinstance(want, tuple):
             assert got == want
+        # Unit weights are the canonical order: one branching key for both.
+        unit = self._run(lambda *args: solver._search(*args, [1] * g.n), g.n, adj, p,
+                         list(domains), max_nodes=20_000)
+        assert unit == (got, got_nodes)
 
     def test_every_single_pin_of_tight_instances_matches_the_chronological_kernel(self):
         # At a graph's own chi_c grid a coloring exists but is hard to find,
@@ -335,6 +355,13 @@ class TestSearchKernel:
         budget = SolveBudget(max_nodes=100)
         assert solver._search(4, adj, 8, [255] * 4, budget, solver._degrees(adj)) == [0, 2, 2, 2]
         assert budget.nodes == 4
+
+    def test_empty_root_domain_is_refuted_at_set_up(self):
+        # No pair mask reaches either vertex, so propagation never sees the
+        # empty domain; the set-up must.
+        budget = SolveBudget()
+        assert solver._search(2, [[], []], 4, [0, 15], budget) is None
+        assert budget.nodes == 0
 
     def test_reflection_drops_the_mirror_of_a_refuted_color(self):
         # K4(+) at (6,2), vertex 0 at 0: vertex 1 keeps {2, 4}; color 2
@@ -420,7 +447,7 @@ class TestRepeatedPieces:
             domains = [1, 1 << d] + [full] * (h.n - 2)
             if oracles.chrono_search(h.n, adj, p, domains, SolveBudget()) is not None:
                 want |= 1 << d
-        assert solver._relation(h, p, q, SolveBudget(max_nodes=1_000_000)) == want
+        assert solver._relation(h, 0, 1, p, q, SolveBudget(max_nodes=1_000_000)) == want
 
     def test_back_to_back_calls_spend_identical_nodes(self):
         spent = []
@@ -456,23 +483,9 @@ class TestRepeatedPieces:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-    @given(signed_graphs(min_n=3, max_n=4, max_m=6, loops=False, parallel=False),
-           st.integers(4, 6), grids(12), st.data())
-    def test_compositions_agree_with_the_chronological_search(self, host, k, pq, data):
+    @given(gadget_compositions(), grids(12), st.data())
+    def test_compositions_agree_with_the_chronological_search(self, g, pq, data):
         p, q = pq
-        # A dense gadget on k vertices, so that blocks keep degree 3.
-        pairs = list(itertools.combinations(range(k), 2))
-        signs = data.draw(st.lists(st.sampled_from([POS, NEG]), min_size=len(pairs),
-                                   max_size=len(pairs)))
-        drop = data.draw(st.sets(st.sampled_from(pairs[1:]), max_size=2))
-        kept = [(a, b, s) for (a, b), s in zip(pairs, signs) if (a, b) not in drop]
-        ind = Indicator(sg(k, kept), 0, 1)
-        # Negative host edges get the same gadget or one with some signs
-        # flipped, whose pieces must not share the first one's relation.
-        flips = data.draw(st.sets(st.integers(0, len(kept) - 1)))
-        ind_neg = Indicator(sg(k, [(a, b, -s if i in flips else s)
-                                   for i, (a, b, s) in enumerate(kept)]), 0, 1)
-        g = replace_edges(host, ind, ind_neg)
         assume(g._pieces is not None)
         full = (1 << p) - 1
         pins = ()
