@@ -3,8 +3,7 @@
 
 Runs in well under a minute.  The last line decides the big clique
 composition at circle size 18/4 under a 3,000,000-node budget and prints
-the nodes it took; pass --stretch-seconds N to cap that decision at N
-seconds of wall clock as well (0, the default, sets no wall cap).
+the nodes it took.  The script takes no options.
 """
 
 import argparse
@@ -43,9 +42,7 @@ def report(label: str, fn):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--stretch-seconds", type=float, default=0.0)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     print("== cycle families ==")
     for k in range(1, 5):
@@ -113,7 +110,7 @@ def main() -> None:
     )
 
     def decide_18_4():
-        budget = SolveBudget(max_nodes=3_000_000, max_seconds=args.stretch_seconds or None)
+        budget = SolveBudget(max_nodes=3_000_000)
         try:
             witness = feasible_pq(k4_omega(), 18, 4, budget=budget)
         except BudgetExhausted as exc:

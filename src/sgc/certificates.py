@@ -264,17 +264,17 @@ def refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
     if not g.edges:
         raise ValueError("no edge constraints: refinement undefined")
     (d, big_r, xs, gaps), tight = _tight_grid(g, c)
-    if find_tight_cycle(TightDigraph(g.n, tight)) is not None:
-        raise NotRefinableError("tight cycle present")
 
-    adj = g.adjacency()
-    arcs = set(tight)  # no loop arcs: a tight loop is a tight cycle
+    # A move changes only the edges at a sink, so the arcs of a tight cycle
+    # (a tight loop included) stay and none of its vertices becomes a sink;
+    # arcs left with no sink among them always close a cycle.
+    arcs = set(tight)
     while arcs:
         sinks = {w for _, w, _ in arcs} - {u for u, _, _ in arcs}
         if not sinks:
-            raise RuntimeError("internal error: acyclic tight digraph without a sink")
+            raise NotRefinableError("tight cycle present")
         v = min(sinks)
-        at_v = {idx for w, idx in adj[v] if w != v}
+        at_v = {idx for w, idx in g._adj[v] if w != v}
         slack = min(gaps[idx] if v == g.edges[idx].u else big_r - gaps[idx]
                     for idx in at_v) - d
         if slack <= 0:

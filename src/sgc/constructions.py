@@ -191,13 +191,11 @@ def omega_d(d: int) -> SignedGraph:
 # Spokes pair a-x, b-y, c-z.
 _GADGET_POS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5))
 _GADGET_NEG = ((4, 5), (5, 3), (3, 4), (0, 5), (1, 3), (2, 4))
-# The 9 non-outer gadget edges (outer triangle excluded), in gadget vertex
-# indices, used when grafting the gadget onto an existing host triangle.
-_GADGET_INTERIOR_EDGES = (
-    (0, 1, POS), (0, 2, POS), (1, 2, POS),
-    (0, 3, POS), (1, 4, POS), (2, 5, POS),
-    (0, 5, NEG), (1, 3, NEG), (2, 4, NEG),
-)
+# The 9 non-outer gadget edges (those with an interior endpoint), in gadget
+# vertex indices, used when grafting the gadget onto an existing host triangle.
+_GADGET_INTERIOR_EDGES = tuple(
+    (a, b, sign) for pairs, sign in ((_GADGET_POS, POS), (_GADGET_NEG, NEG))
+    for a, b in pairs if min(a, b) < 3)
 
 
 def mini_gadget() -> SignedGraph:

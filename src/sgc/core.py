@@ -110,12 +110,7 @@ class SignedGraph:
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """adj[v] = list of (neighbor, edge index); loops appear once."""
-        adj = [[] for _ in range(self.n)]
-        for idx, e in enumerate(self.edges):
-            adj[e.u].append((e.v, idx))
-            if e.u != e.v:
-                adj[e.v].append((e.u, idx))
-        return adj
+        return [list(row) for row in self._adj]
 
     def underlying_pairs(self) -> tuple[tuple[int, int], ...]:
         """Unordered endpoint pairs in edge order (the sign-free skeleton)."""
@@ -145,6 +140,16 @@ class SignedGraph:
                 key = (min(e.u, e.v), max(e.u, e.v))
                 signs[key] = signs.get(key, 0) | (1 if e.sign is POS else 2)
         return tuple((a, b, s) for (a, b), s in sorted(signs.items()))
+
+    @cached_property
+    def _adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """adjacency() as tuples, computed on first use and kept."""
+        adj = [[] for _ in range(self.n)]
+        for idx, e in enumerate(self.edges):
+            adj[e.u].append((e.v, idx))
+            if e.u != e.v:
+                adj[e.v].append((e.u, idx))
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _positive_loop(self) -> bool:
@@ -183,7 +188,7 @@ def _lift_bfs(g: SignedGraph, labels: list[int],
     Returns {state: (distance, index of the edge it was first reached by,
     None for a root)} in discovery order.
     """
-    adj = g.adjacency()
+    adj = g._adj
     seen = [False] * g.n
     reached: dict[tuple[int, int], tuple[int, int | None]] = {}
     for root in roots:
@@ -376,11 +381,10 @@ def girth_types(g: SignedGraph) -> GirthTypeTable:
     neighbor w followed by one final edge step back into (v, i + 2j).
     """
     labels = [2 | (e.sign is NEG) for e in g.edges]
-    adj = g.adjacency()
     best: dict[tuple[int, int], int | None] = {(i, j): None for i in (0, 1) for j in (0, 1)}
     for start in range(g.n):
         reached = _lift_bfs(g, labels, [start])
-        for w, idx in adj[start]:
+        for w, idx in g._adj[start]:
             for x in range(4):
                 if (w, x) not in reached:
                     continue
@@ -403,7 +407,6 @@ def degeneracy(g: SignedGraph) -> tuple[int, list[int]]:
         return 0, []
     deg = g.degrees()
     alive = [True] * g.n
-    adj = g.adjacency()
     order = []
     d = 0
     for _ in range(g.n):
@@ -411,7 +414,7 @@ def degeneracy(g: SignedGraph) -> tuple[int, list[int]]:
         d = max(d, deg[v])
         order.append(v)
         alive[v] = False
-        for y, _idx in adj[v]:
+        for y, _idx in g._adj[v]:
             if alive[y]:
                 deg[y] -= 1
     return d, order

@@ -492,10 +492,9 @@ def _greedy_seed(g: SignedGraph) -> Coloring:
         p = u_cap
         colors = [0] * g.n
         placed = [False] * g.n  # v itself is unplaced, which skips its loops
-        adj = g.adjacency()
         for v in reversed(order):
             forbidden = set()
-            for w, idx in adj[v]:
+            for w, idx in g._adj[v]:
                 if placed[w]:
                     cw = colors[w]
                     forbidden.add(cw if g.edges[idx].sign is POS else antipode(cw, p))

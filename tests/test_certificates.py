@@ -244,6 +244,15 @@ class TestRefine:
         with pytest.raises(NotRefinableError):
             refine(C4_NEG, OPT)
 
+    def test_tight_cycle_with_a_tight_tail_refuses(self):
+        # 2 -> 3 is tight and 3 is the only sink, so peeling moves 3 first;
+        # the triangle's tight cycle 0 -> 1 -> 2 -> 0 is left with no sink.
+        g = sg(4, [(0, 1, POS), (1, 2, POS), (2, 0, POS), (2, 3, POS)])
+        rc = RationalColoring(Fraction(3), tuple(map(Fraction, (0, 1, 2, 0))))
+        assert tight_digraph(g, rc).arcs == ((0, 1, 0), (1, 2, 1), (2, 0, 2), (2, 3, 3))
+        with pytest.raises(NotRefinableError, match="tight cycle present"):
+            refine(g, rc)
+
     def test_invalid_coloring_rejected(self):
         with pytest.raises(ValueError):
             refine(C4_NEG, RationalColoring.from_coloring(Coloring(8, 3, (0, 3, 6, 0))))

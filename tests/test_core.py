@@ -55,6 +55,9 @@ class TestSignedGraph:
     def test_adjacency_lists_loop_once(self):
         g = sg(2, [(0, 0, NEG), (0, 1, POS)])
         assert g.adjacency() == [[(0, 0), (1, 1)], [(0, 1)]]
+        # Each call hands out fresh lists: mutating one leaves the graph alone.
+        g.adjacency()[0].clear()
+        assert g.adjacency() == [[(0, 0), (1, 1)], [(0, 1)]]
 
     def test_components(self):
         g = sg(5, [(0, 2, POS), (1, 3, NEG)])

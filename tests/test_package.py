@@ -1,4 +1,4 @@
-"""The package namespace: what `from sgc import *` exports."""
+"""The package namespace (what `from sgc import *` exports) and its sources."""
 
 import ast
 import sys
@@ -6,6 +6,8 @@ import types
 from pathlib import Path
 
 import sgc
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_names_resolve_and_are_not_submodules():
@@ -27,3 +29,11 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; this checks syntax only.
+    sources = sorted(Path(sgc.__file__).parent.glob("*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -150,6 +150,13 @@ class TestFeasiblePq:
         with pytest.raises(BudgetExhausted):
             feasible_pq(C4_NEG, 8, 3, budget=SolveBudget(max_nodes=1))
 
+    def test_spent_wall_clock_stops_at_the_first_deadline_check(self):
+        # spend() reads the clock every 1,024 nodes, so a deadline already
+        # passed stops the search at node 1,024 whatever the host speed.
+        with pytest.raises(BudgetExhausted) as info:
+            feasible_pq(k4_omega(), 18, 4, budget=SolveBudget(max_seconds=0))
+        assert info.value.nodes == 1024
+
     @settings(max_examples=250, deadline=None)
     @given(signed_graphs(max_n=4, max_m=6), grids(8))
     def test_agrees_with_brute_force(self, g, pq):
@@ -420,11 +427,6 @@ class TestSearchKernel:
 
 class TestRepeatedPieces:
     """feasible_pq refutes through one relation per repeated 2-separated piece."""
-
-    def test_k4_omega_is_refuted_at_18_4(self):
-        budget = SolveBudget(max_nodes=3_000_000)
-        assert feasible_pq(k4_omega(), 18, 4, budget=budget) is None
-        assert budget.nodes <= 100_000
 
     def test_k4_omega_at_18_4_takes_under_20000_nodes(self):
         # The piece relation's searches branch on domain size over degree;
