@@ -121,8 +121,11 @@ def candidate_pairs(n: int, lo, hi) -> list[tuple[int, int]]:
     in the same ascending order, built as integer pairs only.
 
     The bounds cut each numerator's q range by integer cross-multiplication
-    (lo <= p/q <= hi); the pairs are reduced, deduplicated, sorted and put
-    in even-numerator normal form as integers, with no Fraction built.
+    (lo <= p/q <= hi).  Distinct fractions with denominators <= n differ by
+    at least 1/n^2, so floor(p * n^2 / q) is one exact key per value, and it
+    orders them.  p ascends, so the first (p, q) seen at a key has the least
+    even numerator: it is the value's even-numerator normal form.  No gcd
+    and no Fraction is taken.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -131,18 +134,17 @@ def candidate_pairs(n: int, lo, hi) -> list[tuple[int, int]]:
         return []
     lo_n, lo_d = lo_v.numerator, lo_v.denominator
     hi_n, hi_d = hi_v.numerator, hi_v.denominator
-    pairs = set()
+    scale = n * n
+    first: dict[int, tuple[int, int]] = {}
     for p in range(2, 2 * n + 1, 2):
         q_min = -(-p * hi_d // hi_n)  # p/q <= hi  <=>  q >= p*hi_d/hi_n
         q_max = p // 2 if lo_n <= 0 else min(p // 2, p * lo_d // lo_n)
+        ps = p * scale
         for q in range(max(q_min, 1), q_max + 1):
-            g = gcd(p, q)
-            pairs.add((p // g, q // g))
-    # Distinct fractions with denominators <= n differ by at least 1/n^2, so
-    # floor(a * n^2 / b) orders them exactly.
-    scale = n * n
-    ordered = sorted(pairs, key=lambda ab: ab[0] * scale // ab[1])
-    return [(a, b) if a % 2 == 0 else (2 * a, 2 * b) for a, b in ordered]
+            key = ps // q
+            if key not in first:
+                first[key] = (p, q)
+    return [first[key] for key in sorted(first)]
 
 
 def candidates(n: int, lo, hi) -> list[EvenRational]:

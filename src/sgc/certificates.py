@@ -51,11 +51,16 @@ class RationalColoring:
     colors: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not isinstance(self.r, Fraction) or self.r <= 0:
-            raise ValueError(f"circumference must be a positive Fraction, got {self.r!r}")
+        # Integer cross-products instead of Fraction comparisons: 0 <= x < r
+        # iff x's numerator is >= 0 and below r * x's denominator.
+        r = self.r
+        if not (type(r) is Fraction or isinstance(r, Fraction)) or r.numerator <= 0:
+            raise ValueError(f"circumference must be a positive Fraction, got {r!r}")
+        r_num, r_den = r.numerator, r.denominator
         for v, x in enumerate(self.colors):
-            if not isinstance(x, Fraction) or not 0 <= x < self.r:
-                raise ValueError(f"vertex {v}: point {x!r} not in [0, {self.r})")
+            if (not (type(x) is Fraction or isinstance(x, Fraction))
+                    or x.numerator < 0 or x.numerator * r_den >= r_num * x.denominator):
+                raise ValueError(f"vertex {v}: point {x!r} not in [0, {r})")
 
     @classmethod
     def from_coloring(cls, c: Coloring) -> "RationalColoring":

@@ -12,6 +12,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
 
@@ -140,6 +141,19 @@ class SignedGraph:
                 key = (min(e.u, e.v), max(e.u, e.v))
                 signs[key] = signs.get(key, 0) | (1 if e.sign is POS else 2)
         return tuple((a, b, s) for (a, b), s in sorted(signs.items()))
+
+    @cached_property
+    def _sign_groups(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """For each vertex v, (signs, neighbors) groups: the neighbors whose
+        pair with v has those sign bits (as in _pair_signs: 1 positive only,
+        2 negative only, 3 both), ascending, with the groups in order of
+        their first neighbor.  This is the search's skeleton: only the offset
+        window of each sign depends on (p, q)."""
+        groups: list[dict[int, list[int]]] = [{} for _ in range(self.n)]
+        for a, b, s in self._pair_signs:
+            groups[a].setdefault(s, []).append(b)
+            groups[b].setdefault(s, []).append(a)
+        return tuple(tuple((s, tuple(ws)) for s, ws in by_sign.items()) for by_sign in groups)
 
     @cached_property
     def _adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -324,14 +338,15 @@ def _repeated_pieces(g: SignedGraph):
     return quotient, kept, terminals, graphs
 
 
-def is_balanced(g: SignedGraph) -> tuple[bool, frozenset[int] | None]:
-    """Whether some switching makes every edge positive.
+def is_balanced(g: SignedGraph, negate: bool = False) -> tuple[bool, frozenset[int] | None]:
+    """Whether some switching makes every edge positive (with negate, every
+    edge negative: the balance of g with all signs flipped).
 
     Returns (True, s) with a switching set s that does it, or (False, None).
     The graph is balanced iff no vertex is reached at both negative-edge
     parities; a negative loop reaches its vertex at both at once.
     """
-    reached = _lift_bfs(g, [int(e.sign is NEG) for e in g.edges], range(g.n))
+    reached = _lift_bfs(g, [(e.sign is NEG) ^ negate for e in g.edges], range(g.n))
     if len(reached) > g.n:
         return False, None
     return True, frozenset(v for v, x in reached if x)
@@ -401,20 +416,25 @@ def degeneracy(g: SignedGraph) -> tuple[int, list[int]]:
 
     Degrees count edge multiplicity; loops count 2.  Returns (d, order)
     where order is the elimination order (min-degree first, ties to the
-    lowest index); reversed, it is a greedy-colorable order.
+    lowest index); reversed, it is a greedy-colorable order (Matula and Beck
+    1983).  A heap keyed (degree, vertex), whose stale entries are skipped
+    when popped, yields each minimum in O((n + m) log n) overall.
     """
-    if g.n == 0:
-        return 0, []
     deg = g.degrees()
+    heap = [(dv, v) for v, dv in enumerate(deg)]
+    heapify(heap)
     alive = [True] * g.n
     order = []
     d = 0
-    for _ in range(g.n):
-        v = min((x for x in range(g.n) if alive[x]), key=lambda x: (deg[x], x))
-        d = max(d, deg[v])
+    while heap:
+        dv, v = heappop(heap)
+        if not alive[v] or dv != deg[v]:
+            continue
+        d = max(d, dv)
         order.append(v)
         alive[v] = False
         for y, _idx in g._adj[v]:
             if alive[y]:
                 deg[y] -= 1
+                heappush(heap, (deg[y], y))
     return d, order

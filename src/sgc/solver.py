@@ -20,7 +20,9 @@ vertices whose domain shrank and revises their neighbors.  Every adjacent
 vertex pair carries one constraint, a p-bit mask of the offsets allowed
 between its colors, and the support of a domain across the pair is the
 sumset of the domain with that mask, computed by doubling and memoised per
-search.  Failures back up by conflict-directed backjumping rather than
+search.  Which pairs are adjacent, and with which signs, is kept on the
+graph (SignedGraph._sign_groups), so a probe only stamps each sign's window
+onto it.  Failures back up by conflict-directed backjumping rather than
 chronologically, and while the state is symmetric under c -> -c a refuted
 color also refutes its mirror; both skip only subtrees without a solution,
 so the first solution found, and hence every witness, is the one the
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import EvenRational, antipode, circle_edge_ok
+from .arith import EvenRational, circle_edge_ok
 # chi_c's ladder as integer (p, q) pairs; it keeps the name candidates,
 # under which the bench traces the ladder layer.
 from .arith import candidate_pairs as candidates
@@ -153,8 +155,11 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
 
 
 def _adjacency(g: SignedGraph, p: int, q: int,
-               relations: Sequence[tuple[int, int, int]] = ()) -> list[list[tuple[int, int]]]:
-    """adj[v] = (neighbor, offset mask) pairs, one per neighbor, ascending.
+               relations: Sequence[tuple[int, int, int]] = ()
+               ) -> list[list[tuple[int, Sequence[int]]]]:
+    """adj[v] = (offset mask, neighbors) groups: v's neighbors, ascending,
+    grouped by the mask of their pair with v, the groups in order of their
+    first neighbor.
 
     Bit t of a pair's p-bit mask is set when the neighbor may sit t steps
     round the circle from v: the window [q, p-q] for a positive edge, that
@@ -163,23 +168,26 @@ def _adjacency(g: SignedGraph, p: int, q: int,
     it.  Both windows are symmetric under t -> -t, so one mask serves both
     directions; relations must be symmetric too.  Negative loops constrain
     nothing (distance to the antipode is p/2 >= q) and are dropped;
-    positive loops must be rejected by the caller.  The pairs and their
-    signs are g._pair_signs, kept on the graph; only the windows depend on
-    (p, q).
+    positive loops must be rejected by the caller.  Without relations the
+    groups are g._sign_groups, kept on the graph, with each sign's window
+    stamped in; the three windows differ, so grouping by mask is grouping
+    by sign.
     """
     half, full = p // 2, (1 << p) - 1
     pos = ((1 << (p - 2 * q + 1)) - 1) << q
     neg = (pos << half | pos >> half) & full
     window = (full, pos, neg, pos & neg)  # indexed by a pair's sign bits
+    if not relations:
+        return [[(window[signs], ws) for signs, ws in groups] for groups in g._sign_groups]
     masks = {(a, b): window[signs] for a, b, signs in g._pair_signs}
     for a, b, mask in relations:
         key = (min(a, b), max(a, b))
         masks[key] = masks.get(key, full) & mask
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    by_mask: list[dict[int, list[int]]] = [{} for _ in range(g.n)]
     for (a, b), mask in sorted(masks.items()):
-        adj[a].append((b, mask))
-        adj[b].append((a, mask))
-    return adj
+        by_mask[a].setdefault(mask, []).append(b)
+        by_mask[b].setdefault(mask, []).append(a)
+    return [list(groups.items()) for groups in by_mask]
 
 
 def _support(mask: int, dx: int, p: int) -> int:
@@ -219,7 +227,7 @@ def _reflect(d: int, p: int) -> int:
     return (d & 1) | int(format(d >> 1, f"0{p - 1}b")[::-1], 2) << 1
 
 
-def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
+def _search(n: int, adj: list[list[tuple[int, Sequence[int]]]], p: int,
             domains: list[int], budget: SolveBudget,
             weights: Sequence[int] | None = None) -> list[int] | None:
     """Backtracking with arc consistency over bitmask domains, iteratively,
@@ -267,12 +275,8 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
     full = (1 << p) - 1
     why = [0] * n
     memos: dict[int, dict[int, int]] = {}
-    groups = []  # groups[x] = [(mask, memo of mask, neighbors over mask)]
-    for x in range(n):
-        by_mask: dict[int, list[int]] = {}
-        for w, mask in adj[x]:
-            by_mask.setdefault(mask, []).append(w)
-        groups.append([(mask, memos.setdefault(mask, {}), ws) for mask, ws in by_mask.items()])
+    # groups[x] = [(mask, memo of mask, neighbors over mask)]
+    groups = [[(mask, memos.setdefault(mask, {}), ws) for mask, ws in gx] for gx in adj]
     if 0 in memos or 0 in domains:  # no allowed offset or color: nothing to search
         return None
     scale = [1] * n if weights is None else [math.lcm(*weights) // w for w in weights]
@@ -365,10 +369,10 @@ def _search(n: int, adj: list[list[tuple[int, int]]], p: int,
         queued[v] = True
 
 
-def _degrees(adj: list[list[tuple[int, int]]]) -> list[int]:
+def _degrees(adj: list[list[tuple[int, Sequence[int]]]]) -> list[int]:
     """Branching weights for a search whose verdict alone is used: each
     vertex's number of distinct neighbors, at least 1."""
-    return [len(nbrs) or 1 for nbrs in adj]
+    return [sum(len(ws) for _, ws in groups) or 1 for groups in adj]
 
 
 def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudget) -> int:
@@ -491,14 +495,19 @@ def _greedy_seed(g: SignedGraph) -> Coloring:
     if u_cap <= 2 * g.n:
         p = u_cap
         colors = [0] * g.n
-        placed = [False] * g.n  # v itself is unplaced, which skips its loops
+        placed = [False] * g.n
+        half = p // 2
         for v in reversed(order):
-            forbidden = set()
-            for w, idx in g._adj[v]:
-                if placed[w]:
-                    cw = colors[w]
-                    forbidden.add(cw if g.edges[idx].sign is POS else antipode(cw, p))
-            colors[v] = min(c for c in range(p) if c not in forbidden)
+            forbidden = 0  # bit c set when a placed neighbor rules out color c
+            for signs, ws in g._sign_groups[v]:
+                for w in ws:
+                    if placed[w]:
+                        cw = colors[w]
+                        if signs & 1:
+                            forbidden |= 1 << cw
+                        if signs & 2:
+                            forbidden |= 1 << (cw + half) % p
+            colors[v] = (~forbidden & (forbidden + 1)).bit_length() - 1  # lowest free
             placed[v] = True
         seed = Coloring(p, 1, tuple(colors))
     else:
@@ -525,8 +534,7 @@ def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
     if g.has_positive_loop():
         raise UncolorableError("positive loop: no circular coloring exists")
 
-    negated = SignedGraph(g.n, tuple(e._replace(sign=-e.sign) for e in g.edges))
-    balanced, sset = is_balanced(negated)
+    balanced, sset = is_balanced(g, negate=True)
     if balanced:
         colors = tuple(2 if v in sset else 0 for v in range(g.n))
         witness = Coloring(4, 2, colors)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import strategies as st
 
@@ -77,3 +78,23 @@ def grids(max_p=8):
     """(p, q) integer grids with even p and 2q <= p."""
     return st.integers(1, max_p // 2).flatmap(
         lambda q: st.integers(q, max_p // 2).map(lambda h: (2 * h, q)))
+
+
+def seeded_multigraphs(seed, count, min_n=12, max_n=20):
+    """count signed multigraphs from random.Random(seed): n uniform in
+    min_n..max_n, m uniform in 2n..3n, 3% negative loops, both signs equally
+    likely on the other edges, parallel edges as they fall."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(min_n, max_n)
+        edges = []
+        for _ in range(rng.randint(2 * n, 3 * n)):
+            u = rng.randrange(n)
+            if rng.random() < 0.03:
+                edges.append((u, u, NEG))
+                continue
+            v = rng.randrange(n - 1)
+            edges.append((u, v + (v >= u), rng.choice((POS, NEG))))
+        graphs.append(SignedGraph.from_triples(n, edges))
+    return graphs

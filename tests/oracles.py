@@ -480,7 +480,7 @@ def chrono_support(mask: int, dx: int, p: int) -> int:
     return (acc | acc >> p) & ((1 << p) - 1)
 
 
-def chrono_search(n: int, adj: list[list[tuple[int, int]]], p: int,
+def chrono_search(n: int, adj: list[list[tuple[int, Sequence[int]]]], p: int,
             domains: list[int], budget: SolveBudget) -> list[int] | None:
     """Backtracking with arc consistency over bitmask domains, iteratively.
 
@@ -504,12 +504,8 @@ def chrono_search(n: int, adj: list[list[tuple[int, int]]], p: int,
     taken = p + 1  # size of an assigned vertex: above every popcount
     size = [d.bit_count() for d in domains]
     memos: dict[int, dict[int, int]] = {}
-    groups = []  # groups[x] = [(mask, memo of mask, neighbors over mask)]
-    for x in range(n):
-        by_mask: dict[int, list[int]] = {}
-        for w, mask in adj[x]:
-            by_mask.setdefault(mask, []).append(w)
-        groups.append([(mask, memos.setdefault(mask, {}), ws) for mask, ws in by_mask.items()])
+    # groups[x] = [(mask, memo of mask, neighbors over mask)]
+    groups = [[(mask, memos.setdefault(mask, {}), ws) for mask, ws in gx] for gx in adj]
     spend = budget.spend
     queue = list(range(n))
     queued = [True] * n

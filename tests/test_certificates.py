@@ -79,13 +79,18 @@ def expected_arcs(g, c):
 
 
 class TestRationalColoring:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RationalColoring(Fraction(3), (Fraction(3),))
-        with pytest.raises(ValueError):
-            RationalColoring(Fraction(3), (Fraction(-1, 2),))
-        with pytest.raises(ValueError):
-            RationalColoring(3, (Fraction(1),))
+    @pytest.mark.parametrize("r, colors, message", [
+        (Fraction(3), (Fraction(3),), r"vertex 0: point Fraction\(3, 1\) not in \[0, 3\)"),
+        (Fraction(3), (Fraction(-1, 2),), r"vertex 0: point Fraction\(-1, 2\) not in"),
+        (3, (Fraction(1),), "circumference must be a positive Fraction, got 3"),
+        (Fraction(0), (), r"circumference must be a positive Fraction, got Fraction\(0, 1\)"),
+        (Fraction(-3), (Fraction(1),), "circumference must be a positive Fraction"),
+        (Fraction(3), (Fraction(0), 1), "vertex 1: point 1 not in"),
+        (Fraction(3), (Fraction(0), 1.5), r"vertex 1: point 1\.5 not in"),
+    ])
+    def test_validation(self, r, colors, message):
+        with pytest.raises(ValueError, match=message):
+            RationalColoring(r, colors)
 
     def test_grid_round_trip(self):
         c = Coloring(8, 3, (0, 3, 6, 1))

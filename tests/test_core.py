@@ -111,6 +111,12 @@ class TestIsBalanced:
         assert is_balanced(sg(1, [(0, 0, NEG)])) == (False, None)
         assert is_balanced(sg(1, [(0, 0, POS)]))[0] is True
 
+    @settings(max_examples=200, deadline=None)
+    @given(signed_graphs(max_n=7, max_m=10, positive_loops=True))
+    def test_negate_is_the_balance_of_the_negated_graph(self, g):
+        negated = SignedGraph(g.n, tuple(e._replace(sign=-e.sign) for e in g.edges))
+        assert is_balanced(g, negate=True) == is_balanced(negated)
+
 
 class TestSwitchingEquivalent:
     def test_mismatched_skeletons_rejected(self):
@@ -179,6 +185,23 @@ class TestDegeneracy:
             peak = max(peak, deg_v)
             removed.add(v)
         assert peak == d
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_graphs(max_n=8, max_m=14, positive_loops=True))
+    def test_each_step_removes_the_lowest_vertex_of_least_degree(self, g):
+        # Any least-degree order passes the replay above; the greedy seed,
+        # and with it chi_c's ladder top and some witnesses, needs ties to go
+        # to the lowest index.  Degrees are in the graph left (loops count 2).
+        _, order = degeneracy(g)
+        alive = set(range(g.n))
+        for v in order:
+            deg = {x: 0 for x in alive}
+            for e in g.edges:
+                if e.u in alive and e.v in alive:
+                    deg[e.u] += 1
+                    deg[e.v] += 1
+            assert (deg[v], v) == min((dx, x) for x, dx in deg.items())
+            alive.remove(v)
 
 
 class TestChiPlus:

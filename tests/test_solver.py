@@ -14,12 +14,14 @@ from pathlib import Path
 
 import oracles
 import pytest
-from gen import gadget_compositions, grids, signed_graphs
+from gen import gadget_compositions, grids, seeded_multigraphs, signed_graphs
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sgc import solver
+from sgc.arith import candidate_pairs
 from sgc.constructions import big_gamma, k4_omega, signed_cycle
-from sgc.core import NEG, POS, CapacityError, SignedGraph, UncolorableError
+from sgc.core import (NEG, POS, CapacityError, SignedGraph, UncolorableError,
+                      is_balanced)
 from sgc.indicators import Indicator, replace_edges
 from sgc.solver import (BudgetExhausted, ChiUndecided, Coloring, Pin,
                         SolveBudget, chi_c, chi_s, circular_to_zero_free,
@@ -41,8 +43,9 @@ KINDS = {oracles._KIND_POS: (POS,), oracles._KIND_NEG: (NEG,), oracles._KIND_BOT
 def pair_mask(signs, p, q):
     """The offset mask solver._adjacency gives one pair carrying these signs."""
     adj = solver._adjacency(sg(2, [(0, 1, sign) for sign in signs]), p, q)
-    assert len(adj[0]) == 1 and adj[1] == [(0, adj[0][0][1])]
-    return adj[0][0][1]
+    (mask, ws), = adj[0]
+    assert list(ws) == [1] and [(m, list(w)) for m, w in adj[1]] == [(mask, [0])]
+    return mask
 
 
 def rotate(bits, c, p):
@@ -192,6 +195,29 @@ class TestFeasiblePq:
         once = feasible_pq(C4_NEG, 8, 3, pins=(Pin(1, 2),))
         assert once is not None and once.colors[1] == 2
         assert feasible_pq(C4_NEG, 8, 3, pins=(Pin(1, 2), Pin(1, 2))) == once
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(st.one_of(signed_graphs(min_n=2, max_n=6, max_m=12),
+                     gadget_compositions().filter(lambda g: g._pieces is not None)),
+           st.data())
+    def test_probes_on_one_graph_match_probes_on_fresh_copies(self, g, data):
+        # The graph keeps its search skeleton between probes (and so do the
+        # piece graphs of a composition's quotient): a probe that changed it
+        # would show up as another colouring or node count at a later rung
+        # than a copy that has never been probed gives.  p <= 12 is the whole
+        # ladder of the small graphs and keeps the compositions' relations cheap.
+        def probe(h, p, q):
+            budget = SolveBudget(max_nodes=20_000)
+            try:
+                found = feasible_pq(h, p, q, budget=budget)
+            except BudgetExhausted:
+                found = "exhausted"
+            return found, budget.nodes
+
+        ladder = [(p, q) for p, q in candidate_pairs(g.n, 2, 2 * g.n) if p <= 12]
+        for p, q in data.draw(st.permutations(ladder)):
+            assert probe(g, p, q) == probe(SignedGraph(g.n, g.edges), p, q)
 
 
 class TestRotationPin:
@@ -540,6 +566,54 @@ class TestChiC:
         assert err.lower == 2
         assert err.lower < err.undecided.value <= err.upper
         assert verify_coloring(C4_NEG, err.witness)
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_graphs(max_n=8, max_m=16, min_m=1))
+    def test_value_two_exactly_when_the_negated_graph_is_balanced(self, g):
+        negated = SignedGraph(g.n, tuple(e._replace(sign=-e.sign) for e in g.edges))
+        balanced, sset = is_balanced(negated)
+        res = chi_c(g, budget=SolveBudget(max_nodes=200_000))
+        assert (res.value == 2) == balanced
+        if balanced:
+            assert res.witness == Coloring(4, 2, tuple(2 * (v in sset) for v in range(g.n)))
+
+    # chi_c on seeded_multigraphs(2, 20) under a 300-node budget, as the
+    # benchmark runs it: (value, largest refuted rung, nodes), or for an
+    # undecided instance (its bracket, the undecided rung, nodes).
+    SEEDED_GOLDEN = [
+        ('4', '11/3', 0),
+        ('4', '15/4', 48),
+        ('4', '26/7', 13),
+        ('4', '15/4', 16),
+        ('4', '26/7', 0),
+        ('4', '11/3', 12),
+        ('4', '26/7', 0),
+        ('4', '15/4', 49),
+        ('(3, 16/5]', '28/9', 301),
+        ('4', '19/5', 20),
+        ('4', '11/3', 12),
+        ('6', '11/2', 38),
+        ('4', '15/4', 15),
+        ('4', '34/9', 17),
+        ('4', '34/9', 18),
+        ('4', '11/3', 12),
+        ('4', '15/4', 0),
+        ('4', '15/4', 48),
+        ('4', '34/9', 0),
+        ('4', '34/9', 19),
+    ]
+
+    def test_seeded_values_and_node_counts_are_pinned(self):
+        rows = []
+        for g in seeded_multigraphs(2, 20):
+            budget = SolveBudget(max_nodes=300)
+            try:
+                res = chi_c(g, budget=budget)
+            except ChiUndecided as exc:
+                rows.append((f"({exc.lower}, {exc.upper}]", str(exc.undecided), budget.nodes))
+            else:
+                rows.append((str(res.value), str(res.refuted), budget.nodes))
+        assert rows == self.SEEDED_GOLDEN
 
     @settings(max_examples=150, deadline=None)
     @given(signed_graphs(max_n=3, max_m=5))
