@@ -144,16 +144,10 @@ class SignedGraph:
 
     @cached_property
     def _sign_groups(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-        """For each vertex v, (signs, neighbors) groups: the neighbors whose
-        pair with v has those sign bits (as in _pair_signs: 1 positive only,
-        2 negative only, 3 both), ascending, with the groups in order of
-        their first neighbor.  This is the search's skeleton: only the offset
-        window of each sign depends on (p, q)."""
-        groups: list[dict[int, list[int]]] = [{} for _ in range(self.n)]
-        for a, b, s in self._pair_signs:
-            groups[a].setdefault(s, []).append(b)
-            groups[b].setdefault(s, []).append(a)
-        return tuple(tuple((s, tuple(ws)) for s, ws in by_sign.items()) for by_sign in groups)
+        """_group of _pair_signs: each vertex's neighbors by sign bits (1
+        positive only, 2 negative only, 3 both).  This is the search's
+        skeleton: only the offset window of each sign depends on (p, q)."""
+        return _group(self.n, self._pair_signs)
 
     @cached_property
     def _adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -174,6 +168,19 @@ class SignedGraph:
     def _pieces(self):
         """_repeated_pieces(self), computed on first use and kept."""
         return _repeated_pieces(self)
+
+
+def _group(n: int, labelled_pairs: Iterable[tuple[int, int, int]]) -> tuple:
+    """For each vertex v, (label, neighbors) groups: v's neighbors over the
+    ascending pairs (a, b, label), a < b, grouped by label, ascending, the
+    groups in order of their first neighbor.  The search revises in this
+    order, so the graph's skeleton and a quotient's both come from here."""
+    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for a, b, label in labelled_pairs:
+        groups[a].setdefault(label, []).append(b)
+        groups[b].setdefault(label, []).append(a)
+    return tuple(tuple((label, tuple(ws)) for label, ws in by_label.items())
+                 for by_label in groups)
 
 
 def switch(g: SignedGraph, s: Iterable[int]) -> SignedGraph:
@@ -281,12 +288,11 @@ def _repeated_pieces(g: SignedGraph):
 
     This depends on g alone: SignedGraph._pieces computes it once per graph.
     """
-    nbr_sets: list[set[int]] = [set() for _ in range(g.n)]
-    for e in g.edges:
-        if not e.is_loop:
-            nbr_sets[e.u].add(e.v)
-            nbr_sets[e.v].add(e.u)
-    nbrs = [sorted(s) for s in nbr_sets]
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b, _ in g._pair_signs:  # ascending and loop-free: so is each list
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    nbr_sets = [set(ws) for ws in nbrs]
     pieces = []  # (a, b, internal vertices, key)
     for block in _blocks(nbrs, [True] * g.n):
         inside = set(block)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import POS, Edge, SignedGraph
 # feasible_pq is not called here: it is imported because bench/spans.py rebinds it.
-from .solver import SolveBudget, _begin, _relation, feasible_pq
+from .solver import SolveBudget, _begin, _relation, _validate_pq, feasible_pq
 
 
 class ShapeError(ValueError):
@@ -84,7 +84,8 @@ def z_set(ind: Indicator, p: int, q: int, budget: SolveBudget | None = None) -> 
     restricting d to at most p//2 loses nothing (negate the circle).  Errors
     and an exhausted budget raise as in feasible_pq.
     """
-    budget = _begin(ind.graph, p, q, budget)
+    _validate_pq(p, q)
+    budget = _begin(ind.graph, budget)
     mask = _relation(ind.graph, ind.u, ind.v, p, q, budget)
     return ZSet(p, q, tuple(bool(mask >> d & 1) for d in range(p // 2 + 1)))
 
@@ -112,7 +113,6 @@ def replace_edges(
     next_base = host.n
     for k, e in enumerate(host.edges):
         ind = i_pos if e.sign is POS else i_neg
-        assert ind is not None
         a, b = min(e.u, e.v), max(e.u, e.v)
         internals = [w for w in range(ind.graph.n) if w not in (ind.u, ind.v)]
         vmap = {ind.u: a, ind.v: b}

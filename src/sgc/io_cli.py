@@ -35,7 +35,7 @@ from .constructions import (big_gamma, circular_clique_signed, gamma,
 from .core import (CapacityError, NEG, POS, SignedGraph,
                    StructuralMismatchError, UncolorableError, girth_types,
                    switching_equivalent)
-from .indicators import Indicator, z_set
+from .indicators import Indicator, ShapeError, z_set
 from .solver import (BudgetExhausted, ChiUndecided, Coloring, SolveBudget,
                      chi_c, chi_s, verify_coloring)
 
@@ -269,14 +269,12 @@ def _cmd_zset(args) -> int:
     print(f"Z-set at r = {fmt_value(er.value)} (grid {er.p}/{er.q}):")
     for d, ok in enumerate(zs.member):
         print(f"  d = {Fraction(d, er.q)} : {'yes' if ok else 'no'}")
-    members = zs.members()
-    if not members:
-        print("empty set")
-    elif len(members) == members[-1] - members[0] + 1:
-        lo, hi = Fraction(members[0], er.q), Fraction(members[-1], er.q)
-        print(f"interval: [{lo}, {hi}]")
+    try:
+        lo, hi = zs.as_interval()
+    except ShapeError:
+        print("not contiguous" if zs.members() else "empty set")
     else:
-        print("not contiguous")
+        print(f"interval: [{Fraction(lo, er.q)}, {Fraction(hi, er.q)}]")
     return 0
 
 

@@ -3,9 +3,9 @@
 The search is deterministic backtracking over bitmask color domains with
 arc-consistency propagation: the branching vertex is the one with the
 smallest remaining domain (ties to the lowest index), colors are tried in
-ascending order, and when no pins are given vertex 0 is fixed to color 0
-(sound by rotation symmetry; the unpinned search branches vertex 0 first
-and tries color 0 first anyway).  Repeat runs produce byte-identical
+ascending order, and when every root domain is full vertex 0 is fixed to
+color 0 (sound by rotation symmetry; the open search branches vertex 0
+first and tries color 0 first anyway).  Repeat runs produce byte-identical
 witnesses.  That order fixes which coloring is found first, so every
 search whose solution is returned keeps it: feasible_pq's own, and with it
 chi_c and chi_plus.  The verdict-only searches, for a terminal relation
@@ -51,7 +51,7 @@ from .arith import EvenRational, circle_edge_ok
 # under which the bench traces the ladder layer.
 from .arith import candidate_pairs as candidates
 from .core import (CapacityError, POS, SignedGraph, UncolorableError,
-                   _lift_bfs, degeneracy, is_balanced)
+                   _group, _lift_bfs, degeneracy, is_balanced)
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
 
 def _adjacency(g: SignedGraph, p: int, q: int,
                relations: Sequence[tuple[int, int, int]] = ()
-               ) -> list[list[tuple[int, Sequence[int]]]]:
+               ) -> Sequence[Sequence[tuple[int, Sequence[int]]]]:
     """adj[v] = (offset mask, neighbors) groups: v's neighbors, ascending,
     grouped by the mask of their pair with v, the groups in order of their
     first neighbor.
@@ -183,11 +183,7 @@ def _adjacency(g: SignedGraph, p: int, q: int,
     for a, b, mask in relations:
         key = (min(a, b), max(a, b))
         masks[key] = masks.get(key, full) & mask
-    by_mask: list[dict[int, list[int]]] = [{} for _ in range(g.n)]
-    for (a, b), mask in sorted(masks.items()):
-        by_mask[a].setdefault(mask, []).append(b)
-        by_mask[b].setdefault(mask, []).append(a)
-    return [list(groups.items()) for groups in by_mask]
+    return _group(g.n, ((a, b, mask) for (a, b), mask in sorted(masks.items())))
 
 
 def _support(mask: int, dx: int, p: int) -> int:
@@ -227,11 +223,11 @@ def _reflect(d: int, p: int) -> int:
     return (d & 1) | int(format(d >> 1, f"0{p - 1}b")[::-1], 2) << 1
 
 
-def _search(n: int, adj: list[list[tuple[int, Sequence[int]]]], p: int,
+def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
             domains: list[int], budget: SolveBudget,
             weights: Sequence[int] | None = None) -> list[int] | None:
     """Backtracking with arc consistency over bitmask domains, iteratively,
-    with conflict-directed backjumping and reflection pruning.
+    with conflict-directed backjumping, a rotation pin and reflection pruning.
 
     Branches on the unassigned vertex with the least domain size / weight
     (ties to the lowest index), trying its colors in ascending order; an
@@ -259,13 +255,19 @@ def _search(n: int, adj: list[list[tuple[int, Sequence[int]]]], p: int,
     why when picked, and the search backs up to the deepest decision in it.
     An empty conflict refutes the instance.
 
+    Rotation: turning a coloring round the circle gives a coloring, so when
+    every root domain is full, vertex 0's is cut to color 0 at set-up.  The
+    open search would branch vertex 0 first and try color 0 first; the pin
+    only drops its other colors, which hold a solution only if color 0 does.
+
     Reflection: every offset mask is symmetric under t -> -t, so while each
     root domain is closed under c -> -c and every decision above is 0 or
     p/2, so is the whole state, and a refuted color c refutes -c as well.
 
     Both prunings skip only subtrees that hold no solution, whatever the
     branching order: the search returns the first solution of the
-    chronological search in the same order, in no more nodes.  domains is
+    chronological search in the same order (unpinned when the root domains
+    are full and no weights are given), in no more nodes.  domains is
     consumed destructively.  Returns that solution, or None, also when a
     root domain or a pair's mask is empty.
     """
@@ -279,14 +281,17 @@ def _search(n: int, adj: list[list[tuple[int, Sequence[int]]]], p: int,
     groups = [[(mask, memos.setdefault(mask, {}), ws) for mask, ws in gx] for gx in adj]
     if 0 in memos or 0 in domains:  # no allowed offset or color: nothing to search
         return None
+    # A full domain supports every color across a non-empty mask, so only
+    # the vertices with a smaller domain have anything to revise at the root.
+    queue = [x for x in range(n) if domains[x] != full]
+    if not queue:  # every root domain full: pin vertex 0 to color 0 (rotation)
+        domains[0] = 1
+        queue = [0]
     scale = [1] * n if weights is None else [math.lcm(*weights) // w for w in weights]
     size = [d.bit_count() * s for d, s in zip(domains, scale)]
     taken = p * max(scale) + 1  # the key of an assigned vertex
     spend = budget.spend
-    # A full domain supports every color across a non-empty mask, so only
-    # the vertices with a smaller domain have anything to revise at the root.
     queued = [d != full for d in domains]
-    queue = [x for x in range(n) if queued[x]]
     # A frame is (vertex, its domain and why when picked, colors not yet
     # tried, conflicts of its failed colors, whether reflection holds at it,
     # trail of (vertex, old domain, old why) written by its propagation).
@@ -369,7 +374,7 @@ def _search(n: int, adj: list[list[tuple[int, Sequence[int]]]], p: int,
         queued[v] = True
 
 
-def _degrees(adj: list[list[tuple[int, Sequence[int]]]]) -> list[int]:
+def _degrees(adj: Sequence[Sequence[tuple[int, Sequence[int]]]]) -> list[int]:
     """Branching weights for a search whose verdict alone is used: each
     vertex's number of distinct neighbors, at least 1."""
     return [sum(len(ws) for _, ws in groups) or 1 for groups in adj]
@@ -406,28 +411,24 @@ def _quotient_refuted(g: SignedGraph, p: int, q: int, domains: list[int],
 
     Every coloring of g colors the quotient: the relations only state what
     the pieces force on their terminals, and the domains of cut-out vertices
-    are dropped.  So a refuted quotient refutes g.  If no domain left is
-    pinned, the quotient's lowest vertex is fixed to 0 by rotation symmetry.
-    A quotient coloring is never shown (g is searched whole instead), so
-    this search too branches on domain size over degree.
+    are dropped.  So a refuted quotient refutes g.  If every domain left is
+    full, _search pins the quotient's lowest vertex, as it pins g's.  A
+    quotient coloring is never shown (g is searched whole instead), so this
+    search too branches on domain size over degree.
     """
     structure = g._pieces
     if structure is None:
         return False
     quotient, kept, terminals, graphs = structure
     masks = [_relation(h, 0, 1, p, q, budget) for h in graphs]
-    full = (1 << p) - 1
     kept_domains = [domains[v] for v in kept]
-    if all(d == full for d in kept_domains):
-        kept_domains[0] = 1
     adj = _adjacency(quotient, p, q, [(a, b, masks[k]) for a, b, k in terminals])
     return _search(quotient.n, adj, p, kept_domains, budget, _degrees(adj)) is None
 
 
-def _begin(g: SignedGraph, p: int, q: int, budget: SolveBudget | None) -> SolveBudget:
-    """feasible_pq's and z_set's preamble: a valid grid, no positive loop,
+def _begin(g: SignedGraph, budget: SolveBudget | None) -> SolveBudget:
+    """The entry guard of feasible_pq, z_set and chi_c: no positive loop,
     and a started budget (a fresh one when none is given)."""
-    _validate_pq(p, q)
     if g.has_positive_loop():
         raise UncolorableError("positive loop: no circular coloring exists")
     if budget is None:
@@ -451,9 +452,11 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     searched; a refuted quotient returns None.  Otherwise, or when the
     quotient has a coloring, the search runs on g itself, so a witness is
     always the canonical one.  Relations live for this call only, and every
-    node of theirs is spent from the caller's budget.
+    node of theirs is spent from the caller's budget.  Without pins, _search
+    fixes vertex 0 to color 0 by rotation.
     """
-    budget = _begin(g, p, q, budget)
+    _validate_pq(p, q)
+    budget = _begin(g, budget)
     full = (1 << p) - 1
     domains = [full] * g.n
     for pin in pins:
@@ -464,11 +467,6 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
         if domains[pin.vertex] not in (full, 1 << pin.color):
             raise ValueError(f"conflicting pins on vertex {pin.vertex}")
         domains[pin.vertex] = 1 << pin.color
-    if not pins and g.n >= 1:
-        # Rotating every color at once maps solutions to solutions, so some
-        # solution has f(0) = 0; connected or not, the unpinned search would
-        # branch vertex 0 first and try color 0 first, so witnesses agree.
-        domains[0] = 1
 
     if _quotient_refuted(g, p, q, domains, budget):
         return None
@@ -526,13 +524,9 @@ def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
     finite candidate ladder, bracketed between 2 (infeasible) and a greedy
     upper bound (feasible).
     """
-    if budget is None:
-        budget = SolveBudget()
-    budget._start_clock()
     if not g.edges:
         return ChiResult(Fraction(1), None, None)
-    if g.has_positive_loop():
-        raise UncolorableError("positive loop: no circular coloring exists")
+    budget = _begin(g, budget)
 
     balanced, sset = is_balanced(g, negate=True)
     if balanced:

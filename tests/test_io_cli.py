@@ -289,8 +289,27 @@ class TestCliZset:
         src = tmp_path / "digon.sg"
         src.write_text(render_sg(signed_cycle(2, negative=True)))
         code, out, err = run("zset", src, "--u", "0", "--v", "1", "--r", "18/5")
-        assert code == 0
-        assert out.endswith("empty set\n")
+        assert (code, err) == (0, "")
+        assert out == (
+            "Z-set at r = 18/5 (grid 18/5):\n"
+            + "".join(f"  d = {Fraction(d, 5)} : no\n" for d in range(10))
+            + "empty set\n"
+        )
+
+    def test_golden_not_contiguous(self, run, tmp_path):
+        # Vertex 2 sits one step from each terminal (a +- digon at 4/1 allows
+        # offsets 1 and 3 only), so the terminals are 0 or 2 apart, never 1.
+        src = tmp_path / "digons.sg"
+        src.write_text("sg 3\ne 0 2 +\ne 0 2 -\ne 1 2 +\ne 1 2 -\n")
+        code, out, err = run("zset", src, "--u", "0", "--v", "1", "--r", "4")
+        assert (code, err) == (0, "")
+        assert out == (
+            "Z-set at r = 4 (grid 4/1):\n"
+            "  d = 0 : yes\n"
+            "  d = 1 : no\n"
+            "  d = 2 : yes\n"
+            "not contiguous\n"
+        )
 
 
 class TestCliGen:

@@ -37,3 +37,14 @@ def test_sources_parse_at_the_declared_python_floor():
     assert len(sources) > 1
     for path in sources:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_sources_hold_no_assert_statement():
+    # python -O strips assert statements, so a check the package relies on
+    # must raise explicitly.
+    sources = sorted(Path(sgc.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

@@ -244,12 +244,38 @@ class TestRotationPin:
         g = sg(n, [(perm[u], perm[v], sign) for u, v, sign in triples])
         cap = SolveBudget(max_nodes=20_000)
         try:
-            want = solver._search(n, solver._adjacency(g, p, q), p, [(1 << p) - 1] * n, cap)
+            want = oracles.chrono_search(n, solver._adjacency(g, p, q), p,
+                                         [(1 << p) - 1] * n, cap)
         except BudgetExhausted:
             assume(False)
         budget = SolveBudget(max_nodes=cap.nodes)
         got = feasible_pq(g, p, q, budget=budget)
         assert (None if got is None else list(got.colors)) == want
+        assert budget.nodes <= cap.nodes
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_full_root_domains_are_pinned_in_the_kernel(self, weighted):
+        # All four domains full: _search fixes vertex 0 at color 0 itself, so
+        # this is the 2-node refutation of TestSearchKernel's [1, 63, 63, 63],
+        # not one refutation per color of vertex 0.
+        adj = solver._adjacency(sg(4, K4), 6, 2)
+        budget = SolveBudget()
+        weights = solver._degrees(adj) if weighted else None
+        assert solver._search(4, adj, 6, [63] * 4, budget, weights) is None
+        assert budget.nodes == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs(min_n=1, max_n=12, max_m=30), grids(16))
+    def test_full_root_domains_give_the_open_search_first_solution(self, g, pq):
+        p, q = pq
+        adj = solver._adjacency(g, p, q)
+        cap = SolveBudget(max_nodes=20_000)
+        try:
+            want = oracles.chrono_search(g.n, adj, p, [(1 << p) - 1] * g.n, cap)
+        except BudgetExhausted:
+            assume(False)
+        budget = SolveBudget(max_nodes=cap.nodes)
+        assert solver._search(g.n, adj, p, [(1 << p) - 1] * g.n, budget) == want
         assert budget.nodes <= cap.nodes
 
 
