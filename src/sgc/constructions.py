@@ -163,8 +163,9 @@ def omega_d(d: int) -> SignedGraph:
 
     The auxiliary vertex of pair {i, j} is joined negatively to x_i and x_j
     and positively to the other d-2 core vertices, so every auxiliary vertex
-    has degree exactly d and the graph is d-degenerate with circular
-    chromatic number d + 2.
+    has degree exactly d and the graph is d-degenerate.  The paper proves
+    its circular chromatic number is d + 2; the repo checks d = 4 only
+    (chi_c(omega_d(4)) = 6 in tests/test_acceptance.py::test_03).
     """
     if d < 4 or d % 2:
         raise ValueError("d must be even and at least 4")
@@ -339,9 +340,12 @@ def wenger_tilde() -> SignedGraph:
 def big_gamma() -> Indicator:
     """The expanded host plus a negative edge between its two apexes u, v.
 
-    As an indicator with terminals (u, v) its feasible separations at circle
-    sizes in [4, 14/3) all exceed 4/9 of a unit, which is the kernel of the
-    lower-bound argument for the clique composition below.
+    The paper shows that, as an indicator with terminals (u, v), its
+    feasible separations at circle sizes in [4, 14/3) all exceed 4/9 of a
+    unit, the kernel of its lower-bound argument for the clique composition
+    below.  The repo checks one circle size: at 18/4 the apex separations
+    of the expanded host are 3..9 quarter units, none below 3/4
+    (tests/test_acceptance.py::test_11).
     """
     g = wenger_tilde()
     edges = g.edges + (Edge(8, 9, NEG),)
@@ -351,8 +355,11 @@ def big_gamma() -> Indicator:
 def k4_omega() -> SignedGraph:
     """Replace every edge of a positive K4 by a copy of the apex indicator.
 
-    124 vertices, 360 edges; the composition has circular chromatic number
-    exactly 14/3 (feasibility is witnessed by k4_omega_coloring at (28, 6)).
+    124 vertices, 360 edges.  The paper proves its circular chromatic
+    number is exactly 14/3.  The repo checks the upper side, a (28, 6)
+    witness (k4_omega_coloring), and of the lower side only that no
+    (18, 4)-coloring exists (tests/test_acceptance.py::test_12); the rungs
+    between 9/2 and 14/3 are not decided.
     """
     return replace_edges(positive_clique(4), big_gamma())
 

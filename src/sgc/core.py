@@ -278,13 +278,17 @@ def _repeated_pieces(g: SignedGraph):
     all have at least three neighbors in the block (a degree-2 vertex
     splits off nothing but itself): b must cut the block once a is gone.
     Each component of g - {a, b} touching both a and b is a piece; its key
-    is its edge list with a, b relabelled 0, 1 and its other vertices 2, 3,
-    ... in ascending order (edges between a and b stay outside).  Every
-    piece whose key occurs at least twice is cut out.  Returns None when
-    none is, or (quotient, kept, terminals, graphs): the quotient is g on
-    the kept vertices (relabelled by ascending index into kept), graphs
-    holds one relabelled graph per key, and terminals lists (a, b, key
-    index) in quotient labels for each cut piece whose terminals survive.
+    is its sorted list of edges (u, v, '+' or '-') with a, b relabelled 0,
+    1 and its other vertices 2, 3, ... in ascending order (edges between a
+    and b stay outside), so it does not depend on the order of g.edges.
+    Of the pieces whose key occurs at least twice, the innermost are cut
+    out: those with no internal vertex that is a terminal of another such
+    piece.  So no cut piece holds another's terminal, and each keeps both
+    of its own.  Returns None when none is cut, or (quotient, kept,
+    terminals, graphs): the quotient is g on the kept vertices (relabelled
+    by ascending index into kept), graphs holds one relabelled graph per
+    key, and terminals lists (a, b, key index) in quotient labels for each
+    cut piece.
 
     This depends on g alone: SignedGraph._pieces computes it once per graph.
     """
@@ -324,23 +328,25 @@ def _repeated_pieces(g: SignedGraph):
                 if nbr_sets[b] & comp:
                     label = {a: 0, b: 1}
                     label.update((w, i) for i, w in enumerate(sorted(comp), 2))
-                    key = (len(label), tuple(
-                        (min(label[e.u], label[e.v]), max(label[e.u], label[e.v]), e.sign)
-                        for e in g.edges if e.u in comp or e.v in comp))
+                    key = (len(label), tuple(sorted(
+                        (min(label[e.u], label[e.v]), max(label[e.u], label[e.v]), e.sign.symbol)
+                        for e in g.edges if e.u in comp or e.v in comp)))
                     pieces.append((a, b, comp, key))
     counts = Counter(key for *_, key in pieces)
-    cut = [piece for piece in pieces if counts[piece[3]] > 1]
+    repeated = [piece for piece in pieces if counts[piece[3]] > 1]
+    ends = {x for a, b, _, _ in repeated for x in (a, b)}
+    cut = [piece for piece in repeated if not ends & piece[2]]  # the innermost
+    if not cut:
+        return None
     gone = set().union(*(comp for _, _, comp, _ in cut))
     kept = tuple(v for v in range(g.n) if v not in gone)
     label = {v: i for i, v in enumerate(kept)}
     keys: dict[tuple, int] = {}
     terminals = tuple((label[a], label[b], keys.setdefault(key, len(keys)))
-                      for a, b, _, key in cut if a in label and b in label)
-    if not terminals:
-        return None
+                      for a, b, _, key in cut)
     quotient = SignedGraph(len(kept), tuple(
         Edge(label[e.u], label[e.v], e.sign) for e in g.edges if e.u in label and e.v in label))
-    graphs = tuple(SignedGraph(n, tuple(Edge(*edge) for edge in edges)) for n, edges in keys)
+    graphs = tuple(SignedGraph.from_triples(n, triples) for n, triples in keys)
     return quotient, kept, terminals, graphs
 
 

@@ -32,9 +32,8 @@ from .constructions import (big_gamma, circular_clique_signed, gamma,
                             gamma_prime, hat_clique, k4_omega, mini_gadget,
                             omega_d, outerplanar_F, signed_cycle, spal5,
                             wenger, wenger_tilde)
-from .core import (CapacityError, NEG, POS, SignedGraph,
-                   StructuralMismatchError, UncolorableError, girth_types,
-                   switching_equivalent)
+from .core import (CapacityError, SignedGraph, StructuralMismatchError,
+                   UncolorableError, girth_types, switching_equivalent)
 from .indicators import Indicator, ShapeError, z_set
 from .solver import (BudgetExhausted, ChiUndecided, Coloring, SolveBudget,
                      chi_c, chi_s, verify_coloring)
@@ -56,6 +55,14 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+def _int(token: str, lineno: int, message: str) -> int:
+    """The integer a text field holds, or a ParseError with message."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(lineno, message) from None
+
+
 def parse_sg(text: str) -> SignedGraph:
     """Parse the .sg format; raises ParseError with a line number."""
     n = None
@@ -65,36 +72,23 @@ def parse_sg(text: str) -> SignedGraph:
         if n is None:
             if parts[0] != "sg" or len(parts) != 2:
                 raise ParseError(lineno, "expected header 'sg <n>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad vertex count {parts[1]!r}") from None
+            n = _int(parts[1], lineno, f"bad vertex count {parts[1]!r}")
             if n < 0:
                 raise ParseError(lineno, "vertex count must be nonnegative")
             continue
         if parts[0] == "e":
             if len(parts) != 4:
                 raise ParseError(lineno, "expected 'e <u> <v> <+|->'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "edge endpoints must be integers") from None
+            u, v = (_int(t, lineno, "edge endpoints must be integers") for t in parts[1:3])
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(lineno, f"endpoint out of range 0..{n - 1}")
-            if parts[3] == "+":
-                sign = POS
-            elif parts[3] == "-":
-                sign = NEG
-            else:
+            if parts[3] not in ("+", "-"):
                 raise ParseError(lineno, f"bad sign token {parts[3]!r} (want + or -)")
-            triples.append((u, v, sign))
+            triples.append((u, v, parts[3]))
         elif parts[0] == "v":
             if len(parts) < 3:
                 raise ParseError(lineno, "expected 'v <idx> <name>'")
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ParseError(lineno, "vertex index must be an integer") from None
+            idx = _int(parts[1], lineno, "vertex index must be an integer")
             if not 0 <= idx < n:
                 raise ParseError(lineno, f"vertex index out of range 0..{n - 1}")
             # names are I/O-level decoration only
@@ -120,20 +114,14 @@ def parse_coloring(text: str, n: int) -> Coloring:
         if header is None:
             if parts[0] != "coloring" or len(parts) != 2 or "/" not in parts[1]:
                 raise ParseError(lineno, "expected header 'coloring <p>/<q>'")
-            ps, qs = parts[1].split("/", 1)
-            try:
-                header = (int(ps), int(qs))
-            except ValueError:
-                raise ParseError(lineno, f"bad p/q {parts[1]!r}") from None
+            header = tuple(_int(t, lineno, f"bad p/q {parts[1]!r}")
+                           for t in parts[1].split("/", 1))
             if min(header) < 1:
                 raise ParseError(lineno, f"p and q must be at least 1, got {parts[1]!r}")
             continue
         if len(parts) != 2:
             raise ParseError(lineno, "expected '<vertex> <color>'")
-        try:
-            v, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, "vertex and color must be integers") from None
+        v, c = (_int(t, lineno, "vertex and color must be integers") for t in parts)
         if not 0 <= v < n:
             raise ParseError(lineno, f"vertex {v} out of range 0..{n - 1}")
         if v in seen:

@@ -12,7 +12,8 @@ chi_c and chi_plus.  The verdict-only searches, for a terminal relation
 (a repeated piece's, or an indicator's Z-set) and for the quotient (below),
 branch instead on the least domain size over degree (Bessiere and Regin
 1996), which refutes in fewer nodes; it changes how much work a verdict
-takes, never the verdict.
+takes, never the verdict.  _search's verdict_only flag selects that order
+and reads each vertex's degree off the adjacency it is given.
 
 The search is one iterative loop over an explicit stack of frames, so its
 depth is not bounded by Python's recursion limit.  Propagation queues the
@@ -28,10 +29,11 @@ color also refutes its mirror; both skip only subtrees without a solution,
 so the first solution found, and hence every witness, is the one the
 chronological search finds, in no more nodes.
 
-Before that search, feasible_pq cuts out every 2-separated piece whose
-edge list occurs at least twice, replaces each by the set of terminal
-offsets it allows (computed once per distinct piece), and refutes the
-instance outright when that smaller quotient has no coloring.
+Before that search, feasible_pq cuts out the innermost 2-separated pieces
+whose edge list, in any order, occurs at least twice
+(core._repeated_pieces), replaces each by the set of terminal offsets it
+allows (computed once per distinct piece), and refutes the instance
+outright when that smaller quotient has no coloring.
 
 All color arithmetic is exact integers; budgets are node counts (one node =
 one attempted vertex<-color assignment) plus an optional wall-clock cap.
@@ -225,17 +227,18 @@ def _reflect(d: int, p: int) -> int:
 
 def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
             domains: list[int], budget: SolveBudget,
-            weights: Sequence[int] | None = None) -> list[int] | None:
+            verdict_only: bool = False) -> list[int] | None:
     """Backtracking with arc consistency over bitmask domains, iteratively,
     with conflict-directed backjumping, a rotation pin and reflection pruning.
 
-    Branches on the unassigned vertex with the least domain size / weight
-    (ties to the lowest index), trying its colors in ascending order; an
-    explicit stack of frames stands in for recursion.  size[x] holds that
-    key as the exact integer popcount * lcm / weights[x] (an assigned vertex
-    one above every other).  weights, one positive int per vertex, are all 1
-    when not given; only callers that use the verdict alone pass them, since
-    the first solution depends on the order.
+    Branches on the unassigned vertex with the least key (ties to the lowest
+    index), trying its colors in ascending order; an explicit stack of
+    frames stands in for recursion.  size[x] holds the key: x's domain size,
+    or with verdict_only its domain size over its degree (its number of
+    distinct neighbors in adj, at least 1) as the exact integer popcount *
+    lcm / degree; an assigned vertex's key is one above every other.  Only
+    callers that use the verdict alone set verdict_only, since the first
+    solution depends on the order.
 
     Propagation pops a vertex whose domain shrank and intersects each
     neighbor's domain with that domain's support (_support, memoised per
@@ -267,7 +270,7 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     Both prunings skip only subtrees that hold no solution, whatever the
     branching order: the search returns the first solution of the
     chronological search in the same order (unpinned when the root domains
-    are full and no weights are given), in no more nodes.  domains is
+    are full and verdict_only is not set), in no more nodes.  domains is
     consumed destructively.  Returns that solution, or None, also when a
     root domain or a pair's mask is empty.
     """
@@ -287,7 +290,11 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     if not queue:  # every root domain full: pin vertex 0 to color 0 (rotation)
         domains[0] = 1
         queue = [0]
-    scale = [1] * n if weights is None else [math.lcm(*weights) // w for w in weights]
+    scale = [1] * n
+    if verdict_only:  # domain size over degree: each vertex's distinct neighbors
+        degree = [sum(len(ws) for _, ws in gx) or 1 for gx in adj]
+        lcm = math.lcm(*degree)
+        scale = [lcm // d for d in degree]
     size = [d.bit_count() * s for d, s in zip(domains, scale)]
     taken = p * max(scale) + 1  # the key of an assigned vertex
     spend = budget.spend
@@ -374,12 +381,6 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
         queued[v] = True
 
 
-def _degrees(adj: Sequence[Sequence[tuple[int, Sequence[int]]]]) -> list[int]:
-    """Branching weights for a search whose verdict alone is used: each
-    vertex's number of distinct neighbors, at least 1."""
-    return [sum(len(ws) for _, ws in groups) or 1 for groups in adj]
-
-
 def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudget) -> int:
     """The symmetric offset mask {+-d : g has a (p,q)-coloring with vertex u
     at 0 and vertex v != u at d}; d up to p/2 suffices, by reflection.
@@ -387,18 +388,17 @@ def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudge
     The one loop over pinned separations: a repeated piece's relation (u, v
     = 0, 1) and an indicator's Z-set (its bits 0..p/2).  Each d is one
     pinned search whose verdict alone is kept, so it branches on domain size
-    over degree (_degrees): at 18/4 the big_gamma piece of k4_omega is
+    over degree (verdict_only): at 18/4 the big_gamma piece of k4_omega is
     refuted at d = 0, 1 and 2 in 15,473 nodes; the canonical order takes
     72,781.
     """
     adj = _adjacency(g, p, q)
-    weights = _degrees(adj)
     full = (1 << p) - 1
     mask = 0
     for d in range(p // 2 + 1):
         domains = [full] * g.n
         domains[u], domains[v] = 1, 1 << d
-        if _search(g.n, adj, p, domains, budget, weights) is not None:
+        if _search(g.n, adj, p, domains, budget, verdict_only=True) is not None:
             mask |= 1 << d | 1 << (p - d) % p
     return mask
 
@@ -414,7 +414,7 @@ def _quotient_refuted(g: SignedGraph, p: int, q: int, domains: list[int],
     are dropped.  So a refuted quotient refutes g.  If every domain left is
     full, _search pins the quotient's lowest vertex, as it pins g's.  A
     quotient coloring is never shown (g is searched whole instead), so this
-    search too branches on domain size over degree.
+    search too branches on domain size over degree (verdict_only).
     """
     structure = g._pieces
     if structure is None:
@@ -423,7 +423,7 @@ def _quotient_refuted(g: SignedGraph, p: int, q: int, domains: list[int],
     masks = [_relation(h, 0, 1, p, q, budget) for h in graphs]
     kept_domains = [domains[v] for v in kept]
     adj = _adjacency(quotient, p, q, [(a, b, masks[k]) for a, b, k in terminals])
-    return _search(quotient.n, adj, p, kept_domains, budget, _degrees(adj)) is None
+    return _search(quotient.n, adj, p, kept_domains, budget, verdict_only=True) is None
 
 
 def _begin(g: SignedGraph, budget: SolveBudget | None) -> SolveBudget:
@@ -483,30 +483,25 @@ def _greedy_seed(g: SignedGraph) -> Coloring:
     """A guaranteed coloring: greedy over the reverse elimination order.
 
     At (U,1) with U = 2*floor(d/2)+2 > d, each already-colored neighbor
-    forbids at most one color per connecting edge, and a vertex meets at
-    most d earlier-colored edge-endpoints, so a color is always free.  When
-    parallel edges push U above 2n, the identity-spread coloring at (2n,1)
-    works instead (all colors distinct and below p/2).
+    forbids at most one color per connecting edge (its pair's window from
+    _adjacency, turned by the neighbor's color, allows all others), and a
+    vertex meets at most d earlier-colored edge-endpoints, so a color is
+    always free.  When parallel edges push U above 2n, the identity-spread
+    coloring at (2n,1) works instead (all colors distinct and below p/2).
     """
     d, order = degeneracy(g)
-    u_cap = 2 * (d // 2) + 2
-    if u_cap <= 2 * g.n:
-        p = u_cap
-        colors = [0] * g.n
-        placed = [False] * g.n
-        half = p // 2
+    p = 2 * (d // 2) + 2
+    if p <= 2 * g.n:
+        adj = _adjacency(g, p, 1)
+        colors = [-1] * g.n  # -1 until placed
         for v in reversed(order):
-            forbidden = 0  # bit c set when a placed neighbor rules out color c
-            for signs, ws in g._sign_groups[v]:
+            free = (1 << p) - 1  # the colors every placed neighbor allows
+            for mask, ws in adj[v]:
                 for w in ws:
-                    if placed[w]:
-                        cw = colors[w]
-                        if signs & 1:
-                            forbidden |= 1 << cw
-                        if signs & 2:
-                            forbidden |= 1 << (cw + half) % p
-            colors[v] = (~forbidden & (forbidden + 1)).bit_length() - 1  # lowest free
-            placed[v] = True
+                    c = colors[w]
+                    if c >= 0:  # the pair's window turned by c
+                        free &= mask << c | mask >> (p - c)
+            colors[v] = (free & -free).bit_length() - 1  # lowest free
         seed = Coloring(p, 1, tuple(colors))
     else:
         seed = Coloring(2 * g.n, 1, tuple(range(g.n)))

@@ -9,6 +9,7 @@ so that a rewrite can be held to exactly the same outputs: the recursive
 search kernel with its edge kinds and mask tables (oracle_search,
 oracle_adjacency, oracle_masks), the iterative chronological kernel that
 replaced it, before backjumping (chrono_search, chrono_support), the
+greedy seed that read the edge rule off sign bits (oracle_greedy_seed), the
 candidate ladder (oracle_candidate_ladder), the rational circle helpers
 (rational_point, frac_antipode, frac_circ_dist) and the Fraction certificate
 layer (frac_verify_rational, frac_tight_digraph, frac_cert_value,
@@ -26,8 +27,8 @@ from sgc.arith import EvenRational, _as_fraction, circle_edge_ok, circle_gap, no
 from sgc.certificates import (Arc, CorruptCertificateError, NotRefinableError,
                               RationalColoring, TightCycleCertificate, TightDigraph,
                               find_tight_cycle)
-from sgc.core import NEG, POS, Edge, SignedGraph
-from sgc.solver import SolveBudget
+from sgc.core import NEG, POS, Edge, SignedGraph, degeneracy
+from sgc.solver import Coloring, SolveBudget
 
 
 def gap(p: int, x: int, y: int) -> int:
@@ -570,6 +571,33 @@ def chrono_search(n: int, adj: list[list[tuple[int, Sequence[int]]]], p: int,
         trail = []
         queue.append(v)
         queued[v] = True
+
+
+def oracle_greedy_seed(g: SignedGraph) -> Coloring:
+    """solver._greedy_seed as it was before it read the edge rule off the
+    offset windows: each placed neighbor forbids its own color across a
+    positive edge and its antipode across a negative one, by sign bits."""
+    d, order = degeneracy(g)
+    u_cap = 2 * (d // 2) + 2
+    if u_cap > 2 * g.n:
+        return Coloring(2 * g.n, 1, tuple(range(g.n)))
+    p = u_cap
+    colors = [0] * g.n
+    placed = [False] * g.n
+    half = p // 2
+    for v in reversed(order):
+        forbidden = 0  # bit c set when a placed neighbor rules out color c
+        for signs, ws in g._sign_groups[v]:
+            for w in ws:
+                if placed[w]:
+                    cw = colors[w]
+                    if signs & 1:
+                        forbidden |= 1 << cw
+                    if signs & 2:
+                        forbidden |= 1 << (cw + half) % p
+        colors[v] = (~forbidden & (forbidden + 1)).bit_length() - 1  # lowest free
+        placed[v] = True
+    return Coloring(p, 1, tuple(colors))
 
 
 # The certificate layer as it was on Fractions, before it moved onto one

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # One line per value, with the seconds column removed.
@@ -46,9 +48,12 @@ GOLDEN = [
 ]
 
 
-def test_reproduce_values_prints_every_headline_value():
+# -O strips asserts; the package's output guards raise instead, so the
+# report must come out the same.
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_reproduce_values_prints_every_headline_value(flags):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_values.py")],
+    done = subprocess.run([sys.executable, *flags, str(ROOT / "scripts" / "reproduce_values.py")],
                           capture_output=True, text=True, env=env, timeout=300)
     assert (done.returncode, done.stderr) == (0, "")
     assert re.sub(r"   \[\d+\.\d+s\]$", "", done.stdout, flags=re.M).splitlines() == GOLDEN

@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sgc import solver
 from sgc.arith import candidate_pairs
-from sgc.constructions import big_gamma, k4_omega, signed_cycle
+from sgc.constructions import (big_gamma, circular_clique_signed, k4_omega,
+                               signed_cycle)
 from sgc.core import (NEG, POS, CapacityError, SignedGraph, UncolorableError,
                       is_balanced)
 from sgc.indicators import Indicator, replace_edges
@@ -253,15 +254,14 @@ class TestRotationPin:
         assert (None if got is None else list(got.colors)) == want
         assert budget.nodes <= cap.nodes
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_full_root_domains_are_pinned_in_the_kernel(self, weighted):
+    @pytest.mark.parametrize("verdict_only", [False, True])
+    def test_full_root_domains_are_pinned_in_the_kernel(self, verdict_only):
         # All four domains full: _search fixes vertex 0 at color 0 itself, so
         # this is the 2-node refutation of TestSearchKernel's [1, 63, 63, 63],
         # not one refutation per color of vertex 0.
         adj = solver._adjacency(sg(4, K4), 6, 2)
         budget = SolveBudget()
-        weights = solver._degrees(adj) if weighted else None
-        assert solver._search(4, adj, 6, [63] * 4, budget, weights) is None
+        assert solver._search(4, adj, 6, [63] * 4, budget, verdict_only) is None
         assert budget.nodes == 2
 
     @settings(max_examples=300, deadline=None)
@@ -348,10 +348,6 @@ class TestSearchKernel:
         assert got_nodes <= want_nodes
         if not isinstance(want, tuple):
             assert got == want
-        # Unit weights are the canonical order: one branching key for both.
-        unit = self._run(lambda *args: solver._search(*args, [1] * g.n), g.n, adj, p,
-                         list(domains), max_nodes=20_000)
-        assert unit == (got, got_nodes)
 
     def test_every_single_pin_of_tight_instances_matches_the_chronological_kernel(self):
         # At a graph's own chi_c grid a coloring exists but is hard to find,
@@ -400,7 +396,7 @@ class TestSearchKernel:
         # The cap only stops a broken kernel from running on; the weighted
         # order is not held to the oracle's node count.
         budget = SolveBudget(max_nodes=100 * cap.max_nodes)
-        got = solver._search(g.n, adj, p, list(domains), budget, solver._degrees(adj))
+        got = solver._search(g.n, adj, p, list(domains), budget, verdict_only=True)
         assert (got is None) == (want is None)
         if got is not None:
             assert verify_coloring(g, Coloring(p, q, tuple(got)))
@@ -412,8 +408,27 @@ class TestSearchKernel:
         g = sg(4, [(0, 1, POS), (0, 2, POS), (0, 3, POS), (1, 2, NEG)])
         adj = solver._adjacency(g, 8, 2)
         budget = SolveBudget(max_nodes=100)
-        assert solver._search(4, adj, 8, [255] * 4, budget, solver._degrees(adj)) == [0, 2, 2, 2]
+        assert solver._search(4, adj, 8, [255] * 4, budget, verdict_only=True) == [0, 2, 2, 2]
         assert budget.nodes == 4
+
+    @pytest.mark.parametrize("g", [signed_cycle(5, False), signed_cycle(6, True), sg(4, K4),
+                                   circular_clique_signed(6, 2)],
+                             ids=["C5+", "C6-", "K4", "clique6/2"])
+    def test_verdict_only_is_the_canonical_order_when_degrees_are_equal(self, g):
+        # Every vertex has as many distinct neighbors as any other, so domain
+        # size over degree ranks the vertices as domain size does: the same
+        # first solution in the same number of nodes.
+        for p in range(2, 13, 2):
+            for q in range(1, p // 2 + 1):
+                adj = solver._adjacency(g, p, q)
+                full = (1 << p) - 1
+                for pin in [None, *range(g.n)]:
+                    domains = [2 if v == pin else full for v in range(g.n)]
+                    want = self._run(solver._search, g.n, adj, p, list(domains),
+                                     max_nodes=20_000)
+                    got = self._run(lambda *args: solver._search(*args, verdict_only=True),
+                                    g.n, adj, p, list(domains), max_nodes=20_000)
+                    assert got == want
 
     def test_empty_root_domain_is_refuted_at_set_up(self):
         # No pair mask reaches either vertex, so propagation never sees the
@@ -486,6 +501,36 @@ class TestRepeatedPieces:
         budget = SolveBudget(max_nodes=3_000_000)
         assert feasible_pq(k4_omega(), 18, 4, budget=budget) is None
         assert budget.nodes <= 20_000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_k4_omega_in_shuffled_edge_order_is_refuted_as_fast(self, seed):
+        # Piece keys are sorted, so the edge order cannot hide the repeats;
+        # the whole-graph search does not finish within this budget.
+        g = k4_omega()
+        edges = list(g.edges)
+        random.Random(seed).shuffle(edges)
+        budget = SolveBudget(max_nodes=20_000)
+        assert feasible_pq(SignedGraph(g.n, tuple(edges)), 18, 4, budget=budget) is None
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(gadget_compositions(), grids(10), st.randoms(use_true_random=False))
+    def test_edge_order_changes_no_cut_and_no_search(self, g, pq, rng):
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        h = SignedGraph(g.n, tuple(edges))
+        if g._pieces is None:
+            assert h._pieces is None
+        else:
+            _, kept, terminals, graphs = g._pieces
+            assert h._pieces[1:3] == (kept, terminals)
+            assert [x._pair_signs for x in h._pieces[3]] == [x._pair_signs for x in graphs]
+        runs = []
+        for graph in (g, h):
+            budget = SolveBudget(max_nodes=100_000)
+            found = feasible_pq(graph, *pq, budget=budget)
+            runs.append((found, budget.nodes))
+        assert runs[0] == runs[1]
 
     @settings(max_examples=300, deadline=None)
     @given(signed_graphs(min_n=2, max_n=9, max_m=20), grids(16))
@@ -648,6 +693,24 @@ class TestChiC:
         assert res.value == oracles.oracle_chi(g)
         if res.witness is not None:
             assert verify_coloring(g, res.witness)
+
+
+class TestGreedySeed:
+    @settings(max_examples=400, deadline=None)
+    @given(signed_graphs(min_n=1, max_n=9, max_m=30))
+    def test_same_coloring_as_the_sign_bit_seed(self, g):
+        # The strategy draws parallel +- pairs and negative loops; one vertex
+        # with a loop, or a few with many parallel edges, takes the
+        # identity-spread branch.
+        assert solver._greedy_seed(g) == oracles.oracle_greedy_seed(g)
+
+    @pytest.mark.parametrize("g,want", [
+        (sg(2, [(0, 1, POS), (0, 1, NEG)] * 2), Coloring(4, 1, (0, 1))),  # d = 4 > 2n - 2
+        (sg(1, [(0, 0, NEG)]), Coloring(2, 1, (0,))),
+        (sg(3, [(0, 1, POS), (0, 1, NEG), (1, 2, NEG), (2, 2, NEG)]), Coloring(4, 1, (1, 0, 0))),
+    ])
+    def test_both_branches_match_the_sign_bit_seed(self, g, want):
+        assert solver._greedy_seed(g) == oracles.oracle_greedy_seed(g) == want
 
 
 class TestChiS:
