@@ -160,37 +160,29 @@ def find_tight_cycle(d: TightDigraph) -> Optional[tuple[Arc, ...]]:
     by (target, edge index).  A back-arc closes the reported cycle.
     """
     out: list[list[Arc]] = [[] for _ in range(d.n)]
-    for arc in d.arcs:
+    for arc in sorted(d.arcs, key=lambda a: (a[1], a[2])):
         out[arc[0]].append(arc)
-    for lst in out:
-        lst.sort(key=lambda a: (a[1], a[2]))
     color = [0] * d.n  # 0 unseen, 1 on stack, 2 done
     for root in range(d.n):
-        if color[root] or not out[root]:
+        if color[root]:
             continue
-        chain = [root]
-        pos = {root: 0}
-        arc_path: list[Arc] = []
+        path: list[Arc] = []
+        start = {root: 0}  # vertex on the stack -> index of its out-arc on path
         iters = [iter(out[root])]
         color[root] = 1
         while iters:
             arc = next(iters[-1], None)
             if arc is None:
-                v = chain.pop()
-                color[v] = 2
-                del pos[v]
                 iters.pop()
-                if arc_path:
-                    arc_path.pop()
+                color[path.pop()[1] if path else root] = 2
                 continue
             y = arc[1]
             if color[y] == 1:
-                return tuple(arc_path[pos[y]:] + [arc])
+                return tuple(path[start[y]:]) + (arc,)
             if color[y] == 0:
                 color[y] = 1
-                pos[y] = len(chain)
-                chain.append(y)
-                arc_path.append(arc)
+                path.append(arc)
+                start[y] = len(path)
                 iters.append(iter(out[y]))
     return None
 

@@ -289,13 +289,6 @@ class GadgetEmbedding:
 _WENGER_TRIANGLES = ((6, 2, 3), (7, 4, 5), (9, 3, 4), (8, 1, 5))
 
 
-def _pair_sign(g: SignedGraph, a: int, b: int) -> Sign:
-    for e in g.edges:
-        if {e.u, e.v} == {a, b}:
-            return e.sign
-    raise ValueError(f"no edge {a}-{b} in host")
-
-
 def wenger_tilde_detail() -> tuple[SignedGraph, tuple[GadgetEmbedding, ...]]:
     """The expanded host graph together with its four gadget embeddings.
 
@@ -307,13 +300,14 @@ def wenger_tilde_detail() -> tuple[SignedGraph, tuple[GadgetEmbedding, ...]]:
     """
     host = wenger()
     edges = [(e.u, e.v, e.sign) for e in host.edges]
+    sign_of = {frozenset((e.u, e.v)): e.sign for e in host.edges}  # host is simple
     embeddings = []
     next_vertex = host.n
     for tri in _WENGER_TRIANGLES:
         hx, hy, hz = sorted(tri)
         outer = (hx, hy, hz)
         role_edges = ((hx, hy), (hy, hz), (hz, hx))  # gadget outer edges x-y, y-z, z-x
-        flipped = [pair for pair in role_edges if _pair_sign(host, *pair) is not NEG]
+        flipped = [pair for pair in role_edges if sign_of[frozenset(pair)] is not NEG]
         if len(flipped) == 0:
             switched: frozenset[int] = frozenset()
         elif len(flipped) == 2:

@@ -275,12 +275,15 @@ def _repeated_pieces(g: SignedGraph):
     """The 2-separated pieces of g that occur at least twice, and g without them.
 
     A separation pair {a, b} is sought only inside a block whose vertices
-    all have at least three neighbors in the block (a degree-2 vertex
-    splits off nothing but itself): b must cut the block once a is gone.
+    all have at least three neighbors in the block (b must cut the block
+    once a is gone), so a single vertex with two neighbors in a block (an
+    ear) turns the cut off for that whole block.
     Each component of g - {a, b} touching both a and b is a piece; its key
     is its sorted list of edges (u, v, '+' or '-') with a, b relabelled 0,
     1 and its other vertices 2, 3, ... in ascending order (edges between a
-    and b stay outside), so it does not depend on the order of g.edges.
+    and b stay outside).  So the key does not depend on the order of
+    g.edges, but two copies of a piece share it only when their internal
+    vertices are numbered in the same relative order.
     Of the pieces whose key occurs at least twice, the innermost are cut
     out: those with no internal vertex that is a terminal of another such
     piece.  So no cut piece holds another's terminal, and each keeps both
@@ -368,14 +371,9 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     """Whether g2 is a switching of g1 (same underlying edge list, by index)."""
     if g1.n != g2.n or g1.underlying_pairs() != g2.underlying_pairs():
         raise StructuralMismatchError("graphs differ in vertices or underlying edges")
-    product = SignedGraph(
-        g1.n,
-        tuple(
-            Edge(e1.u, e1.v, e1.sign * e2.sign)
-            for e1, e2 in zip(g1.edges, g2.edges)
-        ),
-    )
-    return is_balanced(product)[0]
+    # is_balanced's test of the product signature, run on g1's own adjacency.
+    labels = [e1.sign is not e2.sign for e1, e2 in zip(g1.edges, g2.edges)]
+    return len(_lift_bfs(g1, labels, range(g1.n))) == g1.n
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,15 @@ def _content_lines(text: str):
 
 
 def _int(token: str, lineno: int, message: str) -> int:
-    """The integer a text field holds, or a ParseError with message."""
+    """The integer a text field holds, written as an optional '-' and ASCII
+    digits (no '+', '_', spaces or other scripts' digits), or a ParseError
+    with message."""
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(lineno, message) from None
+        if token.isascii() and token.removeprefix("-").isdigit():
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(lineno, message)
 
 
 def parse_sg(text: str) -> SignedGraph:

@@ -33,7 +33,11 @@ Before that search, feasible_pq cuts out the innermost 2-separated pieces
 whose edge list, in any order, occurs at least twice
 (core._repeated_pieces), replaces each by the set of terminal offsets it
 allows (computed once per distinct piece), and refutes the instance
-outright when that smaller quotient has no coloring.
+outright when that smaller quotient has no coloring.  Pieces are sought
+only in blocks where every vertex has three neighbors inside the block,
+and two copies count as the same piece only when their internal vertices
+are numbered in the same relative order; elsewhere the whole graph is
+searched.
 
 All color arithmetic is exact integers; budgets are node counts (one node =
 one attempted vertex<-color assignment) plus an optional wall-clock cap.

@@ -11,9 +11,10 @@ oracle_adjacency, oracle_masks), the iterative chronological kernel that
 replaced it, before backjumping (chrono_search, chrono_support), the
 greedy seed that read the edge rule off sign bits (oracle_greedy_seed), the
 candidate ladder (oracle_candidate_ladder), the rational circle helpers
-(rational_point, frac_antipode, frac_circ_dist) and the Fraction certificate
-layer (frac_verify_rational, frac_tight_digraph, frac_cert_value,
-frac_refine and their helpers).
+(rational_point, frac_antipode, frac_circ_dist), the tight-cycle DFS with its
+vertex chain (oracle_find_tight_cycle) and the Fraction certificate layer
+(frac_verify_rational, frac_tight_digraph, frac_cert_value, frac_refine and
+their helpers).
 """
 
 from __future__ import annotations
@@ -598,6 +599,51 @@ def oracle_greedy_seed(g: SignedGraph) -> Coloring:
         colors[v] = (~forbidden & (forbidden + 1)).bit_length() - 1  # lowest free
         placed[v] = True
     return Coloring(p, 1, tuple(colors))
+
+
+# find_tight_cycle as it was before its DFS kept a single arc path;
+# verbatim apart from the oracle prefix on its name.
+
+def oracle_find_tight_cycle(d: TightDigraph) -> Optional[tuple[Arc, ...]]:
+    """First directed cycle in deterministic DFS order, or None.
+
+    Roots are tried in ascending vertex order; out-arcs are explored sorted
+    by (target, edge index).  A back-arc closes the reported cycle.
+    """
+    out: list[list[Arc]] = [[] for _ in range(d.n)]
+    for arc in d.arcs:
+        out[arc[0]].append(arc)
+    for lst in out:
+        lst.sort(key=lambda a: (a[1], a[2]))
+    color = [0] * d.n  # 0 unseen, 1 on stack, 2 done
+    for root in range(d.n):
+        if color[root] or not out[root]:
+            continue
+        chain = [root]
+        pos = {root: 0}
+        arc_path: list[Arc] = []
+        iters = [iter(out[root])]
+        color[root] = 1
+        while iters:
+            arc = next(iters[-1], None)
+            if arc is None:
+                v = chain.pop()
+                color[v] = 2
+                del pos[v]
+                iters.pop()
+                if arc_path:
+                    arc_path.pop()
+                continue
+            y = arc[1]
+            if color[y] == 1:
+                return tuple(arc_path[pos[y]:] + [arc])
+            if color[y] == 0:
+                color[y] = 1
+                pos[y] = len(chain)
+                chain.append(y)
+                arc_path.append(arc)
+                iters.append(iter(out[y]))
+    return None
 
 
 # The certificate layer as it was on Fractions, before it moved onto one

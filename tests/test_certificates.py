@@ -159,6 +159,15 @@ class TestFindTightCycle:
     def test_path_has_no_cycle(self):
         assert find_tight_cycle(TightDigraph(3, ((0, 1, 0), (1, 2, 1), (0, 2, 2)))) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_same_cycle_as_the_chain_dfs(self, n, data):
+        # Self-loops, parallel arcs (repeated edge indices too) and any order.
+        vertex = st.integers(0, n - 1)
+        arcs = data.draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 13)), max_size=14))
+        d = TightDigraph(n, tuple(arcs))
+        assert find_tight_cycle(d) == oracles.oracle_find_tight_cycle(d)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6), st.data())
     def test_agrees_with_kahn_peeling(self, n, data):

@@ -136,6 +136,22 @@ class TestSwitchingEquivalent:
         s = set(data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n)))
         assert switching_equivalent(g, switch(g, s))
 
+    @settings(max_examples=200, deadline=None)
+    @given(signed_graphs(max_n=6, max_m=10, positive_loops=True), st.data())
+    def test_is_the_balance_of_the_product_graph(self, g1, data):
+        def product(g2):
+            return SignedGraph(g1.n, tuple(Edge(e1.u, e1.v, e1.sign * e2.sign)
+                                           for e1, e2 in zip(g1.edges, g2.edges)))
+
+        # Another signature on the same multigraph, endpoints in either order.
+        signs = data.draw(st.lists(st.sampled_from([POS, NEG]), min_size=g1.m, max_size=g1.m))
+        flips = data.draw(st.lists(st.booleans(), min_size=g1.m, max_size=g1.m))
+        resigned = SignedGraph(g1.n, tuple(Edge(e.v, e.u, sign) if flip else Edge(e.u, e.v, sign)
+                                           for e, sign, flip in zip(g1.edges, signs, flips)))
+        s = set(data.draw(st.lists(st.integers(0, g1.n - 1), max_size=g1.n)))
+        for g2 in (resigned, switch(g1, s)):
+            assert switching_equivalent(g1, g2) is is_balanced(product(g2))[0]
+
 
 class TestGirthTypes:
     def test_frozen_negative_four_cycle(self):

@@ -40,6 +40,9 @@ class TestParseSg:
         assert g.n == 2 and g.m == 1
         assert g.edges[0].sign.symbol == "-"
 
+    def test_leading_zeros_are_digits(self):
+        assert parse_sg("sg 03\ne 00 2 -\nv 01 x") == parse_sg("sg 3\ne 0 2 -")
+
     @pytest.mark.parametrize(
         "text,line,fragment",
         [
@@ -47,6 +50,14 @@ class TestParseSg:
             ("graph 3", 1, "expected header"),
             ("sg x", 1, "bad vertex count"),
             ("sg -1", 1, "must be nonnegative"),
+            # Integers are an optional '-' and ASCII digits, nothing else.
+            ("sg 1_0\ne 0 9 +", 1, "bad vertex count '1_0'"),
+            ("sg +3", 1, "bad vertex count '+3'"),
+            ("sg \uff13", 1, "bad vertex count"),
+            ("sg \u0661\u0660", 1, "bad vertex count"),
+            ("sg -", 1, "bad vertex count '-'"),
+            ("sg 2\ne 0 \u0661 +", 2, "endpoints must be integers"),
+            ("sg 2\nv \u0660 x", 2, "index must be an integer"),
             ("sg 2\ne 0 1", 2, "expected 'e <u> <v> <+|->'"),
             ("sg 2\ne a b +", 2, "endpoints must be integers"),
             ("sg 2\ne 0 5 +", 2, "endpoint out of range 0..1"),
@@ -86,6 +97,8 @@ class TestParseColoring:
             ("colouring 8/3", 1, "expected header"),
             ("coloring 8", 1, "expected header"),
             ("coloring a/b", 1, "bad p/q"),
+            ("coloring 8_0/3\n0 1\n1 2", 1, "bad p/q '8_0/3'"),
+            ("coloring 8/3\n1 \u0663\n0 1", 2, "must be integers"),
             ("coloring 8/3\n0 1 2", 2, "expected '<vertex> <color>'"),
             ("coloring 8/3\nx 1", 2, "must be integers"),
             ("coloring 8/3\n9 1", 2, "vertex 9 out of range"),
@@ -138,6 +151,25 @@ def c4_file(tmp_path):
     return path
 
 
+# The certificate path's inputs and golden output, shared by the in-process
+# tests and the subprocess run under python -O.
+NEG_A_SG = "sg 5\ne 0 1 -\ne 0 2 -\ne 0 3 +\ne 1 2 +\ne 1 3 -\ne 2 4 -\ne 3 4 -\n"
+C4_CERTIFICATE = (
+    "certificate: tight cycle\n"
+    "  cycle: 0 -> 1 -> 2 -> 3 -> 0\n"
+    "  s = 3 positive arcs, t = 1 negative arcs, a = 1\n"
+    "  r = 2(s+t)/(2a+t) = 8/3\n"
+)
+NEG_A_CERTIFICATE = (
+    "certificate: tight cycle\n"
+    "  cycle: 0 -> 2 -> 4 -> 3 -> 1 -> 0\n"
+    "  s = 0 positive arcs, t = 5 negative arcs, a = -1\n"
+    "  r = 2(s+t)/(2a+t) = 10/3\n"
+)
+C4_LOOSE_COL = "coloring 12/3\n0 0\n1 4\n2 8\n3 11\n"
+C4_REFINED = "r0 = 24/7\nv 0 0\nv 1 8/7\nv 2 16/7\nv 3 2/7\n"
+
+
 class TestCliChi:
     def test_golden_outerplanar(self, run, tmp_path):
         src = tmp_path / "F.sg"
@@ -153,28 +185,38 @@ class TestCliChi:
     def test_golden_certificate(self, run, c4_file, tmp_path):
         code, out, err = run("chi", c4_file, "--certify")
         assert (code, err) == (0, "")
-        assert out == (
-            f"chi_c = 8/3\n"
-            f"witness: {tmp_path / 'c4.col'}\n"
-            "certificate: tight cycle\n"
-            "  cycle: 0 -> 1 -> 2 -> 3 -> 0\n"
-            "  s = 3 positive arcs, t = 1 negative arcs, a = 1\n"
-            "  r = 2(s+t)/(2a+t) = 8/3\n"
-        )
+        assert out == f"chi_c = 8/3\nwitness: {tmp_path / 'c4.col'}\n" + C4_CERTIFICATE
 
     def test_golden_certificate_with_negative_a(self, run, tmp_path):
         src = tmp_path / "neg_a.sg"
-        src.write_text("sg 5\ne 0 1 -\ne 0 2 -\ne 0 3 +\ne 1 2 +\ne 1 3 -\ne 2 4 -\ne 3 4 -\n")
+        src.write_text(NEG_A_SG)
         code, out, err = run("chi", src, "--certify")
         assert (code, err) == (0, "")
-        assert out == (
-            f"chi_c = 10/3\n"
-            f"witness: {tmp_path / 'neg_a.col'}\n"
-            "certificate: tight cycle\n"
-            "  cycle: 0 -> 2 -> 4 -> 3 -> 1 -> 0\n"
-            "  s = 0 positive arcs, t = 5 negative arcs, a = -1\n"
-            "  r = 2(s+t)/(2a+t) = 10/3\n"
-        )
+        assert out == f"chi_c = 10/3\nwitness: {tmp_path / 'neg_a.col'}\n" + NEG_A_CERTIFICATE
+
+    # -O strips asserts; the certificate path's guards raise instead, so the
+    # output must come out the same.
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+    def test_certificate_path_under_python_flags(self, tmp_path, flags):
+        env = dict(os.environ, PYTHONPATH=str(Path(sgc.__file__).parent.parent))
+
+        def run_m(*argv):
+            done = subprocess.run([sys.executable, *flags, "-m", "sgc", *map(str, argv)],
+                                  capture_output=True, text=True, cwd=tmp_path, env=env,
+                                  timeout=60)
+            return done.returncode, done.stdout, done.stderr
+
+        c4 = tmp_path / "c4.sg"
+        c4.write_text(render_sg(signed_cycle(4, negative=True)))
+        neg_a = tmp_path / "neg_a.sg"
+        neg_a.write_text(NEG_A_SG)
+        loose = tmp_path / "loose.col"
+        loose.write_text(C4_LOOSE_COL)
+        assert run_m("chi", c4, "--certify") == (
+            0, f"chi_c = 8/3\nwitness: {tmp_path / 'c4.col'}\n" + C4_CERTIFICATE, "")
+        assert run_m("chi", neg_a, "--certify") == (
+            0, f"chi_c = 10/3\nwitness: {tmp_path / 'neg_a.col'}\n" + NEG_A_CERTIFICATE, "")
+        assert run_m("refine", c4, "--r", "4", "--coloring", loose) == (0, C4_REFINED, "")
 
     def test_unreadable_graph_path(self, run, tmp_path):
         code, out, err = run("chi", tmp_path)
@@ -363,10 +405,10 @@ class TestCliGirth:
 class TestCliRefine:
     def test_golden_shrink(self, run, c4_file, tmp_path):
         col = tmp_path / "loose.col"
-        col.write_text("coloring 12/3\n0 0\n1 4\n2 8\n3 11\n")
+        col.write_text(C4_LOOSE_COL)
         code, out, err = run("refine", c4_file, "--r", "4", "--coloring", col)
         assert (code, err) == (0, "")
-        assert out == "r0 = 24/7\nv 0 0\nv 1 8/7\nv 2 16/7\nv 3 2/7\n"
+        assert out == C4_REFINED
 
     def test_optimal_refuses(self, run, c4_file, tmp_path):
         col = tmp_path / "opt.col"
