@@ -142,10 +142,21 @@ def verify_rational(g: SignedGraph, c: RationalColoring) -> bool:
 
 @dataclass(frozen=True)
 class TightDigraph:
-    """All tight steps of a coloring; arcs carry their originating edge."""
+    """All tight steps of a coloring; arcs carry their originating edge.
+
+    Arc endpoints must be vertices 0..n-1; edge indices are checked against
+    the graph by cert_value.
+    """
 
     n: int
     arcs: tuple[Arc, ...]
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        for arc in self.arcs:
+            if not (0 <= arc[0] < self.n and 0 <= arc[1] < self.n):
+                raise ValueError(f"arc {arc!r} has an endpoint outside 0..{self.n - 1}")
 
 
 def tight_digraph(g: SignedGraph, c: RationalColoring) -> TightDigraph:

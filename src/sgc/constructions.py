@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import circle_edge_ok
-from .core import NEG, POS, Edge, Sign, SignedGraph
+from .core import NEG, POS, Edge, Sign, SignedGraph, switch
 from .indicators import Indicator, replace_edges
 from .solver import Coloring
 
@@ -192,11 +192,6 @@ def omega_d(d: int) -> SignedGraph:
 # Spokes pair a-x, b-y, c-z.
 _GADGET_POS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5))
 _GADGET_NEG = ((4, 5), (5, 3), (3, 4), (0, 5), (1, 3), (2, 4))
-# The 9 non-outer gadget edges (those with an interior endpoint), in gadget
-# vertex indices, used when grafting the gadget onto an existing host triangle.
-_GADGET_INTERIOR_EDGES = tuple(
-    (a, b, sign) for pairs, sign in ((_GADGET_POS, POS), (_GADGET_NEG, NEG))
-    for a, b in pairs if min(a, b) < 3)
 
 
 def mini_gadget() -> SignedGraph:
@@ -296,9 +291,12 @@ def wenger_tilde_detail() -> tuple[SignedGraph, tuple[GadgetEmbedding, ...]]:
     gadget copy.  The copy must be switched so its outer signs match the
     host's: the mismatch always flips exactly zero or two outer edges, and
     in the two-flip case switching at the single vertex shared by the two
-    flipped edges fixes it.  Interior vertices are never switched.
+    flipped edges fixes it.  Interior vertices are never switched.  The
+    copy's edges with an interior endpoint, in the gadget's edge order, are
+    grafted; its outer triangle is the host's own.
     """
     host = wenger()
+    gadget = mini_gadget()
     edges = [(e.u, e.v, e.sign) for e in host.edges]
     sign_of = {frozenset((e.u, e.v)): e.sign for e in host.edges}  # host is simple
     embeddings = []
@@ -318,10 +316,8 @@ def wenger_tilde_detail() -> tuple[SignedGraph, tuple[GadgetEmbedding, ...]]:
         interior = (next_vertex, next_vertex + 1, next_vertex + 2)
         next_vertex += 3
         vmap = {3: hx, 4: hy, 5: hz, 0: interior[0], 1: interior[1], 2: interior[2]}
-        for gu, gv, sign in _GADGET_INTERIOR_EDGES:
-            mu, mv = vmap[gu], vmap[gv]
-            crossings = (mu in switched) + (mv in switched)
-            edges.append((mu, mv, -sign if crossings == 1 else sign))
+        copy = switch(gadget, (3 + outer.index(v) for v in switched))
+        edges.extend((vmap[e.u], vmap[e.v], e.sign) for e in copy.edges if min(e.u, e.v) < 3)
         embeddings.append(GadgetEmbedding(outer, interior, switched))
     return SignedGraph.from_triples(next_vertex, edges), tuple(embeddings)
 

@@ -40,15 +40,14 @@ are numbered in the same relative order; elsewhere the whole graph is
 searched.
 
 All color arithmetic is exact integers; budgets are node counts (one node =
-one attempted vertex<-color assignment) plus an optional wall-clock cap.
-An exhausted budget raises, it never returns a wrong answer.
+one attempted vertex<-color assignment).  An exhausted budget raises, it
+never returns a wrong answer.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -87,7 +86,7 @@ class ChiResult:
 
 
 class BudgetExhausted(Exception):
-    """The search hit its node or time budget before deciding."""
+    """The search hit its node budget before deciding."""
 
     def __init__(self, nodes: int):
         super().__init__(f"search budget exhausted after {nodes} nodes")
@@ -112,24 +111,16 @@ class ChiUndecided(Exception):
 
 @dataclass
 class SolveBudget:
-    """Cumulative search budget shared across solver calls."""
+    """Cumulative node budget shared across solver calls: nodes counts the
+    nodes spent, and the node past max_nodes (None: no cap) raises."""
 
     max_nodes: int | None = None
-    max_seconds: float | None = None
     nodes: int = 0
-    _deadline: float | None = field(default=None, repr=False)
-
-    def _start_clock(self):
-        if self.max_seconds is not None and self._deadline is None:
-            self._deadline = time.monotonic() + self.max_seconds
 
     def spend(self):
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise BudgetExhausted(self.nodes)
-        if self._deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self._deadline:
-                raise BudgetExhausted(self.nodes)
 
 
 def _validate_pq(p: int, q: int):
@@ -432,13 +423,10 @@ def _quotient_refuted(g: SignedGraph, p: int, q: int, domains: list[int],
 
 def _begin(g: SignedGraph, budget: SolveBudget | None) -> SolveBudget:
     """The entry guard of feasible_pq, z_set and chi_c: no positive loop,
-    and a started budget (a fresh one when none is given)."""
+    and the budget to spend (a fresh one when none is given)."""
     if g.has_positive_loop():
         raise UncolorableError("positive loop: no circular coloring exists")
-    if budget is None:
-        budget = SolveBudget()
-    budget._start_clock()
-    return budget
+    return SolveBudget() if budget is None else budget
 
 
 def feasible_pq(g: SignedGraph, p: int, q: int,

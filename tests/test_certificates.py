@@ -149,6 +149,16 @@ class TestTightDigraph:
 
 
 class TestFindTightCycle:
+    @pytest.mark.parametrize("n, arcs", [
+        (2, ((-1, 0, 0), (0, 1, 1))),  # -1 would be read as vertex 1
+        (2, ((0, -2, 0),)),
+        (2, ((0, 5, 0),)),
+        (-1, ()),
+    ])
+    def test_endpoints_outside_the_vertices_are_rejected(self, n, arcs):
+        with pytest.raises(ValueError):
+            TightDigraph(n, arcs)
+
     def test_empty(self):
         assert find_tight_cycle(TightDigraph(3, ())) is None
 

@@ -1,8 +1,10 @@
 """The package namespace (what `from sgc import *` exports) and its sources."""
 
 import ast
+import re
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import sgc
@@ -48,3 +50,19 @@ def test_sources_hold_no_assert_statement():
         tree = ast.parse(path.read_text(), str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, (path.name, lines)
+
+
+def test_readme_python_blocks_run():
+    # Each python block of the README runs in a fresh namespace; the
+    # Library example's values are the ones its comments state.
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    spaces = []
+    for block in blocks:
+        spaces.append({})
+        exec(compile(block, "README.md", "exec"), spaces[-1])
+    ns = spaces[0]
+    assert ns["res"].value == Fraction(8, 3)
+    assert sgc.verify_coloring(ns["g"], ns["res"].witness) is True
+    assert sgc.cert_value(ns["g"], ns["rc"], ns["cycle"]).r == Fraction(8, 3)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sgc import solver
 from sgc.arith import candidate_pairs
 from sgc.constructions import (big_gamma, circular_clique_signed, k4_omega,
-                               signed_cycle)
+                               positive_clique, signed_cycle)
 from sgc.core import (NEG, POS, CapacityError, SignedGraph, UncolorableError,
                       is_balanced)
 from sgc.indicators import Indicator, replace_edges
@@ -153,13 +153,24 @@ class TestFeasiblePq:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExhausted):
             feasible_pq(C4_NEG, 8, 3, budget=SolveBudget(max_nodes=1))
+        # The node past the cap is the one that raises, and it is counted.
+        for cap in (0, 1, 2):
+            budget = SolveBudget(max_nodes=cap)
+            with pytest.raises(BudgetExhausted) as info:
+                feasible_pq(signed_cycle(4, True), 8, 3, budget=budget)
+            assert info.value.nodes == budget.nodes == cap + 1
 
-    def test_spent_wall_clock_stops_at_the_first_deadline_check(self):
-        # spend() reads the clock every 1,024 nodes, so a deadline already
-        # passed stops the search at node 1,024 whatever the host speed.
-        with pytest.raises(BudgetExhausted) as info:
-            feasible_pq(k4_omega(), 18, 4, budget=SolveBudget(max_seconds=0))
-        assert info.value.nodes == 1024
+    def test_a_refutation_without_nodes_returns_under_a_zero_cap(self):
+        budget = SolveBudget(max_nodes=0)
+        assert feasible_pq(signed_cycle(4, True), 4, 2, budget=budget) is None
+        assert budget.nodes == 0
+
+    def test_one_budget_counts_across_calls(self):
+        budget = SolveBudget()
+        feasible_pq(signed_cycle(4, True), 8, 3, budget=budget)
+        assert budget.nodes == 4
+        feasible_pq(signed_cycle(4, True), 8, 3, budget=budget)
+        assert budget.nodes == 8
 
     @settings(max_examples=250, deadline=None)
     @given(signed_graphs(max_n=4, max_m=6), grids(8))
@@ -731,6 +742,29 @@ class TestChiS:
             chi_s(DIGON)
         with pytest.raises(ValueError):
             chi_s(sg(1, [(0, 0, NEG)]))
+
+    def test_one_budget_across_the_signatures(self, monkeypatch):
+        spent = []
+        chi_c_of_one = solver.chi_c
+
+        def counted(h, budget):
+            before = budget.nodes
+            res = chi_c_of_one(h, budget=budget)
+            spent.append(budget.nodes - before)
+            return res
+
+        monkeypatch.setattr(solver, "chi_c", counted)
+        budget = SolveBudget(max_nodes=26)  # the whole scan's spend, exactly
+        assert chi_s(positive_clique(4), budget=budget) == 4
+        assert spent == [2, 4, 4, 4, 4, 4, 4, 0]
+        assert budget.nodes == 26
+
+    @pytest.mark.parametrize("cap", [10, 25])
+    def test_the_shared_budget_stops_the_scan(self, cap):
+        budget = SolveBudget(max_nodes=cap)
+        with pytest.raises(ChiUndecided) as info:
+            chi_s(positive_clique(4), budget=budget)
+        assert info.value.nodes == budget.nodes == cap + 1
 
     def test_capacity_guard(self):
         k7 = sg(7, [(i, j, POS) for i in range(7) for j in range(i + 1, 7)])
