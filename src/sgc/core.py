@@ -74,9 +74,13 @@ class SignedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise ValueError(f"vertex count {self.n!r} is not an int")
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
         for idx, e in enumerate(self.edges):
+            if not (isinstance(e.u, int) and isinstance(e.v, int)):
+                raise ValueError(f"edge {idx} endpoints {e.u!r},{e.v!r} are not both ints")
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
                 raise ValueError(f"edge {idx} endpoints {e.u},{e.v} out of range for n={self.n}")
             if not isinstance(e.sign, Sign):
@@ -141,6 +145,12 @@ class SignedGraph:
                 key = (min(e.u, e.v), max(e.u, e.v))
                 signs[key] = signs.get(key, 0) | (1 if e.sign is POS else 2)
         return tuple((a, b, s) for (a, b), s in sorted(signs.items()))
+
+    @cached_property
+    def _sign_kinds(self) -> frozenset[int]:
+        """The distinct signs bits of _pair_signs: 3 is among them when some
+        pair carries both a positive and a negative edge."""
+        return frozenset(s for _, _, s in self._pair_signs)
 
     @cached_property
     def _sign_groups(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:

@@ -20,11 +20,15 @@ depth is not bounded by Python's recursion limit.  Propagation queues the
 vertices whose domain shrank and revises their neighbors.  Every adjacent
 vertex pair carries one constraint, a p-bit mask of the offsets allowed
 between its colors, and the support of a domain across the pair is the
-sumset of the domain with that mask, computed by doubling and memoised per
-search.  Which pairs are adjacent, and with which signs, is kept on the
-graph (SignedGraph._sign_groups), so a probe only stamps each sign's window
-onto it.  Failures back up by conflict-directed backjumping rather than
-chronologically, and while the state is symmetric under c -> -c a refuted
+sumset of the domain with that mask, memoised per search: O(1) for a
+one-color domain and when |domain| + |mask| > p (then every color), by
+doubling over the mask's runs otherwise.  A support of every color revises
+nothing, so its neighbors are skipped.  Which pairs are adjacent, and with
+which signs, is kept on the graph (SignedGraph._sign_groups), so a probe
+only stamps each sign's window onto it; a pair with both signs allows no
+offset when p < 4q, and feasible_pq refutes such a rung before it builds
+anything else.  Failures back up by conflict-directed backjumping rather
+than chronologically, and while the state is symmetric under c -> -c a refuted
 color also refutes its mirror; both skip only subtrees without a solution,
 so the first solution found, and hence every witness, is the one the
 chronological search finds, in no more nodes.
@@ -151,6 +155,17 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
                for e in g.edges)
 
 
+def _windows(p: int, q: int) -> tuple[int, int, int, int]:
+    """The offset mask of a pair, indexed by its sign bits (_pair_signs):
+    every offset with no edge, the window [q, p-q] for positive edges, that
+    window turned by p/2 for negative ones, and their intersection for both,
+    which is empty when p < 4q."""
+    half, full = p // 2, (1 << p) - 1
+    pos = ((1 << (p - 2 * q + 1)) - 1) << q
+    neg = (pos << half | pos >> half) & full
+    return full, pos, neg, pos & neg
+
+
 def _adjacency(g: SignedGraph, p: int, q: int,
                relations: Sequence[tuple[int, int, int]] = ()
                ) -> Sequence[Sequence[tuple[int, Sequence[int]]]]:
@@ -170,29 +185,21 @@ def _adjacency(g: SignedGraph, p: int, q: int,
     stamped in; the three windows differ, so grouping by mask is grouping
     by sign.
     """
-    half, full = p // 2, (1 << p) - 1
-    pos = ((1 << (p - 2 * q + 1)) - 1) << q
-    neg = (pos << half | pos >> half) & full
-    window = (full, pos, neg, pos & neg)  # indexed by a pair's sign bits
+    window = _windows(p, q)
     if not relations:
         return [[(window[signs], ws) for signs, ws in groups] for groups in g._sign_groups]
     masks = {(a, b): window[signs] for a, b, signs in g._pair_signs}
     for a, b, mask in relations:
         key = (min(a, b), max(a, b))
-        masks[key] = masks.get(key, full) & mask
+        masks[key] = masks.get(key, window[0]) & mask
     return _group(g.n, ((a, b, mask) for (a, b), mask in sorted(masks.items())))
 
 
-def _support(mask: int, dx: int, p: int) -> int:
-    """The colors at an offset in mask from some color of dx: their sumset.
-
-    For each maximal run lo..lo+width-1 of mask's set bits, taken round the
-    circle, this ORs the rotations of dx (a p-bit color set) by every offset
-    of the run.  Doubling makes that O(log p) big-int operations per run: a
-    positive or a negative pair has one run, a parallel pair two, and an
-    empty mask none, so it supports nothing.  Bits pushed past p - 1 (up to
-    3p - 3) are folded back round the circle at the end.
-    """
+def _runs(mask: int, p: int) -> list[tuple[int, int]]:
+    """The maximal runs (lo, width) of mask's set bits, offsets lo..lo+width-1,
+    taken round the circle: a run through offset p - 1 and one from 0 join,
+    so a positive or a negative pair has one run, a parallel pair two, and
+    an empty mask none."""
     runs = []
     while mask:
         lo = (mask & -mask).bit_length() - 1
@@ -202,8 +209,29 @@ def _support(mask: int, dx: int, p: int) -> int:
         mask = t >> width << (lo + width)
     if len(runs) > 1 and runs[0][0] == 0 and sum(runs[-1]) == p:
         runs[-1] = (runs[-1][0], runs[-1][1] + runs.pop(0)[1])  # one doubling, not two
+    return runs
+
+
+def _support(mask: int, dx: int, p: int, runs: list[tuple[int, int]] | None = None) -> int:
+    """The colors at an offset in mask from some color of dx: their sumset.
+
+    Two cases take O(1) big-int operations.  A one-color domain {c} gives
+    mask turned by c.  When |dx| + |mask| > p the support is every color: a
+    color y is supported when one of the |mask| colors y - t, t in mask,
+    lies in dx, and by pigeonhole one does.  Otherwise, for each run of mask (_runs; the search
+    derives them once per mask and passes them in), this ORs the rotations
+    of dx by every offset of the run, by doubling, which is O(log p)
+    operations per run.  Bits pushed past p - 1 (up to 3p - 3) are folded
+    back round the circle at the end.
+    """
+    full = (1 << p) - 1
+    if dx and not dx & (dx - 1):  # one color c: the mask turned by c
+        c = dx.bit_length() - 1
+        return (mask << c | mask >> (p - c)) & full
+    if dx.bit_count() + mask.bit_count() > p:
+        return full
     acc = 0
-    for lo, width in runs:
+    for lo, width in _runs(mask, p) if runs is None else runs:
         s, span = dx, 1
         while 2 * span <= width:
             s |= s << span
@@ -212,7 +240,7 @@ def _support(mask: int, dx: int, p: int) -> int:
             s |= s << (width - span)
         acc |= s << lo
     acc |= acc >> p
-    return (acc | acc >> p) & ((1 << p) - 1)
+    return (acc | acc >> p) & full
 
 
 def _reflect(d: int, p: int) -> int:
@@ -237,11 +265,13 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
 
     Propagation pops a vertex whose domain shrank and intersects each
     neighbor's domain with that domain's support (_support, memoised per
-    offset mask for this call), queueing the neighbors that shrink.  Arc
-    consistency has a unique fixpoint, so the domains at a node depend only
-    on the decisions above it.  Revising an assigned vertex never changes
-    it, since its neighbors were all revised against its color first, so
-    the loop does not test for one.
+    offset mask for this call, with the mask's runs taken once), queueing
+    the neighbors that shrink; a group whose support is every color is
+    skipped, as no domain would shrink.  Arc consistency has a unique
+    fixpoint, so the domains at a node depend only on the decisions above
+    it.  Revising an assigned vertex never changes it, since its neighbors
+    were all revised against its color first, so the loop does not test
+    for one.
 
     Backjumping (conflict-directed, Prosser 1993): why[x] is a bitmask of
     the decision vertices behind the colors removed from x's domain (an
@@ -279,6 +309,7 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     groups = [[(mask, memos.setdefault(mask, {}), ws) for mask, ws in gx] for gx in adj]
     if 0 in memos or 0 in domains:  # no allowed offset or color: nothing to search
         return None
+    runs = {mask: _runs(mask, p) for mask in memos}
     # A full domain supports every color across a non-empty mask, so only
     # the vertices with a smaller domain have anything to revise at the root.
     queue = [x for x in range(n) if domains[x] != full]
@@ -310,7 +341,9 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
             for mask, memo, ws in groups[x]:
                 sup = memo.get(dx)
                 if sup is None:
-                    sup = memo[dx] = _support(mask, dx, p)
+                    sup = memo[dx] = _support(mask, dx, p, runs[mask])
+                if sup == full:  # supports every color: no domain shrinks
+                    continue
                 for w in ws:
                     dw = domains[w]
                     nd = dw & sup
@@ -437,7 +470,9 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     Returns a verifying Coloring, or None when the instance is infeasible.
     A positive loop makes every (p,q) infeasible in a structural way and
     raises UncolorableError instead.  BudgetExhausted propagates when the
-    budget runs out before a decision.
+    budget runs out before a decision.  When some pair carries both signs
+    and p < 4q, that pair allows no offset, and None comes back in 0 nodes
+    before any relation, quotient or search is set up.
 
     When g has repeated 2-separated pieces (core._repeated_pieces), each
     distinct piece's terminal relation is computed first and the quotient
@@ -460,6 +495,9 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
             raise ValueError(f"conflicting pins on vertex {pin.vertex}")
         domains[pin.vertex] = 1 << pin.color
 
+    window = _windows(p, q)
+    if not all(window[signs] for signs in g._sign_kinds):  # a pair allows no offset
+        return None
     if _quotient_refuted(g, p, q, domains, budget):
         return None
     sol = _search(g.n, _adjacency(g, p, q), p, domains, budget)

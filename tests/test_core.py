@@ -46,6 +46,20 @@ class TestSignedGraph:
         with pytest.raises(ValueError):
             SignedGraph(-1, ())
 
+    @pytest.mark.parametrize("build,field", [
+        (lambda: sg(3, [(0, 1.0, "+"), (1, 2, "-")]), "edge 0 endpoints"),
+        (lambda: sg(3, [(0, 1, "+"), ("1", 2, "-")]), "edge 1 endpoints"),
+        (lambda: SignedGraph(2, (Edge(0, None, POS),)), "edge 0 endpoints"),
+        (lambda: SignedGraph(2.0, (Edge(0, 1, POS),)), "vertex count"),
+        (lambda: SignedGraph(2.5, ()), "vertex count"),
+        (lambda: SignedGraph("3", ()), "vertex count"),
+    ])
+    def test_non_integer_vertices_rejected_at_construction(self, build, field):
+        # Each of these used to build a graph, or fail on a comparison, and
+        # chi_c on the ones built died inside the search with a TypeError.
+        with pytest.raises(ValueError, match=field):
+            build()
+
     def test_degrees_and_loops(self):
         g = sg(2, [(0, 0, NEG), (0, 1, POS)])
         assert g.degrees() == [3, 1]

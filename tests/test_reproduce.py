@@ -1,5 +1,7 @@
-"""Golden output of scripts/reproduce_values.py, the reproduction report."""
+"""Golden output of scripts/reproduce_values.py, the reproduction report, and
+the determinism of scripts/outcome_digest.py."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -57,3 +59,19 @@ def test_reproduce_values_prints_every_headline_value(flags):
                           capture_output=True, text=True, env=env, timeout=300)
     assert (done.returncode, done.stderr) == (0, "")
     assert re.sub(r"   \[\d+\.\d+s\]$", "", done.stdout, flags=re.M).splitlines() == GOLDEN
+
+
+def test_outcome_digest_is_deterministic_and_digests_its_lines():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "outcome_digest.py"
+    cmd = [sys.executable, str(script), "--smoke", "--seeds", "1", "2"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+            for _ in range(2)]
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    *lines, last = runs[0].stdout.splitlines()
+    assert len(lines) == 2 * 12  # the smoke corpus at each seed
+    assert all(re.fullmatch(r"seed [12] #\d+ (value|bracket) .* witness \d+/\d+ [\d,]+ nodes \d+",
+                            line) for line in lines)
+    body = "".join(line + "\n" for line in lines)
+    assert last == f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"

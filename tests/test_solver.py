@@ -21,7 +21,7 @@ from sgc import solver
 from sgc.arith import candidate_pairs
 from sgc.constructions import (big_gamma, circular_clique_signed, k4_omega,
                                positive_clique, signed_cycle)
-from sgc.core import (NEG, POS, CapacityError, SignedGraph, UncolorableError,
+from sgc.core import (NEG, POS, CapacityError, Edge, SignedGraph, UncolorableError,
                       is_balanced)
 from sgc.indicators import Indicator, replace_edges
 from sgc.solver import (BudgetExhausted, ChiUndecided, Coloring, Pin,
@@ -502,6 +502,24 @@ class TestSearchKernel:
                 want |= rotate(mask, c, p)
         assert solver._support(mask, dx, p) == want
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda p: st.tuples(st.just(p), offset_masks(p))),
+           st.sampled_from([0, 1, None]), st.data())
+    def test_support_agrees_with_doubling_at_the_pigeonhole_boundary(self, case, above, data):
+        # |dx| = p - |mask| has a support the doubling must compute; one more
+        # color and every color is supported.  None draws one color.
+        p, mask = case
+        size = 1 if above is None else p - mask.bit_count() + above
+        assume(size <= p)
+        colors = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size,
+                                    unique=True))
+        dx = sum(1 << c for c in colors)
+        want = oracles.chrono_support(mask, dx, p)
+        assert solver._support(mask, dx, p) == want
+        assert solver._support(mask, dx, p, solver._runs(mask, p)) == want
+        if mask and dx.bit_count() + mask.bit_count() > p:
+            assert want == (1 << p) - 1
+
 
 class TestRepeatedPieces:
     """feasible_pq refutes through one relation per repeated 2-separated piece."""
@@ -558,6 +576,17 @@ class TestRepeatedPieces:
             if oracles.chrono_search(h.n, adj, p, domains, SolveBudget()) is not None:
                 want |= 1 << d
         assert solver._relation(h, 0, 1, p, q, SolveBudget(max_nodes=1_000_000)) == want
+
+    @pytest.mark.parametrize("p,q", [(18, 5), (14, 4), (22, 6)])
+    def test_a_digon_refutes_below_4_before_any_relation(self, p, q):
+        # A + and a - edge on one pair allow no offset when p < 4q.  The
+        # pieces are still cut, but no relation or quotient is searched.
+        g = k4_omega()
+        h = SignedGraph(g.n, g.edges + (Edge(0, 1, POS), Edge(0, 1, NEG)))
+        assert h._pieces is not None and h._pieces[1] == (0, 1, 2, 3)
+        budget = SolveBudget(max_nodes=1_000)
+        assert feasible_pq(h, p, q, budget=budget) is None
+        assert budget.nodes == 0
 
     def test_back_to_back_calls_spend_identical_nodes(self):
         spent = []
@@ -660,29 +689,30 @@ class TestChiC:
             assert res.witness == Coloring(4, 2, tuple(2 * (v in sset) for v in range(g.n)))
 
     # chi_c on seeded_multigraphs(2, 20) under a 300-node budget, as the
-    # benchmark runs it: (value, largest refuted rung, nodes), or for an
-    # undecided instance (its bracket, the undecided rung, nodes).
+    # benchmark runs it: (value, largest refuted rung, nodes, witness), or
+    # for an undecided instance (its bracket, the undecided rung, nodes, the
+    # witness at its upper side).  A witness is (p, q, colors).
     SEEDED_GOLDEN = [
-        ('4', '11/3', 0),
-        ('4', '15/4', 48),
-        ('4', '26/7', 13),
-        ('4', '15/4', 16),
-        ('4', '26/7', 0),
-        ('4', '11/3', 12),
-        ('4', '26/7', 0),
-        ('4', '15/4', 49),
-        ('(3, 16/5]', '28/9', 301),
-        ('4', '19/5', 20),
-        ('4', '11/3', 12),
-        ('6', '11/2', 38),
-        ('4', '15/4', 15),
-        ('4', '34/9', 17),
-        ('4', '34/9', 18),
-        ('4', '11/3', 12),
-        ('4', '15/4', 0),
-        ('4', '15/4', 48),
-        ('4', '34/9', 0),
-        ('4', '34/9', 19),
+        ('4', '11/3', 0, (4, 1, (0, 1, 1, 2, 1, 1, 1, 0, 0, 0, 0, 0))),
+        ('4', '15/4', 48, (4, 1, (0, 0, 2, 1, 1, 0, 1, 2, 0, 0, 1, 0, 0, 2, 2, 1))),
+        ('4', '26/7', 13, (4, 1, (0, 0, 2, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1))),
+        ('4', '15/4', 16, (4, 1, (0, 2, 3, 1, 3, 2, 2, 0, 1, 0, 3, 2, 3, 2, 0))),
+        ('4', '26/7', 0, (4, 1, (0, 0, 0, 3, 2, 1, 0, 0, 1, 1, 1, 2, 1, 0))),
+        ('4', '11/3', 12, (4, 1, (0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0, 3))),
+        ('4', '26/7', 0, (4, 1, (1, 1, 0, 1, 0, 0, 2, 0, 3, 2, 2, 1, 1, 0))),
+        ('4', '15/4', 49, (4, 1, (0, 1, 0, 1, 0, 3, 0, 2, 0, 0, 1, 3, 1, 0, 0, 3))),
+        ('(3, 16/5]', '28/9', 301, (16, 5, (0, 0, 3, 3, 8, 5, 8, 1, 10, 5, 14, 15, 3, 4, 6, 3))),
+        ('4', '19/5', 20, (4, 1, (0, 0, 1, 0, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 2, 0, 3, 3, 2, 0))),
+        ('4', '11/3', 12, (4, 1, (0, 0, 1, 3, 0, 1, 0, 0, 2, 0, 3, 1))),
+        ('6', '11/2', 38, (6, 1, (0, 2, 1, 1, 0, 0, 0, 0, 2, 1, 1, 3, 0))),
+        ('4', '15/4', 15, (4, 1, (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 0, 0, 1))),
+        ('4', '34/9', 17, (4, 1, (0, 0, 0, 1, 0, 0, 1, 0, 2, 1, 3, 0, 0, 0, 0, 1, 1))),
+        ('4', '34/9', 18, (4, 1, (0, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0))),
+        ('4', '11/3', 12, (4, 1, (0, 1, 2, 0, 0, 0, 3, 1, 3, 3, 1, 0))),
+        ('4', '15/4', 0, (4, 1, (0, 0, 1, 0, 0, 2, 1, 0, 2, 0, 0, 0, 3, 1, 1))),
+        ('4', '15/4', 48, (4, 1, (0, 1, 1, 0, 1, 3, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1))),
+        ('4', '34/9', 0, (4, 1, (0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 2, 1, 1, 0, 0, 1))),
+        ('4', '34/9', 19, (4, 1, (0, 1, 2, 0, 0, 1, 0, 0, 0, 3, 3, 0, 1, 0, 0, 3, 2, 1))),
     ]
 
     def test_seeded_values_and_node_counts_are_pinned(self):
@@ -692,9 +722,13 @@ class TestChiC:
             try:
                 res = chi_c(g, budget=budget)
             except ChiUndecided as exc:
-                rows.append((f"({exc.lower}, {exc.upper}]", str(exc.undecided), budget.nodes))
+                row = (f"({exc.lower}, {exc.upper}]", str(exc.undecided), budget.nodes)
+                w = exc.witness
             else:
-                rows.append((str(res.value), str(res.refuted), budget.nodes))
+                row = (str(res.value), str(res.refuted), budget.nodes)
+                w = res.witness
+            assert verify_coloring(g, w)
+            rows.append((*row, (w.p, w.q, w.colors)))
         assert rows == self.SEEDED_GOLDEN
 
     @settings(max_examples=150, deadline=None)
