@@ -13,11 +13,27 @@ exactly when they print the same digest:
     PYTHONPATH=src python3 scripts/outcome_digest.py --seeds 1 2
 
 `--smoke` takes the benchmark's smoke-size corpus (12 graphs per seed).
+
+`--against OLD.txt` compares each graph with the output of an earlier run
+(another checkout, the same seeds) instead of printing the lines.  It prints
+one line for each graph whose verdict or witness moved, then per seed the
+nodes spent on both sides and how many graphs are identical, differ in their
+nodes only, are newly decided or newly undecided, or have a moved bracket
+(undecided on both sides).  It exits 1 when a graph decided on both sides
+changes its value, refuted rung or witness, or when a newly decided value
+lies outside the old bracket (or a newly undecided bracket misses the old
+value):
+
+    PYTHONPATH=src python3 scripts/outcome_digest.py --seeds 1 2 > old.txt  # old checkout
+    PYTHONPATH=src python3 scripts/outcome_digest.py --seeds 1 2 --against old.txt
 """
 
 import argparse
 import hashlib
+import re
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +41,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import sgc  # noqa: E402
 from workloads import ChiRandom  # noqa: E402
+
+KINDS = ("identical", "nodes-only", "newly-decided", "newly-undecided", "bracket-moved",
+         "changed")
 
 
 def outcome(g, max_nodes: int) -> str:
@@ -43,22 +62,87 @@ def outcome(g, max_nodes: int) -> str:
     return f"{verdict} witness {shown} nodes {budget.nodes}"
 
 
-def main() -> None:
+def split(line: str) -> tuple[str, str, str, int]:
+    """(graph, verdict, witness, nodes) of one outcome line; graph is
+    'seed S #i'."""
+    head, nodes = line.rsplit(" nodes ", 1)
+    head, witness = head.split(" witness ", 1)
+    seed, s, i, verdict = head.split(" ", 3)
+    return f"{seed} {s} {i}", verdict, witness, int(nodes)
+
+
+def _read(verdict: str) -> Fraction | tuple[Fraction, Fraction]:
+    """A verdict's value, or its bracket (lower, upper)."""
+    words = verdict.split()
+    if words[0] == "value":
+        return Fraction(words[1])
+    return Fraction(words[1].strip("(,")), Fraction(words[2].rstrip("]"))
+
+
+def kind(was: tuple[str, str], now: tuple[str, str]) -> str:
+    """How a graph's (verdict, witness) moved from was to now, one of KINDS
+    but nodes-only: 'changed' when the two sides contradict each other."""
+    if was == now:
+        return "identical"
+    a, b = _read(was[0]), _read(now[0])
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return "changed"
+    if isinstance(b, Fraction):
+        return "newly-decided" if a[0] < b <= a[1] else "changed"
+    if isinstance(a, Fraction):
+        return "newly-undecided" if b[0] < a <= b[1] else "changed"
+    return "bracket-moved"
+
+
+def compare(old_lines: list[str], new_lines: list[str]) -> tuple[list[str], bool]:
+    """The --against report of new_lines against old_lines (outcome lines,
+    without the sha256 line), and whether any graph changed."""
+    old = {graph: rest for graph, *rest in map(split, old_lines)}
+    report, counts, nodes = [], Counter(), Counter()
+    for graph, verdict, witness, spent in map(split, new_lines):
+        if graph not in old:
+            raise SystemExit(f"{graph} is not in the old output")
+        was_verdict, was_witness, was_spent = old[graph]
+        seed = graph.rsplit(" ", 1)[0]
+        nodes[seed, "old"] += was_spent
+        nodes[seed, "new"] += spent
+        moved = kind((was_verdict, was_witness), (verdict, witness))
+        if moved == "identical" and was_spent != spent:
+            moved = "nodes-only"
+        counts[seed, moved] += 1
+        if moved not in ("identical", "nodes-only"):
+            report.append(f"{graph} {moved}: {was_verdict} witness {was_witness} "
+                          f"-> {verdict} witness {witness}")
+    for seed in dict.fromkeys(seed for seed, _ in nodes):
+        tally = " ".join(f"{k} {counts[seed, k]}" for k in KINDS)
+        report.append(f"{seed} nodes {nodes[seed, 'old']} -> {nodes[seed, 'new']} {tally}")
+    return report, any(k == "changed" and c for (_, k), c in counts.items())
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--smoke", action="store_true", help="the 12-graph smoke corpus")
+    ap.add_argument("--against", metavar="OLD.txt",
+                    help="compare with an earlier run's output instead of printing it")
     args = ap.parse_args()
 
     workload = ChiRandom(smoke=args.smoke)
-    digest = hashlib.sha256()
+    lines = []
     for seed in args.seeds:
         for i, inst in enumerate(workload.setup(sgc, seed)):
             g = sgc.io_cli.parse_sg(inst.text)
-            line = f"seed {seed} #{i} {outcome(g, workload.max_nodes)}"
-            digest.update(line.encode() + b"\n")
-            print(line)
-    print(f"sha256 {digest.hexdigest()}")
+            lines.append(f"seed {seed} #{i} {outcome(g, workload.max_nodes)}")
+    if args.against:
+        old = [line for line in Path(args.against).read_text().splitlines()
+               if re.match(r"seed \d+ #\d+ ", line)]
+        report, changed = compare(old, lines)
+        print("\n".join(report))
+        return 1 if changed else 0
+    body = "".join(line + "\n" for line in lines)
+    print(body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class CapacityError(Exception):
@@ -160,6 +160,17 @@ class SignedGraph:
         return _group(self.n, self._pair_signs)
 
     @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's distinct neighbors, ascending, loops left out: the
+        search asks whether a picked vertex has any left unassigned, and
+        _repeated_pieces walks the blocks over them."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for a, b, _ in self._pair_signs:  # ascending and loop-free: so is each list
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return tuple(map(tuple, nbrs))
+
+    @cached_property
     def _adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """adjacency() as tuples, computed on first use and kept."""
         adj = [[] for _ in range(self.n)]
@@ -240,7 +251,7 @@ def _lift_bfs(g: SignedGraph, labels: list[int],
     return reached
 
 
-def _blocks(nbrs: list[list[int]], keep: list[bool]) -> list[list[int]]:
+def _blocks(nbrs: Sequence[Sequence[int]], keep: list[bool]) -> list[list[int]]:
     """Vertex lists of the blocks (2-connected pieces and bridges) of the
     simple graph nbrs induced on the vertices v with keep[v]: Hopcroft-Tarjan,
     by an explicit stack."""
@@ -305,10 +316,7 @@ def _repeated_pieces(g: SignedGraph):
 
     This depends on g alone: SignedGraph._pieces computes it once per graph.
     """
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b, _ in g._pair_signs:  # ascending and loop-free: so is each list
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    nbrs = g._neighbors
     nbr_sets = [set(ws) for ws in nbrs]
     pieces = []  # (a, b, internal vertices, key)
     for block in _blocks(nbrs, [True] * g.n):

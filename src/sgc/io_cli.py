@@ -172,12 +172,12 @@ def fmt_value(x: Fraction) -> str:
 
 
 def _parse_fraction(s: str) -> Fraction:
-    try:
-        if "/" in s:
-            a, b = s.split("/", 1)
-            return Fraction(int(a), int(b))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError):
+    """The rational --r gives, N or N/D, each side read as a file field is
+    (_int); anything else, or D = 0, is a usage error."""
+    a, slash, b = s.partition("/")
+    try:  # a ParseError here has no line: it becomes the usage error
+        return Fraction(_int(a, 0, s), _int(b, 0, s) if slash else 1)
+    except (ParseError, ZeroDivisionError):
         raise _UsageError(f"bad rational {s!r} (want N or N/D)") from None
 
 

@@ -43,9 +43,12 @@ and two copies count as the same piece only when their internal vertices
 are numbered in the same relative order; elsewhere the whole graph is
 searched.
 
-All color arithmetic is exact integers; budgets are node counts (one node =
-one attempted vertex<-color assignment).  An exhausted budget raises, it
-never returns a wrong answer.
+All color arithmetic is exact integers; budgets are node counts.  A node is
+one vertex<-color assignment made by branching: a vertex that propagation
+cuts to one color (a pin among them), or that is left with no unassigned
+neighbor and takes its lowest color, costs none.  Reading separations off a
+coloring _relation has found costs none either.  An exhausted budget
+raises, it never returns a wrong answer.
 """
 
 from __future__ import annotations
@@ -248,9 +251,22 @@ def _reflect(d: int, p: int) -> int:
     return (d & 1) | int(format(d >> 1, f"0{p - 1}b")[::-1], 2) << 1
 
 
+def _allowed(groups: Sequence[tuple[int, Sequence[int]]], colors: Sequence[int], p: int) -> int:
+    """The colors a vertex with adjacency groups (offset mask, neighbors)
+    may take against its colored neighbors (color -1: not colored yet): the
+    AND of each pair's mask turned by the neighbor's color."""
+    free = (1 << p) - 1
+    for mask, ws in groups:
+        for w in ws:
+            c = colors[w]
+            if c >= 0:  # the pair's mask turned by c
+                free &= mask << c | mask >> (p - c)
+    return free
+
+
 def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
-            domains: list[int], budget: SolveBudget,
-            verdict_only: bool = False) -> list[int] | None:
+            domains: list[int], budget: SolveBudget, verdict_only: bool = False,
+            neighbors: Sequence[Sequence[int]] | None = None) -> list[int] | None:
     """Backtracking with arc consistency over bitmask domains, iteratively,
     with conflict-directed backjumping, a rotation pin and reflection pruning.
 
@@ -258,10 +274,21 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     index), trying its colors in ascending order; an explicit stack of
     frames stands in for recursion.  size[x] holds the key: x's domain size,
     or with verdict_only its domain size over its degree (its number of
-    distinct neighbors in adj, at least 1) as the exact integer popcount *
-    lcm / degree; an assigned vertex's key is one above every other.  Only
-    callers that use the verdict alone set verdict_only, since the first
-    solution depends on the order.
+    distinct neighbors, at least 1) as the exact integer popcount * lcm /
+    degree.  A vertex with one color left is assigned, whether a decision,
+    a root pin or propagation put it there, and its key, taken, is one above
+    every other.  Only callers that use the verdict alone set verdict_only,
+    since the first solution depends on the order.  neighbors[x] lists x's
+    distinct neighbors in adj (SignedGraph._neighbors when adj is the
+    graph's own; derived from adj when not given).
+
+    A node is one assignment made by branching, and only a real choice
+    costs one: a vertex cut to one color is never picked (its neighbors were
+    revised against that color already), and a picked vertex with no
+    unassigned neighbor takes its lowest color on the current trail, with
+    no node and no propagation.  Arc consistency holds between it and every
+    neighbor, and no unassigned vertex shares a pair with it, so that color
+    cannot fail, and it is the color the canonical order tries first.
 
     Propagation pops a vertex whose domain shrank and intersects each
     neighbor's domain with that domain's support (_support, memoised per
@@ -271,17 +298,19 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     fixpoint, so the domains at a node depend only on the decisions above
     it.  Revising an assigned vertex never changes it, since its neighbors
     were all revised against its color first, so the loop does not test
-    for one.
+    for one.  The trail keeps each changed vertex's old domain, why and key,
+    and undo restores all three.
 
     Backjumping (conflict-directed, Prosser 1993): why[x] is a bitmask of
-    the decision vertices behind the colors removed from x's domain (an
-    assigned vertex stands for itself), and the trail restores it with the
-    domain.  A wipeout of w revised from x has conflict why[w] | why[x].  A
-    failed color whose conflict lacks the branching vertex fails for every
-    color of it, so the search skips that vertex's other colors; an
-    exhausted vertex passes on the union of its colors' conflicts and its
-    why when picked, and the search backs up to the deepest decision in it.
-    An empty conflict refutes the instance.
+    the decision vertices behind the colors removed from x's domain (a
+    decision stands for itself; a vertex cut to one color keeps the
+    decisions that cut it), and the trail restores it with the domain.  A
+    wipeout of w revised from x has conflict why[w] | why[x].  A failed
+    color whose conflict lacks the branching vertex fails for every color of
+    it, so the search skips that vertex's other colors; an exhausted vertex
+    passes on the union of its colors' conflicts and its why when picked,
+    and the search backs up to the deepest decision in it.  An empty
+    conflict refutes the instance.
 
     Rotation: turning a coloring round the circle gives a coloring, so when
     every root domain is full, vertex 0's is cut to color 0 at set-up.  The
@@ -289,8 +318,10 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     only drops its other colors, which hold a solution only if color 0 does.
 
     Reflection: every offset mask is symmetric under t -> -t, so while each
-    root domain is closed under c -> -c and every decision above is 0 or
-    p/2, so is the whole state, and a refuted color c refutes -c as well.
+    root domain is closed under c -> -c and every vertex assigned above a
+    decision, by branching or for want of unassigned neighbors, has color 0
+    or p/2, so is the whole state, and a refuted color c refutes -c as well.
+    (A vertex cut to one color in such a state has one of those colors.)
 
     Both prunings skip only subtrees that hold no solution, whatever the
     branching order: the search returns the first solution of the
@@ -316,18 +347,22 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     if not queue:  # every root domain full: pin vertex 0 to color 0 (rotation)
         domains[0] = 1
         queue = [0]
+    if neighbors is None:
+        neighbors = [[w for _, ws in gx for w in ws] for gx in adj]
     scale = [1] * n
     if verdict_only:  # domain size over degree: each vertex's distinct neighbors
-        degree = [sum(len(ws) for _, ws in gx) or 1 for gx in adj]
+        degree = [len(ws) or 1 for ws in neighbors]
         lcm = math.lcm(*degree)
         scale = [lcm // d for d in degree]
-    size = [d.bit_count() * s for d, s in zip(domains, scale)]
     taken = p * max(scale) + 1  # the key of an assigned vertex
+    size = [d.bit_count() * s if d & (d - 1) else taken for d, s in zip(domains, scale)]
     spend = budget.spend
     queued = [d != full for d in domains]
     # A frame is (vertex, its domain and why when picked, colors not yet
     # tried, conflicts of its failed colors, whether reflection holds at it,
-    # trail of (vertex, old domain, old why) written by its propagation).
+    # trail of (vertex, old domain, old why, old key) written since its
+    # color was set: by propagation, then by the vertices assigned for want
+    # of unassigned neighbors).
     frames: list[tuple[int, int, int, int, int, bool, list]] = []
     mirrored = all(d == full or _reflect(d, p) == d for d in domains)
     v, saved, saved_why, untried, conf, trail = -1, 0, 0, 0, 0, []
@@ -352,10 +387,10 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                         if not nd:
                             conflict = yw | yx
                             break
-                        trail.append((w, dw, yw))
+                        trail.append((w, dw, yw, size[w]))
                         domains[w] = nd
                         why[w] = yw | yx
-                        size[w] = nd.bit_count() * scale[w]
+                        size[w] = nd.bit_count() * scale[w] if nd & (nd - 1) else taken
                         if not queued[w]:
                             queued[w] = True
                             queue.append(w)
@@ -364,13 +399,29 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
             if conflict >= 0:
                 break
         if conflict < 0:
-            smallest = min(size)
-            if smallest == taken:
-                return [d.bit_length() - 1 for d in domains]
+            # Reflection holds below v while it held at v and every vertex
+            # assigned since has a color of its own mirror.
+            sym = mirrored and (v < 0 or domains[v] & fixed != 0)
+            while True:
+                smallest = min(size)
+                if smallest == taken:
+                    return [d.bit_length() - 1 for d in domains]
+                w = size.index(smallest)
+                for x in neighbors[w]:
+                    if size[x] != taken:
+                        break
+                else:  # no unassigned neighbor: its lowest color, without a node
+                    dw = domains[w]
+                    low = dw & -dw
+                    trail.append((w, dw, why[w], smallest))
+                    domains[w] = low
+                    size[w] = taken
+                    sym = sym and low & fixed != 0
+                    continue
+                break  # a real choice: branch on w
             frames.append((v, saved, saved_why, untried, conf, mirrored, trail))
-            if v >= 0:
-                mirrored = mirrored and domains[v] & fixed != 0
-            v = size.index(smallest)
+            mirrored = sym
+            v = w
             saved = untried = domains[v]
             saved_why = why[v]
             conf = 0
@@ -381,10 +432,10 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
             while True:
                 if not conflict:
                     return None
-                for w, dw, yw in reversed(trail):
+                for w, dw, yw, sw in reversed(trail):
                     domains[w] = dw
                     why[w] = yw
-                    size[w] = dw.bit_count() * scale[w]
+                    size[w] = sw
                 bit = 1 << v
                 if conflict & bit:
                     conf |= conflict ^ bit
@@ -414,20 +465,29 @@ def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudge
     at 0 and vertex v != u at d}; d up to p/2 suffices, by reflection.
 
     The one loop over pinned separations: a repeated piece's relation (u, v
-    = 0, 1) and an indicator's Z-set (its bits 0..p/2).  Each d is one
-    pinned search whose verdict alone is kept, so it branches on domain size
-    over degree (verdict_only): at 18/4 the big_gamma piece of k4_omega is
-    refuted at d = 0, 1 and 2 in 15,473 nodes; the canonical order takes
-    72,781.
+    = 0, 1) and an indicator's Z-set (its bits 0..p/2).  Each d not yet in
+    the mask is one pinned search whose verdict alone is kept, so it
+    branches on domain size over degree (verdict_only): at 18/4 the
+    big_gamma piece of k4_omega is refuted at d = 0, 1 and 2 in 12,955
+    nodes; the canonical order takes 67,645.  A coloring found with v at d
+    also shows every separation reached by recoloring v alone (the colors
+    its neighbors allow it, _allowed), and by recoloring u alone, turned so
+    that u is back at 0; those join the mask at once, and their searches
+    are skipped.
     """
     adj = _adjacency(g, p, q)
     full = (1 << p) - 1
     mask = 0
     for d in range(p // 2 + 1):
+        if mask >> d & 1:
+            continue
         domains = [full] * g.n
         domains[u], domains[v] = 1, 1 << d
-        if _search(g.n, adj, p, domains, budget, verdict_only=True) is not None:
-            mask |= 1 << d | 1 << (p - d) % p
+        sol = _search(g.n, adj, p, domains, budget, True, g._neighbors)
+        if sol is not None:  # v at each color it allows; u at c puts v at d - c
+            at_u = _reflect(_allowed(adj[u], sol, p), p)
+            seps = _allowed(adj[v], sol, p) | (at_u << d | at_u >> (p - d)) & full
+            mask |= seps | _reflect(seps, p)
     return mask
 
 
@@ -500,7 +560,7 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
         return None
     if _quotient_refuted(g, p, q, domains, budget):
         return None
-    sol = _search(g.n, _adjacency(g, p, q), p, domains, budget)
+    sol = _search(g.n, _adjacency(g, p, q), p, domains, budget, False, g._neighbors)
     if sol is None:
         return None
     c = Coloring(p, q, tuple(sol))
@@ -525,12 +585,7 @@ def _greedy_seed(g: SignedGraph) -> Coloring:
         adj = _adjacency(g, p, 1)
         colors = [-1] * g.n  # -1 until placed
         for v in reversed(order):
-            free = (1 << p) - 1  # the colors every placed neighbor allows
-            for mask, ws in adj[v]:
-                for w in ws:
-                    c = colors[w]
-                    if c >= 0:  # the pair's window turned by c
-                        free &= mask << c | mask >> (p - c)
+            free = _allowed(adj[v], colors, p)
             colors[v] = (free & -free).bit_length() - 1  # lowest free
         seed = Coloring(p, 1, tuple(colors))
     else:

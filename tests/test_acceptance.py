@@ -193,7 +193,7 @@ def test_10_reference_coloring_verifies():
 
 def test_11_apex_separations_exclude_small():
     apexes = Indicator(wenger_tilde(), 8, 9)
-    # 16,876 nodes: a node bound, unlike a wall-clock one, holds on any host.
+    # 12,986 nodes: a node bound, unlike a wall-clock one, holds on any host.
     members = z_set(apexes, 18, 4, budget=SolveBudget(max_nodes=20_000)).members()
     assert 0 not in members
     assert 1 not in members

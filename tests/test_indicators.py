@@ -100,7 +100,7 @@ class TestZSet:
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExhausted):
-            z_set(gamma(2), 18, 5, budget=SolveBudget(max_nodes=1))
+            z_set(gamma(2), 18, 5, budget=SolveBudget(max_nodes=0))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -233,9 +233,10 @@ class TestCliChi:
     def test_budget_flag(self, run, tmp_path):
         src = tmp_path / "F.sg"
         src.write_text(render_sg(outerplanar_F()))
+        # One node refutes 3; 10/3 needs a second.
         code, out, err = run("chi", src, "--budget", "1")
         assert code == 3
-        assert err.startswith("budget exhausted: chi_c in (8/3, 4]")
+        assert err.startswith("budget exhausted: chi_c in (3 (6/2), 4], undecided at 10/3")
         code, out, err = run("chi", src, "--budget", "-5")
         assert (code, out) == (1, "")
         assert err == "usage error: --budget must be nonnegative, got -5\n"
@@ -303,6 +304,18 @@ class TestCliCheck:
         code, out, err = run("check", c4_file, "--r", "x/y", "--coloring", col)
         assert code == 1
         assert "bad rational" in err
+
+    # --r reads N and D as the file fields are read: an optional '-' and
+    # ASCII digits, so no '_', no '+' and no other scripts' digits.
+    @pytest.mark.parametrize("r", ["1_8/4", "+18/4", "18/+4", "\u0661\u0668/4", "18/\u0664",
+                                   "\uff11\uff18/4", "18/0"])
+    @pytest.mark.parametrize("command", ["zset", "check", "refine"])
+    def test_rational_tokens_are_read_as_file_fields(self, run, c4_file, tmp_path, command, r):
+        col = tmp_path / "c.col"
+        col.write_text("coloring 18/4\n0 0\n1 5\n2 10\n3 1\n")
+        where = ("--u", 0, "--v", 1) if command == "zset" else ("--coloring", col)
+        assert run(command, c4_file, *where, "--r", r) == (
+            1, "", f"usage error: bad rational {r!r} (want N or N/D)\n")
 
     @pytest.mark.parametrize("pq", ["3/0", "0/1", "-2/1"])
     def test_bad_coloring_header(self, run, c4_file, tmp_path, pq):

@@ -1,5 +1,5 @@
 """Golden output of scripts/reproduce_values.py, the reproduction report, and
-the determinism of scripts/outcome_digest.py."""
+the determinism of scripts/outcome_digest.py and its comparison mode."""
 
 import hashlib
 import os
@@ -46,7 +46,7 @@ GOLDEN = [
     'reference coloring of the expanded host checks at 28/6                   True',
     'reference coloring of the full composition checks at 28/6                True',
     'expanded-host apex separations at 18/4                     (3, 4, 5, 6, 7, 8, 9)',
-    'full composition at 18/4 (3,000,000-node budget)           INFEASIBLE (proved) in 16876 nodes',
+    'full composition at 18/4 (3,000,000-node budget)           INFEASIBLE (proved) in 12986 nodes',
 ]
 
 
@@ -75,3 +75,40 @@ def test_outcome_digest_is_deterministic_and_digests_its_lines():
                             line) for line in lines)
     body = "".join(line + "\n" for line in lines)
     assert last == f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
+
+
+def test_outcome_digest_compares_against_an_old_output(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / "outcome_digest.py"), "--smoke", "--seeds", "1"]
+    plain = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+    *lines, _ = plain.stdout.splitlines()
+    total = sum(int(line.rsplit(" ", 1)[1]) for line in lines)
+
+    def against(old_lines):
+        old = tmp_path / "old.txt"
+        old.write_text("".join(line + "\n" for line in old_lines) + "sha256 0\n")
+        done = subprocess.run([*cmd, "--against", str(old)], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert done.stderr == ""
+        return done.returncode, done.stdout.splitlines()
+
+    tally = "identical 12 nodes-only 0 newly-decided 0 newly-undecided 0 bracket-moved 0 changed 0"
+    assert against(lines) == (0, [f"seed 1 nodes {total} -> {total} {tally}"])
+
+    # Make the old side differ in each way: more nodes, another undecided
+    # rung, an undecided bracket around the value found now, another value.
+    old = list(lines)
+    decided = [i for i, line in enumerate(lines) if re.search(r" refuted \d", line)]
+    undecided = [i for i, line in enumerate(lines) if " bracket " in line]
+    a, b, c = decided[:3]
+    old[a] = re.sub(r"nodes (\d+)$", lambda m: f"nodes {int(m[1]) + 5}", old[a])
+    old[b] = re.sub(r"value (\S+) refuted (\S+)", r"bracket (\2, \1] undecided \1", old[b])
+    old[c] = re.sub(r"value \S+", "value 99", old[c])
+    old[undecided[0]] = re.sub(r"undecided \S+", "undecided 1000", old[undecided[0]])
+    code, report = against(old)
+    assert code == 1
+    assert sorted(line.split(":")[0] for line in report[:-1]) == sorted([
+        f"seed 1 #{b} newly-decided", f"seed 1 #{c} changed",
+        f"seed 1 #{undecided[0]} bracket-moved"])
+    assert report[-1] == (f"seed 1 nodes {total + 5} -> {total} identical 8 nodes-only 1 "
+                          "newly-decided 1 newly-undecided 0 bracket-moved 1 changed 1")

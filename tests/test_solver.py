@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sgc import solver
 from sgc.arith import candidate_pairs
 from sgc.constructions import (big_gamma, circular_clique_signed, k4_omega,
-                               positive_clique, signed_cycle)
+                               positive_clique, signed_cycle, wenger_tilde)
 from sgc.core import (NEG, POS, CapacityError, Edge, SignedGraph, UncolorableError,
                       is_balanced)
 from sgc.indicators import Indicator, replace_edges
@@ -152,12 +152,13 @@ class TestFeasiblePq:
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExhausted):
-            feasible_pq(C4_NEG, 8, 3, budget=SolveBudget(max_nodes=1))
+            feasible_pq(C4_NEG, 8, 3, budget=SolveBudget(max_nodes=0))
         # The node past the cap is the one that raises, and it is counted.
+        # The negative 6-cycle branches three times at 8/3.
         for cap in (0, 1, 2):
             budget = SolveBudget(max_nodes=cap)
             with pytest.raises(BudgetExhausted) as info:
-                feasible_pq(signed_cycle(4, True), 8, 3, budget=budget)
+                feasible_pq(signed_cycle(6, True), 8, 3, budget=budget)
             assert info.value.nodes == budget.nodes == cap + 1
 
     def test_a_refutation_without_nodes_returns_under_a_zero_cap(self):
@@ -168,9 +169,9 @@ class TestFeasiblePq:
     def test_one_budget_counts_across_calls(self):
         budget = SolveBudget()
         feasible_pq(signed_cycle(4, True), 8, 3, budget=budget)
-        assert budget.nodes == 4
+        assert budget.nodes == 1
         feasible_pq(signed_cycle(4, True), 8, 3, budget=budget)
-        assert budget.nodes == 8
+        assert budget.nodes == 2
 
     @settings(max_examples=250, deadline=None)
     @given(signed_graphs(max_n=4, max_m=6), grids(8))
@@ -268,12 +269,12 @@ class TestRotationPin:
     @pytest.mark.parametrize("verdict_only", [False, True])
     def test_full_root_domains_are_pinned_in_the_kernel(self, verdict_only):
         # All four domains full: _search fixes vertex 0 at color 0 itself, so
-        # this is the 2-node refutation of TestSearchKernel's [1, 63, 63, 63],
+        # this is the 1-node refutation of TestSearchKernel's [1, 63, 63, 63],
         # not one refutation per color of vertex 0.
         adj = solver._adjacency(sg(4, K4), 6, 2)
         budget = SolveBudget()
         assert solver._search(4, adj, 6, [63] * 4, budget, verdict_only) is None
-        assert budget.nodes == 2
+        assert budget.nodes == 1
 
     @settings(max_examples=300, deadline=None)
     @given(signed_graphs(min_n=1, max_n=12, max_m=30), grids(16))
@@ -414,13 +415,15 @@ class TestSearchKernel:
             assert all(got[v] == c for v, c in pins.items())
 
     def test_degree_weighted_order_never_branches_an_assigned_vertex_again(self):
-        # Vertex 0 (three neighbors) is branched first; then the others keep
-        # five colors each, and 0's key must still top theirs, 5/2 and 5/1.
+        # Vertex 0 (three neighbors) is pinned by rotation; then the others
+        # keep five colors each, and 0's key must still top theirs, 5/2 and
+        # 5/1.  Vertex 1 is the one branch: 2 and 3, left with no unassigned
+        # neighbor, take their lowest colors without a node.
         g = sg(4, [(0, 1, POS), (0, 2, POS), (0, 3, POS), (1, 2, NEG)])
         adj = solver._adjacency(g, 8, 2)
         budget = SolveBudget(max_nodes=100)
         assert solver._search(4, adj, 8, [255] * 4, budget, verdict_only=True) == [0, 2, 2, 2]
-        assert budget.nodes == 4
+        assert budget.nodes == 1
 
     @pytest.mark.parametrize("g", [signed_cycle(5, False), signed_cycle(6, True), sg(4, K4),
                                    circular_clique_signed(6, 2)],
@@ -450,13 +453,51 @@ class TestSearchKernel:
 
     def test_reflection_drops_the_mirror_of_a_refuted_color(self):
         # K4(+) at (6,2), vertex 0 at 0: vertex 1 keeps {2, 4}; color 2
-        # fails, so color 4 = -2 is never tried.
+        # fails, so color 4 = -2 is never tried.  Without color 1 in vertex
+        # 3's root domain propagation reaches the same domains, but the root
+        # is not closed under c -> -c, so color 4 costs a node.  (The
+        # chronological kernel branches the pinned vertex 0 too.)
         adj = solver._adjacency(sg(4, K4), 6, 2)
-        budgets = []
-        for search in (oracles.chrono_search, solver._search):
-            budgets.append(SolveBudget())
-            assert search(4, adj, 6, [1, 63, 63, 63], budgets[-1]) is None
-        assert [b.nodes for b in budgets] == [3, 2]
+        nodes = []
+        for search, domains in ((oracles.chrono_search, [1, 63, 63, 63]),
+                                (solver._search, [1, 63, 63, 63]),
+                                (solver._search, [1, 63, 63, 0b111101])):
+            budget = SolveBudget()
+            assert search(4, adj, 6, domains, budget) is None
+            nodes.append(budget.nodes)
+        assert nodes == [3, 1, 2]
+
+    @pytest.mark.parametrize("k", [0, 10, 200])
+    def test_only_real_choices_cost_a_node(self, k):
+        # A positive triangle plus k isolated vertices at (6,2): vertex 0 is
+        # pinned by rotation, vertex 1 is the one branch and cuts vertex 2
+        # to one color, and an isolated vertex has no unassigned neighbor,
+        # so it takes color 0 without a node.  The chronological kernel
+        # branches all 3 + k vertices on the way to the same coloring.
+        g = sg(3 + k, [(0, 1, POS), (1, 2, POS), (2, 0, POS)])
+        cap = SolveBudget()
+        want = oracles.chrono_search(g.n, solver._adjacency(g, 6, 2), 6, [63] * g.n, cap)
+        budget = SolveBudget()
+        got = feasible_pq(g, 6, 2, budget=budget)
+        assert list(got.colors) == want == [0, 2, 4] + [0] * k
+        assert (budget.nodes, cap.nodes) == (1, 3 + k)
+
+    def test_a_vertex_without_unassigned_neighbors_ends_reflection_below_it(self):
+        # The root is closed under c -> -c.  Vertex 1's only neighbor is the
+        # pinned vertex 0, so vertex 1 takes its lowest color, 1, which is
+        # not its own mirror, and reflection no longer holds below it.
+        # Then vertex 2 is branched at 2 and vertex 3's color 0 is refuted
+        # before 5 succeeds: the chronological kernel's first solution, in
+        # no more nodes.
+        g = sg(6, [(0, 1, NEG), (2, 3, POS), (2, 4, POS), (2, 5, POS), (3, 4, NEG),
+                   (3, 5, NEG), (4, 5, POS), (0, 2, POS), (0, 3, NEG)])
+        adj = solver._adjacency(g, 6, 2)
+        domains = [1, 0b100010, 63, 63, 63, 63]
+        cap = SolveBudget()
+        want = oracles.chrono_search(g.n, adj, 6, list(domains), cap)
+        budget = SolveBudget()
+        assert solver._search(g.n, adj, 6, domains, budget) == want == [0, 1, 2, 5, 0, 4]
+        assert (budget.nodes, cap.nodes) == (4, 7)
 
     def test_backjumping_skips_an_independent_component(self):
         # The pin lands in C13; K4's refutation does not depend on C13's
@@ -577,6 +618,32 @@ class TestRepeatedPieces:
                 want |= 1 << d
         assert solver._relation(h, 0, 1, p, q, SolveBudget(max_nodes=1_000_000)) == want
 
+    def test_a_found_coloring_settles_the_separations_it_shows(self, monkeypatch):
+        # wenger_tilde at 18/4 with its terminals 8 and 9: one pinned search
+        # per d = 0..9 gives the mask.  d = 0, 1 and 2 are refuted; the
+        # coloring found at d = 3 shows d = 4 by recoloring one terminal,
+        # and the one found at d = 5 shows d = 6..9, so those five searches
+        # are skipped.
+        g, p, q = wenger_tilde(), 18, 4
+        adj = solver._adjacency(g, p, q)
+        full = (1 << p) - 1
+        want = 0
+        for d in range(p // 2 + 1):
+            domains = [full] * g.n
+            domains[8], domains[9] = 1, 1 << d
+            if solver._search(g.n, adj, p, domains, SolveBudget(), True) is not None:
+                want |= 1 << d | 1 << (p - d) % p
+        calls = []
+        search = solver._search
+
+        def counted(*args):
+            calls.append(args[3][9].bit_length() - 1)  # vertex 9's pinned color
+            return search(*args)
+
+        monkeypatch.setattr(solver, "_search", counted)
+        assert solver._relation(g, 8, 9, p, q, SolveBudget()) == want
+        assert calls == [0, 1, 2, 3, 5]
+
     @pytest.mark.parametrize("p,q", [(18, 5), (14, 4), (22, 6)])
     def test_a_digon_refutes_below_4_before_any_relation(self, p, q):
         # A + and a - edge on one pair allow no offset when p < 4q.  The
@@ -672,7 +739,7 @@ class TestChiC:
 
     def test_budget_reports_bracket(self):
         with pytest.raises(ChiUndecided) as exc:
-            chi_c(C4_NEG, budget=SolveBudget(max_nodes=1))
+            chi_c(C4_NEG, budget=SolveBudget(max_nodes=0))
         err = exc.value
         assert err.lower == 2
         assert err.lower < err.undecided.value <= err.upper
@@ -694,25 +761,25 @@ class TestChiC:
     # witness at its upper side).  A witness is (p, q, colors).
     SEEDED_GOLDEN = [
         ('4', '11/3', 0, (4, 1, (0, 1, 1, 2, 1, 1, 1, 0, 0, 0, 0, 0))),
-        ('4', '15/4', 48, (4, 1, (0, 0, 2, 1, 1, 0, 1, 2, 0, 0, 1, 0, 0, 2, 2, 1))),
-        ('4', '26/7', 13, (4, 1, (0, 0, 2, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1))),
-        ('4', '15/4', 16, (4, 1, (0, 2, 3, 1, 3, 2, 2, 0, 1, 0, 3, 2, 3, 2, 0))),
+        ('4', '15/4', 27, (4, 1, (0, 0, 2, 1, 1, 0, 1, 2, 0, 0, 1, 0, 0, 2, 2, 1))),
+        ('4', '26/7', 6, (4, 1, (0, 0, 2, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1))),
+        ('4', '15/4', 7, (4, 1, (0, 2, 3, 1, 3, 2, 2, 0, 1, 0, 3, 2, 3, 2, 0))),
         ('4', '26/7', 0, (4, 1, (0, 0, 0, 3, 2, 1, 0, 0, 1, 1, 1, 2, 1, 0))),
-        ('4', '11/3', 12, (4, 1, (0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0, 3))),
+        ('4', '11/3', 5, (4, 1, (0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0, 3))),
         ('4', '26/7', 0, (4, 1, (1, 1, 0, 1, 0, 0, 2, 0, 3, 2, 2, 1, 1, 0))),
-        ('4', '15/4', 49, (4, 1, (0, 1, 0, 1, 0, 3, 0, 2, 0, 0, 1, 3, 1, 0, 0, 3))),
+        ('4', '15/4', 34, (4, 1, (0, 1, 0, 1, 0, 3, 0, 2, 0, 0, 1, 3, 1, 0, 0, 3))),
         ('(3, 16/5]', '28/9', 301, (16, 5, (0, 0, 3, 3, 8, 5, 8, 1, 10, 5, 14, 15, 3, 4, 6, 3))),
-        ('4', '19/5', 20, (4, 1, (0, 0, 1, 0, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 2, 0, 3, 3, 2, 0))),
-        ('4', '11/3', 12, (4, 1, (0, 0, 1, 3, 0, 1, 0, 0, 2, 0, 3, 1))),
-        ('6', '11/2', 38, (6, 1, (0, 2, 1, 1, 0, 0, 0, 0, 2, 1, 1, 3, 0))),
-        ('4', '15/4', 15, (4, 1, (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 0, 0, 1))),
-        ('4', '34/9', 17, (4, 1, (0, 0, 0, 1, 0, 0, 1, 0, 2, 1, 3, 0, 0, 0, 0, 1, 1))),
-        ('4', '34/9', 18, (4, 1, (0, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0))),
-        ('4', '11/3', 12, (4, 1, (0, 1, 2, 0, 0, 0, 3, 1, 3, 3, 1, 0))),
+        ('4', '19/5', 13, (4, 1, (0, 0, 1, 0, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 2, 0, 3, 3, 2, 0))),
+        ('4', '11/3', 3, (4, 1, (0, 0, 1, 3, 0, 1, 0, 0, 2, 0, 3, 1))),
+        ('6', '11/2', 33, (6, 1, (0, 2, 1, 1, 0, 0, 0, 0, 2, 1, 1, 3, 0))),
+        ('4', '15/4', 10, (4, 1, (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 0, 0, 1))),
+        ('4', '34/9', 4, (4, 1, (0, 0, 0, 1, 0, 0, 1, 0, 2, 1, 3, 0, 0, 0, 0, 1, 1))),
+        ('4', '34/9', 10, (4, 1, (0, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0))),
+        ('4', '11/3', 3, (4, 1, (0, 1, 2, 0, 0, 0, 3, 1, 3, 3, 1, 0))),
         ('4', '15/4', 0, (4, 1, (0, 0, 1, 0, 0, 2, 1, 0, 2, 0, 0, 0, 3, 1, 1))),
-        ('4', '15/4', 48, (4, 1, (0, 1, 1, 0, 1, 3, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1))),
+        ('4', '15/4', 27, (4, 1, (0, 1, 1, 0, 1, 3, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1))),
         ('4', '34/9', 0, (4, 1, (0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 2, 1, 1, 0, 0, 1))),
-        ('4', '34/9', 19, (4, 1, (0, 1, 2, 0, 0, 1, 0, 0, 0, 3, 3, 0, 1, 0, 0, 3, 2, 1))),
+        ('4', '34/9', 12, (4, 1, (0, 1, 2, 0, 0, 1, 0, 0, 0, 3, 3, 0, 1, 0, 0, 3, 2, 1))),
     ]
 
     def test_seeded_values_and_node_counts_are_pinned(self):
@@ -788,16 +855,18 @@ class TestChiS:
             return res
 
         monkeypatch.setattr(solver, "chi_c", counted)
-        budget = SolveBudget(max_nodes=26)  # the whole scan's spend, exactly
+        budget = SolveBudget(max_nodes=7)  # the whole scan's spend, exactly
         assert chi_s(positive_clique(4), budget=budget) == 4
-        assert spent == [2, 4, 4, 4, 4, 4, 4, 0]
-        assert budget.nodes == 26
+        assert spent == [1, 1, 1, 1, 1, 1, 1, 0]
+        assert budget.nodes == 7
 
     @pytest.mark.parametrize("cap", [10, 25])
     def test_the_shared_budget_stops_the_scan(self, cap):
+        # K5's first signatures spend 9, 6 and 5 nodes: both caps run out
+        # part way through the scan, not in its first chi_c.
         budget = SolveBudget(max_nodes=cap)
         with pytest.raises(ChiUndecided) as info:
-            chi_s(positive_clique(4), budget=budget)
+            chi_s(positive_clique(5), budget=budget)
         assert info.value.nodes == budget.nodes == cap + 1
 
     def test_capacity_guard(self):
