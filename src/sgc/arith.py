@@ -13,6 +13,12 @@ from fractions import Fraction
 from math import gcd
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool (bool subclasses int, but True is
+    no vertex, color or count)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class EvenRational:
     """A rational p/q >= 2 in even-numerator normal form.
@@ -27,7 +33,7 @@ class EvenRational:
     q: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        if not (_is_int(self.p) and _is_int(self.q)):
             raise TypeError(f"p, q must be ints, got {self.p!r}/{self.q!r}")
         if self.p <= 0 or self.q <= 0:
             raise ValueError(f"not a positive rational: {self.p}/{self.q}")
@@ -60,7 +66,7 @@ def normalize_even(p: int, q: int) -> EvenRational:
     numerator came out odd.  Raises ValueError for values below 2 (no such
     graph has a coloring) or nonpositive input.
     """
-    if not (isinstance(p, int) and isinstance(q, int)):
+    if not (_is_int(p) and _is_int(q)):
         raise TypeError(f"p, q must be ints, got {p!r}/{q!r}")
     if p <= 0 or q <= 0:
         raise ValueError(f"not a positive rational: {p}/{q}")

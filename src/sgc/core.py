@@ -15,6 +15,8 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
+from .arith import _is_int
+
 
 class CapacityError(Exception):
     """The input is beyond a solver's supported size."""
@@ -74,12 +76,12 @@ class SignedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int):
+        if not _is_int(self.n):
             raise ValueError(f"vertex count {self.n!r} is not an int")
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
         for idx, e in enumerate(self.edges):
-            if not (isinstance(e.u, int) and isinstance(e.v, int)):
+            if not (_is_int(e.u) and _is_int(e.v)):
                 raise ValueError(f"edge {idx} endpoints {e.u!r},{e.v!r} are not both ints")
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
                 raise ValueError(f"edge {idx} endpoints {e.u},{e.v} out of range for n={self.n}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import _is_int
 from .core import POS, Edge, SignedGraph
 # feasible_pq is not called here: it is imported because bench/spans.py rebinds it.
 from .solver import SolveBudget, _begin, _relation, _validate_pq, feasible_pq
@@ -35,7 +36,7 @@ class Indicator:
     def __post_init__(self) -> None:
         n = self.graph.n
         for t in (self.u, self.v):
-            if not (0 <= t < n):
+            if not (_is_int(t) and 0 <= t < n):
                 raise ValueError(f"terminal {t} out of range for {n} vertices")
         if self.u == self.v:
             raise ValueError("terminals must be distinct")

@@ -55,16 +55,33 @@ def _content_lines(text: str):
         yield lineno, line
 
 
-def _int(token: str, lineno: int, message: str) -> int:
-    """The integer a text field holds, written as an optional '-' and ASCII
-    digits (no '+', '_', spaces or other scripts' digits), or a ParseError
-    with message."""
+def _digits(token: str) -> int | None:
+    """The integer token holds, written as an optional '-' and ASCII digits
+    (no '+', '_', spaces or other scripts' digits), or None.  Every integer
+    the CLI reads, from a file, an option, SGC_BUDGET or a gen parameter,
+    is read by this rule."""
     try:
         if token.isascii() and token.removeprefix("-").isdigit():
             return int(token)
     except ValueError:  # more digits than int() converts
         pass
-    raise ParseError(lineno, message)
+    return None
+
+
+def _int(token: str, lineno: int, message: str) -> int:
+    """The integer a text field holds (_digits), or a ParseError with message."""
+    x = _digits(token)
+    if x is None:
+        raise ParseError(lineno, message)
+    return x
+
+
+def _arg_int(token: str) -> int:
+    """argparse's type for an integer option (_digits)."""
+    x = _digits(token)
+    if x is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
+    return x
 
 
 def parse_sg(text: str) -> SignedGraph:
@@ -193,10 +210,9 @@ def _node_budget(nodes: int | None = None) -> SolveBudget | None:
         source, raw = "SGC_BUDGET", os.environ.get("SGC_BUDGET")
         if raw is None:
             return None
-        try:
-            nodes = int(raw)
-        except ValueError:
-            raise _UsageError(f"SGC_BUDGET must be an integer, got {raw!r}") from None
+        nodes = _digits(raw)
+        if nodes is None:
+            raise _UsageError(f"SGC_BUDGET must be an integer, got {raw!r}")
     if nodes < 0:
         raise _UsageError(f"{source} must be nonnegative, got {nodes}")
     return SolveBudget(max_nodes=nodes)
@@ -270,20 +286,21 @@ def _cmd_zset(args) -> int:
     return 0
 
 
-_GENERATORS: dict[str, tuple[int, str, Callable[..., SignedGraph]]] = {
-    "cycle": (2, "LENGTH +|-", lambda l, s: signed_cycle(int(l), s == "-")),
-    "clique": (2, "P Q", lambda p, q: circular_clique_signed(int(p), int(q))),
-    "hat": (2, "P Q", lambda p, q: hat_clique(int(p), int(q))),
-    "gamma": (1, "DEPTH", lambda i: gamma(int(i)).graph),
-    "gamma_prime": (1, "INDEX", lambda i: gamma_prime(int(i))),
-    "spal5": (0, "", spal5),
-    "F": (0, "", outerplanar_F),
-    "omega": (1, "D", lambda d: omega_d(int(d))),
-    "mini_gadget": (0, "", mini_gadget),
-    "wenger": (0, "", wenger),
-    "wenger_tilde": (0, "", wenger_tilde),
-    "big_gamma": (0, "", lambda: big_gamma().graph),
-    "k4_omega": (0, "", k4_omega),
+# name -> (its parameters, each an integer but the cycle's sign +|-, builder)
+_GENERATORS: dict[str, tuple[str, Callable[..., SignedGraph]]] = {
+    "cycle": ("LENGTH +|-", lambda l, s: signed_cycle(l, s == "-")),
+    "clique": ("P Q", circular_clique_signed),
+    "hat": ("P Q", hat_clique),
+    "gamma": ("DEPTH", lambda i: gamma(i).graph),
+    "gamma_prime": ("INDEX", gamma_prime),
+    "spal5": ("", spal5),
+    "F": ("", outerplanar_F),
+    "omega": ("D", omega_d),
+    "mini_gadget": ("", mini_gadget),
+    "wenger": ("", wenger),
+    "wenger_tilde": ("", wenger_tilde),
+    "big_gamma": ("", lambda: big_gamma().graph),
+    "k4_omega": ("", k4_omega),
 }
 
 
@@ -291,14 +308,21 @@ def _cmd_gen(args) -> int:
     if args.name not in _GENERATORS:
         known = ", ".join(sorted(_GENERATORS))
         raise _UsageError(f"unknown construction {args.name!r}; known: {known}")
-    arity, params_help, fn = _GENERATORS[args.name]
-    if len(args.params) != arity:
+    params_help, fn = _GENERATORS[args.name]
+    names = params_help.split()
+    if len(args.params) != len(names):
         want = params_help or "no parameters"
         raise _UsageError(f"{args.name} takes {want}")
     if args.name == "cycle" and args.params[1] not in ("+", "-"):
         raise _UsageError("cycle sign must be + or -")
+    params = []
+    for name, token in zip(names, args.params):
+        x = token if name == "+|-" else _digits(token)
+        if x is None:
+            raise _UsageError(f"{args.name} {name} must be an integer, got {token!r}")
+        params.append(x)
     try:
-        g = fn(*args.params)
+        g = fn(*params)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     text = render_sg(g)
@@ -361,7 +385,8 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--certify", action="store_true",
                    help="print the witness's tight cycle and the value it pins")
-    p.add_argument("--budget", type=int, default=None, help="node budget (default: SGC_BUDGET)")
+    p.add_argument("--budget", type=_arg_int, default=None,
+                   help="node budget (default: SGC_BUDGET)")
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("check", help="verify a coloring file")
@@ -372,8 +397,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("zset", help="feasible terminal separations of an indicator")
     p.add_argument("file")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
+    p.add_argument("--u", type=_arg_int, required=True)
+    p.add_argument("--v", type=_arg_int, required=True)
     p.add_argument("--r", required=True, help="circle size p/q")
     p.set_defaults(func=_cmd_zset)
 

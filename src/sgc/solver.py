@@ -28,10 +28,12 @@ which signs, is kept on the graph (SignedGraph._sign_groups), so a probe
 only stamps each sign's window onto it; a pair with both signs allows no
 offset when p < 4q, and feasible_pq refutes such a rung before it builds
 anything else.  Failures back up by conflict-directed backjumping rather
-than chronologically, and while the state is symmetric under c -> -c a refuted
-color also refutes its mirror; both skip only subtrees without a solution,
-so the first solution found, and hence every witness, is the one the
-chronological search finds, in no more nodes.
+than chronologically, and while the state is symmetric under c -> -c a
+picked vertex tries only colors 0..p/2, as each color above is the mirror
+of one tried before it; both skip only subtrees without a solution, so the
+first solution found, and hence every witness, is the one the chronological
+search finds, in no more nodes.  A decision is the first entry of its own
+trail, so undo is one loop over the trail.
 
 Before that search, feasible_pq cuts out the innermost 2-separated pieces
 whose edge list, in any order, occurs at least twice
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import EvenRational, circle_edge_ok
+from .arith import EvenRational, _is_int, circle_edge_ok
 # chi_c's ladder as integer (p, q) pairs; it keeps the name candidates,
 # under which the bench traces the ladder layer.
 from .arith import candidate_pairs as candidates
@@ -131,7 +133,7 @@ class SolveBudget:
 
 
 def _validate_pq(p: int, q: int):
-    if not (isinstance(p, int) and isinstance(q, int)):
+    if not (_is_int(p) and _is_int(q)):
         raise ValueError(f"p, q must be ints, got {p!r}, {q!r}")
     if p < 2 or p % 2:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
@@ -151,7 +153,7 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
     if len(c.colors) != g.n:
         raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
     for i, x in enumerate(c.colors):
-        if not (isinstance(x, int) and 0 <= x < c.p):
+        if not (_is_int(x) and 0 <= x < c.p):
             raise ValueError(f"color {x!r} of vertex {i} out of range for p={c.p}")
     p, q, half = c.p, c.q, c.p // 2
     return all(circle_edge_ok(c.colors[e.u], c.colors[e.v], 0 if e.sign is POS else half, p, q)
@@ -215,17 +217,17 @@ def _runs(mask: int, p: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _support(mask: int, dx: int, p: int, runs: list[tuple[int, int]] | None = None) -> int:
+def _support(mask: int, dx: int, p: int, runs: list[tuple[int, int]]) -> int:
     """The colors at an offset in mask from some color of dx: their sumset.
 
     Two cases take O(1) big-int operations.  A one-color domain {c} gives
     mask turned by c.  When |dx| + |mask| > p the support is every color: a
     color y is supported when one of the |mask| colors y - t, t in mask,
-    lies in dx, and by pigeonhole one does.  Otherwise, for each run of mask (_runs; the search
-    derives them once per mask and passes them in), this ORs the rotations
-    of dx by every offset of the run, by doubling, which is O(log p)
-    operations per run.  Bits pushed past p - 1 (up to 3p - 3) are folded
-    back round the circle at the end.
+    lies in dx, and by pigeonhole one does.  Otherwise, for each of mask's
+    runs (_runs(mask, p), which the caller derives once per mask), this ORs
+    the rotations of dx by every offset of the run, by doubling, which is
+    O(log p) operations per run.  Bits pushed past p - 1 (up to 3p - 3) are
+    folded back round the circle at the end.
     """
     full = (1 << p) - 1
     if dx and not dx & (dx - 1):  # one color c: the mask turned by c
@@ -234,7 +236,7 @@ def _support(mask: int, dx: int, p: int, runs: list[tuple[int, int]] | None = No
     if dx.bit_count() + mask.bit_count() > p:
         return full
     acc = 0
-    for lo, width in _runs(mask, p) if runs is None else runs:
+    for lo, width in runs:
         s, span = dx, 1
         while 2 * span <= width:
             s |= s << span
@@ -268,7 +270,7 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
             domains: list[int], budget: SolveBudget, verdict_only: bool = False,
             neighbors: Sequence[Sequence[int]] | None = None) -> list[int] | None:
     """Backtracking with arc consistency over bitmask domains, iteratively,
-    with conflict-directed backjumping, a rotation pin and reflection pruning.
+    with conflict-directed backjumping, a rotation pin and a reflection cut.
 
     Branches on the unassigned vertex with the least key (ties to the lowest
     index), trying its colors in ascending order; an explicit stack of
@@ -298,8 +300,10 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     fixpoint, so the domains at a node depend only on the decisions above
     it.  Revising an assigned vertex never changes it, since its neighbors
     were all revised against its color first, so the loop does not test
-    for one.  The trail keeps each changed vertex's old domain, why and key,
-    and undo restores all three.
+    for one.  A decision's trail starts with the branching vertex's own
+    domain, why and key as they were when it was picked, then keeps the
+    same three for each vertex changed below it; undo restores the trail,
+    and with it the decision, in one loop.
 
     Backjumping (conflict-directed, Prosser 1993): why[x] is a bitmask of
     the decision vertices behind the colors removed from x's domain (a
@@ -320,19 +324,24 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     Reflection: every offset mask is symmetric under t -> -t, so while each
     root domain is closed under c -> -c and every vertex assigned above a
     decision, by branching or for want of unassigned neighbors, has color 0
-    or p/2, so is the whole state, and a refuted color c refutes -c as well.
-    (A vertex cut to one color in such a state has one of those colors.)
+    or p/2, so is every domain (and a vertex cut to one color has one of
+    those colors).  A vertex picked in such a state tries only its colors
+    0..p/2.  Colors go in ascending order, so each color -c above p/2 comes
+    after c, and c either fails with the vertex in its conflict, which
+    refutes -c by symmetry, or ends the vertex's colors: a solution, or a
+    backjump past it.
 
-    Both prunings skip only subtrees that hold no solution, whatever the
-    branching order: the search returns the first solution of the
-    chronological search in the same order (unpinned when the root domains
-    are full and verdict_only is not set), in no more nodes.  domains is
-    consumed destructively.  Returns that solution, or None, also when a
-    root domain or a pair's mask is empty.
+    Backjumping and the reflection cut skip only subtrees that hold no
+    solution, whatever the branching order: the search returns the first
+    solution of the chronological search in the same order (unpinned when
+    the root domains are full and verdict_only is not set), in no more
+    nodes.  domains is consumed destructively.  Returns that solution, or
+    None, also when a root domain or a pair's mask is empty.
     """
     if n == 0:
         return []
     fixed = 1 | 1 << p // 2  # the colors c with c == -c
+    half = (1 << p // 2 + 1) - 1  # the colors 0..p/2
     full = (1 << p) - 1
     why = [0] * n
     memos: dict[int, dict[int, int]] = {}
@@ -358,14 +367,14 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     size = [d.bit_count() * s if d & (d - 1) else taken for d, s in zip(domains, scale)]
     spend = budget.spend
     queued = [d != full for d in domains]
-    # A frame is (vertex, its domain and why when picked, colors not yet
-    # tried, conflicts of its failed colors, whether reflection holds at it,
-    # trail of (vertex, old domain, old why, old key) written since its
-    # color was set: by propagation, then by the vertices assigned for want
+    # A frame is (vertex, colors not yet tried, conflicts of its failed
+    # colors, whether reflection holds at it, trail of (vertex, old domain,
+    # old why, old key) written since its color was set: the vertex's own
+    # entry first, then propagation's, then the vertices assigned for want
     # of unassigned neighbors).
-    frames: list[tuple[int, int, int, int, int, bool, list]] = []
+    frames: list[tuple[int, int, int, bool, list]] = []
     mirrored = all(d == full or _reflect(d, p) == d for d in domains)
-    v, saved, saved_why, untried, conf, trail = -1, 0, 0, 0, 0, []
+    v, untried, conf, trail = -1, 0, 0, []
     while True:
         conflict = -1
         while queue:
@@ -419,11 +428,10 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                     sym = sym and low & fixed != 0
                     continue
                 break  # a real choice: branch on w
-            frames.append((v, saved, saved_why, untried, conf, mirrored, trail))
+            frames.append((v, untried, conf, mirrored, trail))
             mirrored = sym
             v = w
-            saved = untried = domains[v]
-            saved_why = why[v]
+            untried = domains[v] & half if sym else domains[v]
             conf = 0
         else:  # undo v's failed color; back up to the deepest decision in conflict
             for x in queue:
@@ -439,23 +447,17 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                 bit = 1 << v
                 if conflict & bit:
                     conf |= conflict ^ bit
-                    if mirrored:
-                        c = domains[v].bit_length() - 1
-                        untried &= ~(1 << (p - c) % p)
                     if untried:
                         break
-                    conflict = conf | saved_why
-                domains[v] = saved
-                why[v] = saved_why
-                size[v] = saved.bit_count() * scale[v]
-                v, saved, saved_why, untried, conf, mirrored, trail = frames.pop()
+                    conflict = conf | why[v]
+                v, untried, conf, mirrored, trail = frames.pop()
         lsb = untried & -untried
         untried ^= lsb
         spend()
+        trail = [(v, domains[v], why[v], size[v])]
         domains[v] = lsb
         why[v] = 1 << v
         size[v] = taken
-        trail = []
         queue.append(v)
         queued[v] = True
 
@@ -547,9 +549,9 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     full = (1 << p) - 1
     domains = [full] * g.n
     for pin in pins:
-        if not 0 <= pin.vertex < g.n:
+        if not (_is_int(pin.vertex) and 0 <= pin.vertex < g.n):
             raise ValueError(f"pin on non-vertex {pin.vertex}")
-        if not 0 <= pin.color < p:
+        if not (_is_int(pin.color) and 0 <= pin.color < p):
             raise ValueError(f"pin color {pin.color} out of range for p={p}")
         if domains[pin.vertex] not in (full, 1 << pin.color):
             raise ValueError(f"conflicting pins on vertex {pin.vertex}")
@@ -709,7 +711,7 @@ def zero_free_to_circular(f: Sequence[int], k: int) -> Coloring:
         raise ValueError(f"need k >= 1, got {k}")
     colors = []
     for v, x in enumerate(f):
-        if not isinstance(x, int) or x == 0 or abs(x) > k:
+        if not _is_int(x) or x == 0 or abs(x) > k:
             raise ValueError(f"vertex {v}: {x!r} is not a color in +-1..+-{k}")
         colors.append(x - 1 if x > 0 else -x + k - 1)
     return Coloring(2 * k, 1, tuple(colors))
@@ -723,7 +725,7 @@ def circular_to_zero_free(c: Coloring) -> list[int]:
     k = c.p // 2
     out = []
     for v, x in enumerate(c.colors):
-        if not (isinstance(x, int) and 0 <= x < c.p):
+        if not (_is_int(x) and 0 <= x < c.p):
             raise ValueError(f"vertex {v}: color {x!r} out of range for p={c.p}")
         out.append(x + 1 if x < k else k - 1 - x)
     return out

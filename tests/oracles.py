@@ -9,17 +9,20 @@ so that a rewrite can be held to exactly the same outputs: the recursive
 search kernel with its edge kinds and mask tables (oracle_search,
 oracle_adjacency, oracle_masks), the iterative chronological kernel that
 replaced it, before backjumping (chrono_search, chrono_support), the
-greedy seed that read the edge rule off sign bits (oracle_greedy_seed), the
-candidate ladder (oracle_candidate_ladder), the rational circle helpers
-(rational_point, frac_antipode, frac_circ_dist), the tight-cycle DFS with its
-vertex chain (oracle_find_tight_cycle) and the Fraction certificate layer
-(frac_verify_rational, frac_tight_digraph, frac_cert_value, frac_refine and
-their helpers).
+backjumping kernel as it was before a decision became its frame's first
+trail entry and reflection a cut on the picked vertex's colors
+(backjump_search), the greedy seed that read the edge rule off sign bits
+(oracle_greedy_seed), the candidate ladder (oracle_candidate_ladder), the
+rational circle helpers (rational_point, frac_antipode, frac_circ_dist), the
+tight-cycle DFS with its vertex chain (oracle_find_tight_cycle) and the
+Fraction certificate layer (frac_verify_rational, frac_tight_digraph,
+frac_cert_value, frac_refine and their helpers).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,7 +32,7 @@ from sgc.certificates import (Arc, CorruptCertificateError, NotRefinableError,
                               RationalColoring, TightCycleCertificate, TightDigraph,
                               find_tight_cycle)
 from sgc.core import NEG, POS, Edge, SignedGraph, degeneracy
-from sgc.solver import Coloring, SolveBudget
+from sgc.solver import Coloring, SolveBudget, _reflect, _runs, _support
 
 
 def gap(p: int, x: int, y: int) -> int:
@@ -568,6 +571,202 @@ def chrono_search(n: int, adj: list[list[tuple[int, Sequence[int]]]], p: int,
         untried ^= lsb
         spend()
         domains[v] = lsb
+        size[v] = taken
+        trail = []
+        queue.append(v)
+        queued[v] = True
+
+
+def backjump_search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
+                    domains: list[int], budget: SolveBudget, verdict_only: bool = False,
+                    neighbors: Sequence[Sequence[int]] | None = None) -> list[int] | None:
+    """Backtracking with arc consistency over bitmask domains, iteratively,
+    with conflict-directed backjumping, a rotation pin and reflection pruning.
+
+    Branches on the unassigned vertex with the least key (ties to the lowest
+    index), trying its colors in ascending order; an explicit stack of
+    frames stands in for recursion.  size[x] holds the key: x's domain size,
+    or with verdict_only its domain size over its degree (its number of
+    distinct neighbors, at least 1) as the exact integer popcount * lcm /
+    degree.  A vertex with one color left is assigned, whether a decision,
+    a root pin or propagation put it there, and its key, taken, is one above
+    every other.  Only callers that use the verdict alone set verdict_only,
+    since the first solution depends on the order.  neighbors[x] lists x's
+    distinct neighbors in adj (SignedGraph._neighbors when adj is the
+    graph's own; derived from adj when not given).
+
+    A node is one assignment made by branching, and only a real choice
+    costs one: a vertex cut to one color is never picked (its neighbors were
+    revised against that color already), and a picked vertex with no
+    unassigned neighbor takes its lowest color on the current trail, with
+    no node and no propagation.  Arc consistency holds between it and every
+    neighbor, and no unassigned vertex shares a pair with it, so that color
+    cannot fail, and it is the color the canonical order tries first.
+
+    Propagation pops a vertex whose domain shrank and intersects each
+    neighbor's domain with that domain's support (_support, memoised per
+    offset mask for this call, with the mask's runs taken once), queueing
+    the neighbors that shrink; a group whose support is every color is
+    skipped, as no domain would shrink.  Arc consistency has a unique
+    fixpoint, so the domains at a node depend only on the decisions above
+    it.  Revising an assigned vertex never changes it, since its neighbors
+    were all revised against its color first, so the loop does not test
+    for one.  The trail keeps each changed vertex's old domain, why and key,
+    and undo restores all three.
+
+    Backjumping (conflict-directed, Prosser 1993): why[x] is a bitmask of
+    the decision vertices behind the colors removed from x's domain (a
+    decision stands for itself; a vertex cut to one color keeps the
+    decisions that cut it), and the trail restores it with the domain.  A
+    wipeout of w revised from x has conflict why[w] | why[x].  A failed
+    color whose conflict lacks the branching vertex fails for every color of
+    it, so the search skips that vertex's other colors; an exhausted vertex
+    passes on the union of its colors' conflicts and its why when picked,
+    and the search backs up to the deepest decision in it.  An empty
+    conflict refutes the instance.
+
+    Rotation: turning a coloring round the circle gives a coloring, so when
+    every root domain is full, vertex 0's is cut to color 0 at set-up.  The
+    open search would branch vertex 0 first and try color 0 first; the pin
+    only drops its other colors, which hold a solution only if color 0 does.
+
+    Reflection: every offset mask is symmetric under t -> -t, so while each
+    root domain is closed under c -> -c and every vertex assigned above a
+    decision, by branching or for want of unassigned neighbors, has color 0
+    or p/2, so is the whole state, and a refuted color c refutes -c as well.
+    (A vertex cut to one color in such a state has one of those colors.)
+
+    Both prunings skip only subtrees that hold no solution, whatever the
+    branching order: the search returns the first solution of the
+    chronological search in the same order (unpinned when the root domains
+    are full and verdict_only is not set), in no more nodes.  domains is
+    consumed destructively.  Returns that solution, or None, also when a
+    root domain or a pair's mask is empty.
+    """
+    if n == 0:
+        return []
+    fixed = 1 | 1 << p // 2  # the colors c with c == -c
+    full = (1 << p) - 1
+    why = [0] * n
+    memos: dict[int, dict[int, int]] = {}
+    # groups[x] = [(mask, memo of mask, neighbors over mask)]
+    groups = [[(mask, memos.setdefault(mask, {}), ws) for mask, ws in gx] for gx in adj]
+    if 0 in memos or 0 in domains:  # no allowed offset or color: nothing to search
+        return None
+    runs = {mask: _runs(mask, p) for mask in memos}
+    # A full domain supports every color across a non-empty mask, so only
+    # the vertices with a smaller domain have anything to revise at the root.
+    queue = [x for x in range(n) if domains[x] != full]
+    if not queue:  # every root domain full: pin vertex 0 to color 0 (rotation)
+        domains[0] = 1
+        queue = [0]
+    if neighbors is None:
+        neighbors = [[w for _, ws in gx for w in ws] for gx in adj]
+    scale = [1] * n
+    if verdict_only:  # domain size over degree: each vertex's distinct neighbors
+        degree = [len(ws) or 1 for ws in neighbors]
+        lcm = math.lcm(*degree)
+        scale = [lcm // d for d in degree]
+    taken = p * max(scale) + 1  # the key of an assigned vertex
+    size = [d.bit_count() * s if d & (d - 1) else taken for d, s in zip(domains, scale)]
+    spend = budget.spend
+    queued = [d != full for d in domains]
+    # A frame is (vertex, its domain and why when picked, colors not yet
+    # tried, conflicts of its failed colors, whether reflection holds at it,
+    # trail of (vertex, old domain, old why, old key) written since its
+    # color was set: by propagation, then by the vertices assigned for want
+    # of unassigned neighbors).
+    frames: list[tuple[int, int, int, int, int, bool, list]] = []
+    mirrored = all(d == full or _reflect(d, p) == d for d in domains)
+    v, saved, saved_why, untried, conf, trail = -1, 0, 0, 0, 0, []
+    while True:
+        conflict = -1
+        while queue:
+            x = queue.pop()
+            queued[x] = False
+            dx = domains[x]
+            yx = why[x]
+            for mask, memo, ws in groups[x]:
+                sup = memo.get(dx)
+                if sup is None:
+                    sup = memo[dx] = _support(mask, dx, p, runs[mask])
+                if sup == full:  # supports every color: no domain shrinks
+                    continue
+                for w in ws:
+                    dw = domains[w]
+                    nd = dw & sup
+                    if nd != dw:
+                        yw = why[w]
+                        if not nd:
+                            conflict = yw | yx
+                            break
+                        trail.append((w, dw, yw, size[w]))
+                        domains[w] = nd
+                        why[w] = yw | yx
+                        size[w] = nd.bit_count() * scale[w] if nd & (nd - 1) else taken
+                        if not queued[w]:
+                            queued[w] = True
+                            queue.append(w)
+                if conflict >= 0:
+                    break
+            if conflict >= 0:
+                break
+        if conflict < 0:
+            # Reflection holds below v while it held at v and every vertex
+            # assigned since has a color of its own mirror.
+            sym = mirrored and (v < 0 or domains[v] & fixed != 0)
+            while True:
+                smallest = min(size)
+                if smallest == taken:
+                    return [d.bit_length() - 1 for d in domains]
+                w = size.index(smallest)
+                for x in neighbors[w]:
+                    if size[x] != taken:
+                        break
+                else:  # no unassigned neighbor: its lowest color, without a node
+                    dw = domains[w]
+                    low = dw & -dw
+                    trail.append((w, dw, why[w], smallest))
+                    domains[w] = low
+                    size[w] = taken
+                    sym = sym and low & fixed != 0
+                    continue
+                break  # a real choice: branch on w
+            frames.append((v, saved, saved_why, untried, conf, mirrored, trail))
+            mirrored = sym
+            v = w
+            saved = untried = domains[v]
+            saved_why = why[v]
+            conf = 0
+        else:  # undo v's failed color; back up to the deepest decision in conflict
+            for x in queue:
+                queued[x] = False
+            queue.clear()
+            while True:
+                if not conflict:
+                    return None
+                for w, dw, yw, sw in reversed(trail):
+                    domains[w] = dw
+                    why[w] = yw
+                    size[w] = sw
+                bit = 1 << v
+                if conflict & bit:
+                    conf |= conflict ^ bit
+                    if mirrored:
+                        c = domains[v].bit_length() - 1
+                        untried &= ~(1 << (p - c) % p)
+                    if untried:
+                        break
+                    conflict = conf | saved_why
+                domains[v] = saved
+                why[v] = saved_why
+                size[v] = saved.bit_count() * scale[v]
+                v, saved, saved_why, untried, conf, mirrored, trail = frames.pop()
+        lsb = untried & -untried
+        untried ^= lsb
+        spend()
+        domains[v] = lsb
+        why[v] = 1 << v
         size[v] = taken
         trail = []
         queue.append(v)

@@ -60,6 +60,17 @@ class TestSignedGraph:
         with pytest.raises(ValueError, match=field):
             build()
 
+    @pytest.mark.parametrize("build,field", [
+        (lambda: sg(2, [(0, True, "+")]), "edge 0 endpoints"),
+        (lambda: SignedGraph(2, (Edge(False, 1, POS),)), "edge 0 endpoints"),
+        (lambda: SignedGraph(True, ()), "vertex count"),
+    ])
+    def test_bools_are_not_vertices(self, build, field):
+        # bool subclasses int: each of these used to build a graph, and
+        # render_sg wrote "e 0 True +", which parse_sg rejects.
+        with pytest.raises(ValueError, match=field):
+            build()
+
     def test_degrees_and_loops(self):
         g = sg(2, [(0, 0, NEG), (0, 1, POS)])
         assert g.degrees() == [3, 1]

@@ -47,6 +47,13 @@ class TestIndicator:
         with pytest.raises(ValueError):
             Indicator(signed_cycle(2, negative=True), u, v)
 
+    @pytest.mark.parametrize("u,v", [(0.0, 1), (0, 1.0), (False, 1), (0, True)])
+    def test_terminals_must_be_ints_not_bools_or_floats(self, u, v):
+        # Indicator(g, 0.0, 1) used to build, and z_set on it failed inside
+        # the search with a TypeError.
+        with pytest.raises(ValueError, match="out of range"):
+            Indicator(signed_cycle(2, negative=True), u, v)
+
 
 class TestZSetContainer:
     def test_members_and_contains(self):

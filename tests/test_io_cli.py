@@ -459,6 +459,44 @@ class TestCliChiS:
         assert err.startswith("error: underlying graph must be simple")
 
 
+
+class TestCliIntegers:
+    """Every integer the CLI reads, from an option, SGC_BUDGET or a gen
+    parameter, is an optional '-' and ASCII digits, as in the files."""
+
+    @pytest.mark.parametrize("token", ["1_0", "+2", "\u0661", "\uff16", " 3", "abc"])
+    @pytest.mark.parametrize("argv,env,message", [
+        (("chi", "G", "--budget", "T"), None, "argument --budget: invalid int value: {!r}"),
+        (("chi", "G"), "T", "SGC_BUDGET must be an integer, got {!r}"),
+        (("zset", "G", "--u", "T", "--v", 1, "--r", 4), None, "argument --u: invalid int value: {!r}"),
+        (("zset", "G", "--u", 0, "--v", "T", "--r", 4), None, "argument --v: invalid int value: {!r}"),
+        (("zset", "G", "--u", 0, "--v", 1, "--r", 4), "T", "SGC_BUDGET must be an integer, got {!r}"),
+        (("chis", "G"), "T", "SGC_BUDGET must be an integer, got {!r}"),
+        (("gen", "clique", "T", 2), None, "clique P must be an integer, got {!r}"),
+        (("gen", "cycle", "T", "+"), None, "cycle LENGTH must be an integer, got {!r}"),
+    ], ids=["chi-budget", "chi-env", "zset-u", "zset-v", "zset-env", "chis-env", "gen-clique",
+            "gen-cycle"])
+    def test_anything_else_is_a_usage_error(self, run, c4_file, monkeypatch,
+                                            argv, env, message, token):
+        # "G" stands for the graph file and "T" for the token under test.
+        monkeypatch.delenv("SGC_BUDGET", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SGC_BUDGET", token)
+        argv = [{"G": c4_file, "T": token}.get(a, a) for a in argv]
+        code, out, err = run(*argv)
+        assert (code, out, err) == (1, "", f"usage error: {message.format(token)}\n")
+
+    def test_leading_zeros_are_digits(self, run, tmp_path, monkeypatch):
+        monkeypatch.setenv("SGC_BUDGET", "0001")
+        code, out, err = run("gen", "cycle", "005", "+")
+        assert (code, out, err) == (0, render_sg(signed_cycle(5, negative=False)), "")
+        src = tmp_path / "F.sg"
+        src.write_text(render_sg(outerplanar_F()))
+        for argv in (("chi", src), ("chi", src, "--budget", "01")):
+            code, out, err = run(*argv)
+            assert code == 3 and err.startswith("budget exhausted: chi_c in (3 (6/2), 4]")
+
+
 class TestCliUsage:
     def test_no_subcommand(self, run):
         code, out, err = run()

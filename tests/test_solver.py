@@ -18,7 +18,7 @@ from gen import gadget_compositions, grids, seeded_multigraphs, signed_graphs
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sgc import solver
-from sgc.arith import candidate_pairs
+from sgc.arith import candidate_pairs, normalize_even
 from sgc.constructions import (big_gamma, circular_clique_signed, k4_omega,
                                positive_clique, signed_cycle, wenger_tilde)
 from sgc.core import (NEG, POS, CapacityError, Edge, SignedGraph, UncolorableError,
@@ -64,6 +64,20 @@ def offset_masks(draw, p):
     return draw(st.one_of(st.just(0), st.just(full), st.integers(0, full), union))
 
 
+def root_domains(p, closed):
+    """One vertex's root domain at p: often full or one of the colors 0 and
+    p/2; otherwise, when closed, a set closed under c -> -c (so that the
+    reflection cut can fire), and when not, any one color or any set."""
+    full = (1 << p) - 1
+    fixed = st.sampled_from([0, p // 2]).map(lambda c: 1 << c)
+    if closed:
+        closure = st.integers(1, full).map(lambda d: functools.reduce(
+            operator.or_, (1 << (-c % p) | 1 << c for c in range(p) if d >> c & 1)))
+        return st.one_of(st.just(full), st.just(full), fixed, closure)
+    return st.one_of(st.just(full), st.just(full), fixed,
+                     st.integers(0, p - 1).map(lambda c: 1 << c), st.integers(1, full))
+
+
 class TestVerifyColoring:
     def test_valid_and_invalid(self):
         assert verify_coloring(C4_NEG, Coloring(8, 3, (0, 3, 6, 1)))
@@ -83,6 +97,16 @@ class TestVerifyColoring:
     def test_malformed_raises(self, c):
         with pytest.raises(ValueError):
             verify_coloring(C4_NEG, c)
+
+    @pytest.mark.parametrize("c,message", [
+        (Coloring(4, 1, (False, True)), "color False of vertex 0"),
+        (Coloring(4, True, (0, 2)), "p, q must be ints"),
+    ])
+    def test_bools_are_not_colors(self, c, message):
+        # bool subclasses int: the first used to verify, and render_coloring
+        # wrote "0 False".
+        with pytest.raises(ValueError, match=message):
+            verify_coloring(sg(2, []), c)
 
     @settings(max_examples=200, deadline=None)
     @given(signed_graphs(max_n=4, max_m=6, positive_loops=True), grids(8), st.data())
@@ -203,6 +227,17 @@ class TestFeasiblePq:
     def test_bad_pins_are_rejected(self, pins, message):
         with pytest.raises(ValueError, match=message):
             feasible_pq(C4_NEG, 8, 3, pins=pins)
+
+    @pytest.mark.parametrize("pin, message", [
+        (Pin(0.0, 0), "pin on non-vertex 0.0"),
+        (Pin(True, 0), "pin on non-vertex True"),
+        (Pin(0, 2.0), "pin color 2.0 out of range for p=8"),
+        (Pin(0, False), "pin color False out of range for p=8"),
+    ])
+    def test_pins_are_ints_not_bools_or_floats(self, pin, message):
+        # Pin(0.0, 0) used to fail inside the search with a TypeError.
+        with pytest.raises(ValueError, match=message):
+            feasible_pq(C4_NEG, 8, 3, pins=(pin,))
 
     def test_a_repeated_pin_is_one_pin(self):
         once = feasible_pq(C4_NEG, 8, 3, pins=(Pin(1, 2),))
@@ -340,18 +375,7 @@ class TestSearchKernel:
     def test_first_solution_of_the_chronological_kernel_in_no_more_nodes(
             self, g, pq, closed, data):
         p, q = pq
-        full = (1 << p) - 1
-        fixed = st.sampled_from([0, p // 2]).map(lambda c: 1 << c)
-        # When closed, every root domain is closed under c -> -c, so the
-        # reflection pruning can fire; otherwise pins and domains are free.
-        if closed:
-            closure = st.integers(1, full).map(lambda d: functools.reduce(
-                operator.or_, (1 << (-c % p) | 1 << c for c in range(p) if d >> c & 1)))
-            domain = st.one_of(st.just(full), st.just(full), fixed, closure)
-        else:
-            domain = st.one_of(st.just(full), st.just(full), fixed,
-                               st.integers(0, p - 1).map(lambda c: 1 << c), st.integers(1, full))
-        domains = [data.draw(domain) for _ in range(g.n)]
+        domains = [data.draw(root_domains(p, closed)) for _ in range(g.n)]
         adj = solver._adjacency(g, p, q)
         want, want_nodes = self._run(oracles.chrono_search, g.n, adj, p, list(domains),
                                      max_nodes=20_000)
@@ -360,6 +384,75 @@ class TestSearchKernel:
         assert got_nodes <= want_nodes
         if not isinstance(want, tuple):
             assert got == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(signed_graphs(min_n=2, max_n=14, max_m=40), grids(24), st.booleans(),
+           st.booleans(), st.data())
+    def test_same_trace_as_the_backjumping_kernel_it_replaced(
+            self, g, pq, closed, verdict_only, data):
+        # Undoing a decision through its trail entry, and cutting a picked
+        # vertex to colors 0..p/2 while reflection holds, change no step:
+        # the same result, or the same exhausted budget, in the same nodes.
+        p, q = pq
+        domains = [data.draw(root_domains(p, closed)) for _ in range(g.n)]
+        max_nodes = data.draw(st.integers(1, 2000))
+        adj = solver._adjacency(g, p, q)
+        runs = [self._run(lambda *args: search(*args, verdict_only, g._neighbors),
+                          g.n, adj, p, list(domains), max_nodes=max_nodes)
+                for search in (oracles.backjump_search, solver._search)]
+        assert runs[0] == runs[1]
+
+    def test_same_trace_as_the_backjumping_kernel_at_tight_rungs(self):
+        # Random simple graphs at their value and at the rung refuted below
+        # it: there the first picks fail and back up often, so trying a
+        # mirror color the kernel before skipped, or a restore that misses a
+        # field, shows as another node count.  Open roots, vertex 0 pinned
+        # at p/2 (still closed under c -> -c) and at 1 (not closed).
+        rng = random.Random(3)
+        for _ in range(40):
+            n = rng.randint(8, 16)
+            pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(2 * n, 3 * n))
+            g = sg(n, [(a, b, rng.choice([POS, NEG])) for a, b in pairs])
+            try:
+                res = chi_c(g, budget=SolveBudget(max_nodes=5000))
+            except ChiUndecided:
+                continue
+            rungs = {(res.witness.p, res.witness.q)}
+            if res.refuted is not None and res.refuted > 2:
+                below = normalize_even(*res.refuted.as_integer_ratio())
+                rungs.add((below.p, below.q))
+            for (p, q), verdict_only in itertools.product(sorted(rungs), (False, True)):
+                adj = solver._adjacency(g, p, q)
+                full = (1 << p) - 1
+                for root in (full, 1 << p // 2, 2):
+                    domains = [root] + [full] * (n - 1)
+                    runs = [self._run(lambda *args: search(*args, verdict_only, g._neighbors),
+                                      n, adj, p, list(domains), max_nodes=5000)
+                            for search in (oracles.backjump_search, solver._search)]
+                    assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("p,q,nodes,searches", [
+        (14, 3, 65, 4), (20, 4, 41, 3), (22, 5, 12_079, 6), (24, 5, 775, 5), (28, 6, 4_835, 5)])
+    def test_relation_searches_spend_what_the_backjumping_kernel_spent(
+            self, monkeypatch, p, q, nodes, searches):
+        # k4_omega's piece around its 14/3: the verdict-only pinned searches
+        # of _relation (none of chi_random's 500 graphs at seed 1 has a
+        # repeated piece) keep the mask, the number of searches and every
+        # node of the kernel before.
+        h = k4_omega()._pieces[3][0]
+        got = []
+        for search in (oracles.backjump_search, solver._search):
+            calls = []
+
+            def counted(*args, search=search, calls=calls):
+                calls.append(args)
+                return search(*args)
+
+            monkeypatch.setattr(solver, "_search", counted)
+            budget = SolveBudget()
+            got.append((solver._relation(h, 0, 1, p, q, budget), budget.nodes, len(calls)))
+        assert got[0] == got[1]
+        assert got[1][1:] == (nodes, searches)
 
     def test_every_single_pin_of_tight_instances_matches_the_chronological_kernel(self):
         # At a graph's own chi_c grid a coloring exists but is hard to find,
@@ -518,7 +611,8 @@ class TestSearchKernel:
             masks = oracles.oracle_masks(p, q)
             for kind, signs in KINDS.items():
                 mask = pair_mask(signs, p, q)
-                assert [solver._support(mask, 1 << c, p) for c in range(p)] == masks[kind]
+                runs = solver._runs(mask, p)
+                assert [solver._support(mask, 1 << c, p, runs) for c in range(p)] == masks[kind]
 
     @settings(max_examples=200, deadline=None)
     @given(grids(60), st.sampled_from(sorted(KINDS)), st.data())
@@ -530,7 +624,8 @@ class TestSearchKernel:
         for c in range(p):
             if dx >> c & 1:
                 union |= masks[c]
-        assert solver._support(pair_mask(KINDS[kind], p, q), dx, p) == union
+        mask = pair_mask(KINDS[kind], p, q)
+        assert solver._support(mask, dx, p, solver._runs(mask, p)) == union
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(1, 60).flatmap(lambda p: st.tuples(
@@ -541,7 +636,7 @@ class TestSearchKernel:
         for c in range(p):
             if dx >> c & 1:
                 want |= rotate(mask, c, p)
-        assert solver._support(mask, dx, p) == want
+        assert solver._support(mask, dx, p, solver._runs(mask, p)) == want
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(1, 60).flatmap(lambda p: st.tuples(st.just(p), offset_masks(p))),
@@ -556,7 +651,6 @@ class TestSearchKernel:
                                     unique=True))
         dx = sum(1 << c for c in colors)
         want = oracles.chrono_support(mask, dx, p)
-        assert solver._support(mask, dx, p) == want
         assert solver._support(mask, dx, p, solver._runs(mask, p)) == want
         if mask and dx.bit_count() + mask.bit_count() > p:
             assert want == (1 << p) - 1
