@@ -36,7 +36,7 @@ from .core import (CapacityError, SignedGraph, StructuralMismatchError,
                    UncolorableError, girth_types, switching_equivalent)
 from .indicators import Indicator, ShapeError, z_set
 from .solver import (BudgetExhausted, ChiUndecided, Coloring, SolveBudget,
-                     chi_c, chi_s, verify_coloring)
+                     _validate_coloring, chi_c, chi_s, verify_coloring)
 
 
 class ParseError(ValueError):
@@ -159,6 +159,10 @@ def parse_coloring(text: str, n: int) -> Coloring:
 
 
 def render_coloring(c: Coloring) -> str:
+    """The text parse_coloring reads back.  A coloring whose p or q fails the
+    solver's grid check, or with a color that is not an int (a bool is not
+    one) in 0..p-1, raises ValueError instead of being written."""
+    _validate_coloring(c)
     lines = [f"coloring {c.p}/{c.q}"]
     lines.extend(f"{v} {x}" for v, x in enumerate(c.colors))
     return "\n".join(lines) + "\n"

@@ -121,10 +121,15 @@ class ChiUndecided(Exception):
 @dataclass
 class SolveBudget:
     """Cumulative node budget shared across solver calls: nodes counts the
-    nodes spent, and the node past max_nodes (None: no cap) raises."""
+    nodes spent, and the node past max_nodes (None: no cap) raises.
+    max_nodes must be None or an int, not a bool, that is at least 0."""
 
     max_nodes: int | None = None
     nodes: int = 0
+
+    def __post_init__(self):
+        if self.max_nodes is not None and not (_is_int(self.max_nodes) and self.max_nodes >= 0):
+            raise ValueError(f"max_nodes must be None or an int >= 0, got {self.max_nodes!r}")
 
     def spend(self):
         self.nodes += 1
@@ -141,6 +146,17 @@ def _validate_pq(p: int, q: int):
         raise ValueError(f"need 1 <= q <= p/2, got q={q}, p={p}")
 
 
+def _validate_coloring(c: Coloring, n: int | None = None):
+    """Raise ValueError unless p and q pass _validate_pq, there are n colors
+    (any number when n is None), and each is an int, not a bool, in 0..p-1."""
+    _validate_pq(c.p, c.q)
+    if n is not None and len(c.colors) != n:
+        raise ValueError(f"coloring has {len(c.colors)} entries for {n} vertices")
+    for i, x in enumerate(c.colors):
+        if not (_is_int(x) and 0 <= x < c.p):
+            raise ValueError(f"color {x!r} of vertex {i} out of range for p={c.p}")
+
+
 def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
     """Check a (p,q)-coloring against every edge.
 
@@ -149,12 +165,7 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
     Loops need no special case: a negative loop always passes, a positive
     loop always fails.
     """
-    _validate_pq(c.p, c.q)
-    if len(c.colors) != g.n:
-        raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
-    for i, x in enumerate(c.colors):
-        if not (_is_int(x) and 0 <= x < c.p):
-            raise ValueError(f"color {x!r} of vertex {i} out of range for p={c.p}")
+    _validate_coloring(c, g.n)
     p, q, half = c.p, c.q, c.p // 2
     return all(circle_edge_ok(c.colors[e.u], c.colors[e.v], 0 if e.sign is POS else half, p, q)
                for e in g.edges)
@@ -597,14 +608,35 @@ def _greedy_seed(g: SignedGraph) -> Coloring:
     return seed
 
 
+def _probe(ladder: Sequence[tuple[int, int]], lo: int, hi: int) -> int:
+    """The rung chi_c probes in the open bracket (lo, hi), hi - lo >= 2.
+
+    A rung costs more to decide the larger its p (p colors per vertex), so
+    among the rungs within about a tenth of the span of the index midpoint
+    (those at least w = max(1, 9 * span // 20) from either end) take the
+    least p, then the nearest to the midpoint, then the lower index.  Either
+    verdict removes at least w of the span rungs, so the probe count stays
+    within about 1.16 log2 of the ladder length.
+    """
+    span = hi - lo
+    w = max(1, 9 * span // 20)
+    mid = lo + span // 2
+    return min(range(lo + w, hi - w + 1),
+               key=lambda i: (ladder[i][0], abs(i - mid), i))
+
+
 def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
     """Exact circular chromatic number with witness.
 
     Edgeless graphs get the out-of-band value 1.  A graph whose negation is
     balanced has value exactly 2, witnessed directly from the balancing
-    switching set.  Otherwise the value is found by binary search over the
-    finite candidate ladder, bracketed between 2 (infeasible) and a greedy
-    upper bound (feasible).
+    switching set.  Otherwise the value is found by bisecting the finite
+    candidate ladder, bracketed between 2 (infeasible) and a greedy upper
+    bound (feasible).  Each probe is the rung with the least p near the
+    bracket's index midpoint (_probe), not the midpoint itself; the walk
+    still ends on two adjacent rungs, so the value, the refuted rung and
+    the witness (the search's coloring at the value, or the greedy seed)
+    do not depend on the probe rule.
     """
     if not g.edges:
         return ChiResult(Fraction(1), None, None)
@@ -630,17 +662,17 @@ def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
         raise RuntimeError("internal error: candidate ladder misses its bracket")
     witness = seed
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        p, q = ladder[mid]
+        probe = _probe(ladder, lo, hi)
+        p, q = ladder[probe]
         try:
             found = feasible_pq(g, p, q, budget=budget)
         except BudgetExhausted as exc:
             raise ChiUndecided(EvenRational(p, q), value(lo), value(hi),
                                witness, exc.nodes) from exc
         if found is None:
-            lo = mid
+            lo = probe
         else:
-            hi = mid
+            hi = probe
             witness = found
     if (witness.p, witness.q) != ladder[hi]:
         raise RuntimeError("internal error: witness is not at the reported value")

@@ -11,8 +11,9 @@ oracle_adjacency, oracle_masks), the iterative chronological kernel that
 replaced it, before backjumping (chrono_search, chrono_support), the
 backjumping kernel as it was before a decision became its frame's first
 trail entry and reflection a cut on the picked vertex's colors
-(backjump_search), the greedy seed that read the edge rule off sign bits
-(oracle_greedy_seed), the candidate ladder (oracle_candidate_ladder), the
+(backjump_search), chi_c as it was when it probed its bracket's index
+midpoint (midpoint_chi_c), the greedy seed that read the edge rule off sign
+bits (oracle_greedy_seed), the candidate ladder (oracle_candidate_ladder), the
 rational circle helpers (rational_point, frac_antipode, frac_circ_dist), the
 tight-cycle DFS with its vertex chain (oracle_find_tight_cycle) and the
 Fraction certificate layer (frac_verify_rational, frac_tight_digraph,
@@ -31,8 +32,10 @@ from sgc.arith import EvenRational, _as_fraction, circle_edge_ok, circle_gap, no
 from sgc.certificates import (Arc, CorruptCertificateError, NotRefinableError,
                               RationalColoring, TightCycleCertificate, TightDigraph,
                               find_tight_cycle)
-from sgc.core import NEG, POS, Edge, SignedGraph, degeneracy
-from sgc.solver import Coloring, SolveBudget, _reflect, _runs, _support
+from sgc.core import NEG, POS, Edge, SignedGraph, degeneracy, is_balanced
+from sgc.solver import (BudgetExhausted, ChiResult, ChiUndecided, Coloring, SolveBudget,
+                        _begin, _greedy_seed, _reflect, _runs, _support, candidates,
+                        feasible_pq, verify_coloring)
 
 
 def gap(p: int, x: int, y: int) -> int:
@@ -771,6 +774,59 @@ def backjump_search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], 
         trail = []
         queue.append(v)
         queued[v] = True
+
+
+# solver.chi_c as it was when it probed the index midpoint of its bracket;
+# verbatim apart from its name.
+
+def midpoint_chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
+    """Exact circular chromatic number with witness.
+
+    Edgeless graphs get the out-of-band value 1.  A graph whose negation is
+    balanced has value exactly 2, witnessed directly from the balancing
+    switching set.  Otherwise the value is found by binary search over the
+    finite candidate ladder, bracketed between 2 (infeasible) and a greedy
+    upper bound (feasible).
+    """
+    if not g.edges:
+        return ChiResult(Fraction(1), None, None)
+    budget = _begin(g, budget)
+
+    balanced, sset = is_balanced(g, negate=True)
+    if balanced:
+        colors = tuple(2 if v in sset else 0 for v in range(g.n))
+        witness = Coloring(4, 2, colors)
+        if not verify_coloring(g, witness):
+            raise RuntimeError("internal error: balance witness invalid")
+        return ChiResult(Fraction(2), witness, None)
+
+    seed = _greedy_seed(g)
+    ladder = candidates(g.n, 2, Fraction(seed.p, seed.q))
+
+    def value(i: int) -> Fraction:
+        return Fraction(*ladder[i])
+
+    lo = 0  # value 2: proven infeasible by the balance test above
+    hi = len(ladder) - 1
+    if value(lo) != 2 or value(hi) != Fraction(seed.p, seed.q):
+        raise RuntimeError("internal error: candidate ladder misses its bracket")
+    witness = seed
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        p, q = ladder[mid]
+        try:
+            found = feasible_pq(g, p, q, budget=budget)
+        except BudgetExhausted as exc:
+            raise ChiUndecided(EvenRational(p, q), value(lo), value(hi),
+                               witness, exc.nodes) from exc
+        if found is None:
+            lo = mid
+        else:
+            hi = mid
+            witness = found
+    if (witness.p, witness.q) != ladder[hi]:
+        raise RuntimeError("internal error: witness is not at the reported value")
+    return ChiResult(value(hi), witness, value(lo))
 
 
 def oracle_greedy_seed(g: SignedGraph) -> Coloring:

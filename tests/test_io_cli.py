@@ -86,6 +86,25 @@ class TestParseColoring:
         c = Coloring(p, q, colors)
         assert parse_coloring(render_coloring(c), n) == c
 
+    @pytest.mark.parametrize("c", [
+        Coloring(4, 1, (True, 2.0)),   # a bool and a float
+        Coloring(4, 1, (False, True)),
+        Coloring(4, 1, (7, 1.5)),
+        Coloring(4, 1, (7, 1)),        # out of range
+        Coloring(4, 1, (0, -1)),
+        Coloring(4, 1, (0, "1")),
+        Coloring(3, 1, (0, 1)),        # odd p
+        Coloring(4, 3, (0, 1)),        # q > p/2
+        Coloring(4, 0, (0, 1)),
+        Coloring(4, True, (0, 2)),
+        Coloring(4.0, 1, (0, 2)),
+    ])
+    def test_render_refuses_what_parse_would_reject(self, c):
+        # render_coloring(Coloring(4, 1, (True, 2.0))) used to return
+        # 'coloring 4/1\n0 True\n1 2.0\n'.
+        with pytest.raises(ValueError):
+            render_coloring(c)
+
     def test_vertex_order_in_file_is_free(self):
         c = parse_coloring("coloring 8/3\n1 5\n0 2\n", 2)
         assert c == Coloring(8, 3, (2, 5))
@@ -242,7 +261,7 @@ class TestCliChi:
         assert err == "usage error: --budget must be nonnegative, got -5\n"
         code, out, err = run("chi", src, "--budget", "0")
         assert code == 3
-        assert err.startswith("budget exhausted: chi_c in (8/3, 4]")
+        assert err.startswith("budget exhausted: chi_c in (2, 4], undecided at 6/2")
 
     def test_budget_env(self, run, tmp_path, monkeypatch):
         src = tmp_path / "F.sg"

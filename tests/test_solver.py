@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 import random
@@ -184,6 +185,17 @@ class TestFeasiblePq:
             with pytest.raises(BudgetExhausted) as info:
                 feasible_pq(signed_cycle(6, True), 8, 3, budget=budget)
             assert info.value.nodes == budget.nodes == cap + 1
+
+    @pytest.mark.parametrize("max_nodes", [True, False, -1, 1.0, 2.5, "10"])
+    def test_budget_cap_must_be_a_nonnegative_int(self, max_nodes):
+        # max_nodes=True used to build a budget of 1 node, and -1 one that
+        # refused the first node.
+        with pytest.raises(ValueError, match="max_nodes"):
+            SolveBudget(max_nodes=max_nodes)
+
+    @pytest.mark.parametrize("max_nodes", [None, 0, 1, 10**12])
+    def test_budget_cap_accepts_none_and_nonnegative_ints(self, max_nodes):
+        assert SolveBudget(max_nodes=max_nodes).max_nodes == max_nodes
 
     def test_a_refutation_without_nodes_returns_under_a_zero_cap(self):
         budget = SolveBudget(max_nodes=0)
@@ -375,8 +387,9 @@ class TestSearchKernel:
     def test_first_solution_of_the_chronological_kernel_in_no_more_nodes(
             self, g, pq, closed, data):
         p, q = pq
-        domains = [data.draw(root_domains(p, closed)) for _ in range(g.n)]
         adj = solver._adjacency(g, p, q)
+        assume(all(mask for groups in adj for mask, _ in groups))  # else refuted at set-up
+        domains = [data.draw(root_domains(p, closed)) for _ in range(g.n)]
         want, want_nodes = self._run(oracles.chrono_search, g.n, adj, p, list(domains),
                                      max_nodes=20_000)
         got, got_nodes = self._run(solver._search, g.n, adj, p, list(domains),
@@ -394,9 +407,11 @@ class TestSearchKernel:
         # vertex to colors 0..p/2 while reflection holds, change no step:
         # the same result, or the same exhausted budget, in the same nodes.
         p, q = pq
+        adj = solver._adjacency(g, p, q)
+        # A pair that allows no offset refutes at set-up, before any step.
+        assume(all(mask for groups in adj for mask, _ in groups))
         domains = [data.draw(root_domains(p, closed)) for _ in range(g.n)]
         max_nodes = data.draw(st.integers(1, 2000))
-        adj = solver._adjacency(g, p, q)
         runs = [self._run(lambda *args: search(*args, verdict_only, g._neighbors),
                           g.n, adj, p, list(domains), max_nodes=max_nodes)
                 for search in (oracles.backjump_search, solver._search)]
@@ -855,23 +870,23 @@ class TestChiC:
     # witness at its upper side).  A witness is (p, q, colors).
     SEEDED_GOLDEN = [
         ('4', '11/3', 0, (4, 1, (0, 1, 1, 2, 1, 1, 1, 0, 0, 0, 0, 0))),
-        ('4', '15/4', 27, (4, 1, (0, 0, 2, 1, 1, 0, 1, 2, 0, 0, 1, 0, 0, 2, 2, 1))),
+        ('4', '15/4', 9, (4, 1, (0, 0, 2, 1, 1, 0, 1, 2, 0, 0, 1, 0, 0, 2, 2, 1))),
         ('4', '26/7', 6, (4, 1, (0, 0, 2, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1))),
         ('4', '15/4', 7, (4, 1, (0, 2, 3, 1, 3, 2, 2, 0, 1, 0, 3, 2, 3, 2, 0))),
         ('4', '26/7', 0, (4, 1, (0, 0, 0, 3, 2, 1, 0, 0, 1, 1, 1, 2, 1, 0))),
         ('4', '11/3', 5, (4, 1, (0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0, 3))),
         ('4', '26/7', 0, (4, 1, (1, 1, 0, 1, 0, 0, 2, 0, 3, 2, 2, 1, 1, 0))),
-        ('4', '15/4', 34, (4, 1, (0, 1, 0, 1, 0, 3, 0, 2, 0, 0, 1, 3, 1, 0, 0, 3))),
-        ('(3, 16/5]', '28/9', 301, (16, 5, (0, 0, 3, 3, 8, 5, 8, 1, 10, 5, 14, 15, 3, 4, 6, 3))),
+        ('4', '15/4', 10, (4, 1, (0, 1, 0, 1, 0, 3, 0, 2, 0, 0, 1, 3, 1, 0, 0, 3))),
+        ('(3, 16/5]', '22/7', 301, (16, 5, (0, 0, 3, 3, 8, 5, 8, 1, 10, 5, 14, 15, 3, 4, 6, 3))),
         ('4', '19/5', 13, (4, 1, (0, 0, 1, 0, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 2, 0, 3, 3, 2, 0))),
         ('4', '11/3', 3, (4, 1, (0, 0, 1, 3, 0, 1, 0, 0, 2, 0, 3, 1))),
-        ('6', '11/2', 33, (6, 1, (0, 2, 1, 1, 0, 0, 0, 0, 2, 1, 1, 3, 0))),
+        ('6', '11/2', 20, (6, 1, (0, 2, 1, 1, 0, 0, 0, 0, 2, 1, 1, 3, 0))),
         ('4', '15/4', 10, (4, 1, (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 0, 0, 1))),
         ('4', '34/9', 4, (4, 1, (0, 0, 0, 1, 0, 0, 1, 0, 2, 1, 3, 0, 0, 0, 0, 1, 1))),
         ('4', '34/9', 10, (4, 1, (0, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0))),
         ('4', '11/3', 3, (4, 1, (0, 1, 2, 0, 0, 0, 3, 1, 3, 3, 1, 0))),
         ('4', '15/4', 0, (4, 1, (0, 0, 1, 0, 0, 2, 1, 0, 2, 0, 0, 0, 3, 1, 1))),
-        ('4', '15/4', 27, (4, 1, (0, 1, 1, 0, 1, 3, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1))),
+        ('4', '15/4', 5, (4, 1, (0, 1, 1, 0, 1, 3, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1))),
         ('4', '34/9', 0, (4, 1, (0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 2, 1, 1, 0, 0, 1))),
         ('4', '34/9', 12, (4, 1, (0, 1, 2, 0, 0, 1, 0, 0, 0, 3, 3, 0, 1, 0, 0, 3, 2, 1))),
     ]
@@ -899,6 +914,76 @@ class TestChiC:
         assert res.value == oracles.oracle_chi(g)
         if res.witness is not None:
             assert verify_coloring(g, res.witness)
+
+    @staticmethod
+    def _outcome(solve, g, max_nodes=None):
+        try:
+            return solve(g, budget=SolveBudget(max_nodes=max_nodes))
+        except ChiUndecided as exc:
+            return exc
+
+    @staticmethod
+    def _agree(a, b):
+        # Both walks end on two adjacent rungs of the same ladder, so where
+        # both decide they return the same result; an undecided bracket
+        # holds the other side's value, and two brackets share the value.
+        if isinstance(a, ChiUndecided) and isinstance(b, ChiUndecided):
+            assert max(a.lower, b.lower) < min(a.upper, b.upper)
+        elif isinstance(a, ChiUndecided) or isinstance(b, ChiUndecided):
+            exc, res = (a, b) if isinstance(a, ChiUndecided) else (b, a)
+            assert exc.lower < res.value <= exc.upper
+        else:
+            assert (a.value, a.refuted, a.witness) == (b.value, b.refuted, b.witness)
+
+    @pytest.mark.parametrize("seed, min_n, max_n", [(3, 12, 20), (4, 12, 20), (5, 20, 40)])
+    def test_same_answers_as_the_midpoint_walk_on_seeded_graphs(self, seed, min_n, max_n):
+        decided = 0
+        for g in seeded_multigraphs(seed, 60, min_n, max_n):
+            got = self._outcome(chi_c, g, 300)
+            want = self._outcome(oracles.midpoint_chi_c, g, 300)
+            self._agree(got, want)
+            decided += not isinstance(got, ChiUndecided) and not isinstance(want, ChiUndecided)
+        assert decided >= 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs(max_n=6))
+    def test_same_answers_as_the_midpoint_walk(self, g):
+        self._agree(self._outcome(chi_c, g), self._outcome(oracles.midpoint_chi_c, g))
+
+    @pytest.mark.parametrize("g", [signed_cycle(201, False), signed_cycle(200, True),
+                                   positive_clique(7), wenger_tilde(),
+                                   *seeded_multigraphs(6, 4, 30, 40)],
+                             ids=["C201+", "C200-", "K7", "wenger_tilde", *"abcd"])
+    def test_probes_stay_logarithmic_in_the_ladder(self, g, monkeypatch):
+        # Each probe lies at least 9/20 of the open span from either end, so
+        # the span shrinks by 11/20 or better per probe.
+        probes = []
+
+        def counted(*args, **kwargs):
+            probes.append(args[1:3])
+            return feasible_pq(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "feasible_pq", counted)
+        try:
+            chi_c(g, budget=SolveBudget(max_nodes=5000))
+        except ChiUndecided:
+            pass
+        seed = solver._greedy_seed(g)
+        ladder = candidate_pairs(g.n, 2, Fraction(seed.p, seed.q))
+        assert 0 < len(probes) <= math.ceil(math.log(len(ladder)) / math.log(20 / 11)) + 1
+
+    def test_probe_is_the_cheapest_rung_near_the_midpoint(self):
+        rng = random.Random(0)
+        for span in range(2, 200):
+            ladder = [(2 * rng.randint(1, 40), 1) for _ in range(span + 5)]
+            lo = rng.randint(0, 4)
+            hi = lo + span
+            w = max(1, 9 * span // 20)
+            mid = (lo + hi) // 2
+            window = range(lo + w, hi - w + 1)
+            cheapest = [j for j in window if ladder[j][0] == min(ladder[k][0] for k in window)]
+            nearest = [j for j in cheapest if abs(j - mid) == min(abs(k - mid) for k in cheapest)]
+            assert lo < nearest[0] < hi and solver._probe(ladder, lo, hi) == nearest[0]
 
 
 class TestGreedySeed:
