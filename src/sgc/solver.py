@@ -27,13 +27,16 @@ nothing, so its neighbors are skipped.  Which pairs are adjacent, and with
 which signs, is kept on the graph (SignedGraph._sign_groups), so a probe
 only stamps each sign's window onto it; a pair with both signs allows no
 offset when p < 4q, and feasible_pq refutes such a rung before it builds
-anything else.  Failures back up by conflict-directed backjumping rather
-than chronologically, and while the state is symmetric under c -> -c a
-picked vertex tries only colors 0..p/2, as each color above is the mirror
-of one tried before it; both skip only subtrees without a solution, so the
-first solution found, and hence every witness, is the one the chronological
-search finds, in no more nodes.  A decision is the first entry of its own
-trail, so undo is one loop over the trail.
+anything else.  chi_c reads such a pair as the lower bound 4, which picks
+its first probes (the largest rung below 4, then 4/1); it builds the
+candidate ladder only when 4/1 is refuted, and the greedy seed's coloring
+only when that coloring is needed.  Failures back up by conflict-directed
+backjumping rather than chronologically, and while the state is symmetric
+under c -> -c a picked vertex tries only colors 0..p/2, as each color above
+is the mirror of one tried before it; both skip only subtrees without a
+solution, so the first solution found, and hence every witness, is the one
+the chronological search finds, in no more nodes.  A decision is the first
+entry of its own trail, so undo is one loop over the trail.
 
 Before that search, feasible_pq cuts out the innermost 2-separated pieces
 whose edge list, in any order, occurs at least twice
@@ -582,7 +585,27 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
     return c
 
 
-def _greedy_seed(g: SignedGraph) -> Coloring:
+def _seed_rung(n: int, d: int) -> int:
+    """The p of the greedy seed's rung (p, 1) on n vertices of degeneracy d:
+    U = 2*floor(d/2)+2, or 2n when U is above 2n (_greedy_seed)."""
+    return min(2 * (d // 2) + 2, 2 * n)
+
+
+def _rung_below_four(n: int) -> tuple[int, int]:
+    """The (p, q) of the largest rung below 4 on n >= 2 vertices.
+
+    It is the max over even p <= 2n of p/(p//4 + 1), each p's largest value
+    below 4.  That max is at the largest p = 4k+2 <= 2n: (4k+2)/(k+1) =
+    4 - 2/(k+1) grows with k, and p = 4k gives 4 - 4/(k+1), no more than
+    4 - 2/k from p = 4k-2.  As gcd(2k+1, k+1) = 1, (p, p//4 + 1) is the
+    rung's even-numerator normal form.
+    """
+    p = 2 * n if n % 2 else 2 * n - 2
+    return p, p // 4 + 1
+
+
+def _greedy_seed(g: SignedGraph,
+                 degen: tuple[int, list[int]] | None = None) -> Coloring:
     """A guaranteed coloring: greedy over the reverse elimination order.
 
     At (U,1) with U = 2*floor(d/2)+2 > d, each already-colored neighbor
@@ -591,18 +614,19 @@ def _greedy_seed(g: SignedGraph) -> Coloring:
     vertex meets at most d earlier-colored edge-endpoints, so a color is
     always free.  When parallel edges push U above 2n, the identity-spread
     coloring at (2n,1) works instead (all colors distinct and below p/2).
+    degen is degeneracy(g) when the caller has it already.
     """
-    d, order = degeneracy(g)
-    p = 2 * (d // 2) + 2
-    if p <= 2 * g.n:
+    d, order = degeneracy(g) if degen is None else degen
+    p = _seed_rung(g.n, d)
+    if p > d:  # p is U: U cut to 2n would be at most d
         adj = _adjacency(g, p, 1)
         colors = [-1] * g.n  # -1 until placed
         for v in reversed(order):
             free = _allowed(adj[v], colors, p)
             colors[v] = (free & -free).bit_length() - 1  # lowest free
         seed = Coloring(p, 1, tuple(colors))
-    else:
-        seed = Coloring(2 * g.n, 1, tuple(range(g.n)))
+    else:  # the identity spread at (2n,1)
+        seed = Coloring(p, 1, tuple(range(g.n)))
     if not verify_coloring(g, seed):
         raise RuntimeError("internal error: seed coloring invalid")
     return seed
@@ -637,28 +661,57 @@ def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
     still ends on two adjacent rungs, so the value, the refuted rung and
     the witness (the search's coloring at the value, or the greedy seed)
     do not depend on the probe rule.
+
+    A pair with both signs bounds the value below by 4, and a graph with
+    one is never balanced under negation, so there the bound picks the
+    first probes and the balance test is skipped.  The largest rung below 4
+    (_rung_below_four) is refuted at set-up.  If the seed's rung, read off
+    the degeneracy as _greedy_seed derives it, is 4, the greedy seed is the
+    witness; otherwise 4/1 is probed, and a coloring there is the witness.
+    Only a refuted 4/1 builds the ladder, over (4, seed], and only it or an
+    exhausted budget colors the seed.  The walk ends on the same two
+    adjacent rungs as from 2, so the answers are the same.
     """
     if not g.edges:
         return ChiResult(Fraction(1), None, None)
     budget = _begin(g, budget)
 
-    balanced, sset = is_balanced(g, negate=True)
-    if balanced:
-        colors = tuple(2 if v in sset else 0 for v in range(g.n))
-        witness = Coloring(4, 2, colors)
-        if not verify_coloring(g, witness):
-            raise RuntimeError("internal error: balance witness invalid")
-        return ChiResult(Fraction(2), witness, None)
-
-    seed = _greedy_seed(g)
-    ladder = candidates(g.n, 2, Fraction(seed.p, seed.q))
+    if 3 in g._sign_kinds:
+        below = _rung_below_four(g.n)
+        if feasible_pq(g, *below, budget=budget) is not None:
+            raise RuntimeError("internal error: a rung below 4 colored a pair with both signs")
+        lower = Fraction(*below)
+        degen = degeneracy(g)
+        top = _seed_rung(g.n, degen[0])
+        if top == 4:
+            return ChiResult(Fraction(4), _greedy_seed(g, degen), lower)
+        try:
+            found = feasible_pq(g, 4, 1, budget=budget)
+        except BudgetExhausted as exc:
+            raise ChiUndecided(EvenRational(4, 1), lower, Fraction(top),
+                               _greedy_seed(g, degen), exc.nodes) from exc
+        if found is not None:
+            return ChiResult(Fraction(4), found, lower)
+        seed = _greedy_seed(g, degen)
+        bottom = Fraction(4)  # refuted just now
+    else:
+        balanced, sset = is_balanced(g, negate=True)
+        if balanced:
+            colors = tuple(2 if v in sset else 0 for v in range(g.n))
+            witness = Coloring(4, 2, colors)
+            if not verify_coloring(g, witness):
+                raise RuntimeError("internal error: balance witness invalid")
+            return ChiResult(Fraction(2), witness, None)
+        seed = _greedy_seed(g)
+        bottom = Fraction(2)  # proven infeasible by the balance test
+    ladder = candidates(g.n, bottom, Fraction(seed.p, seed.q))
 
     def value(i: int) -> Fraction:
         return Fraction(*ladder[i])
 
-    lo = 0  # value 2: proven infeasible by the balance test above
+    lo = 0  # value bottom: proven infeasible above
     hi = len(ladder) - 1
-    if value(lo) != 2 or value(hi) != Fraction(seed.p, seed.q):
+    if value(lo) != bottom or value(hi) != Fraction(seed.p, seed.q):
         raise RuntimeError("internal error: candidate ladder misses its bracket")
     witness = seed
     while hi - lo > 1:

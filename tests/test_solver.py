@@ -19,7 +19,7 @@ from gen import gadget_compositions, grids, seeded_multigraphs, signed_graphs
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sgc import solver
-from sgc.arith import candidate_pairs, normalize_even
+from sgc.arith import EvenRational, candidate_pairs, normalize_even
 from sgc.constructions import (big_gamma, circular_clique_signed, k4_omega,
                                positive_clique, signed_cycle, wenger_tilde)
 from sgc.core import (NEG, POS, CapacityError, Edge, SignedGraph, UncolorableError,
@@ -416,6 +416,20 @@ class TestSearchKernel:
                           g.n, adj, p, list(domains), max_nodes=max_nodes)
                 for search in (oracles.backjump_search, solver._search)]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("verdict_only", [False, True])
+    def test_same_trace_as_the_backjumping_kernel_on_a_pinned_refutation(self, verdict_only):
+        # A positive triangle 1, 2, 3 with vertex 0 hung on 2, at 8/3 < 3.
+        # The rotation pin puts 0 at 0, and 2 is left {3, 4, 5}, closed
+        # under c -> -c, so its first pick tries 3 and 4 only: 2 nodes.
+        # Trying the mirror color 5 as well costs a third.  The random
+        # draws above rarely back up at such a state, so this case is fixed.
+        g = sg(4, [(0, 2, POS), (1, 2, POS), (2, 3, POS), (1, 3, POS)])
+        adj = solver._adjacency(g, 8, 3)
+        runs = [self._run(lambda *args: search(*args, verdict_only, g._neighbors),
+                          4, adj, 8, [255] * 4, max_nodes=100)
+                for search in (oracles.backjump_search, solver._search)]
+        assert runs[0] == runs[1] == (None, 2)
 
     def test_same_trace_as_the_backjumping_kernel_at_tight_rungs(self):
         # Random simple graphs at their value and at the rung refuted below
@@ -971,6 +985,92 @@ class TestChiC:
         seed = solver._greedy_seed(g)
         ladder = candidate_pairs(g.n, 2, Fraction(seed.p, seed.q))
         assert 0 < len(probes) <= math.ceil(math.log(len(ladder)) / math.log(20 / 11)) + 1
+
+    @staticmethod
+    def _digon_probes(monkeypatch):
+        """The (p, q) of each feasible_pq call chi_c makes from now on; the
+        ladder, if built, raises."""
+        def no_ladder(*args):
+            raise AssertionError("chi_c built the candidate ladder")
+
+        calls = []
+
+        def counted(g, p, q, **kwargs):
+            calls.append((p, q))
+            return feasible_pq(g, p, q, **kwargs)
+
+        monkeypatch.setattr(solver, "candidates", no_ladder)
+        monkeypatch.setattr(solver, "feasible_pq", counted)
+        return calls
+
+    @pytest.mark.parametrize("g, below", [
+        (DIGON, (2, 1)),
+        (sg(4, [(0, 1, POS), (0, 1, NEG), (1, 2, POS), (2, 3, NEG)]), (6, 2)),
+        (sg(1999, [(0, 1, POS), (0, 1, NEG)]), (3998, 1000)),
+    ], ids=["digon", "digon_path", "digon_and_1997_isolated"])
+    def test_digon_with_seed_rung_four_refutes_one_rung(self, g, below, monkeypatch):
+        # The rung below 4 is refuted at set-up; the greedy seed at 4/1 is
+        # the witness, with no search and no ladder (which has O(n^2)
+        # rungs on 1,999 vertices).
+        calls = self._digon_probes(monkeypatch)
+        res = chi_c(g, budget=SolveBudget(max_nodes=0))
+        assert calls == [below]
+        assert (res.value, res.refuted) == (4, Fraction(*below))
+        assert res.witness == solver._greedy_seed(g)
+
+    def test_digon_colored_at_four_makes_two_calls(self, monkeypatch):
+        # The positive octahedron K_{2,2,2} (degeneracy 4, seed rung 6)
+        # with a negative edge doubling 0-2: its value is 4, and the
+        # canonical coloring at 4/1 is the witness.
+        pairs = [(a, b) for a, b in itertools.combinations(range(6), 2) if b != a + 1 or a % 2]
+        g = sg(6, [(a, b, POS) for a, b in pairs] + [(0, 2, NEG)])
+        assert solver._greedy_seed(g).p == 6
+        calls = self._digon_probes(monkeypatch)
+        res = chi_c(g)
+        assert calls == [(10, 3), (4, 1)]
+        assert (res.value, res.refuted) == (4, Fraction(10, 3))
+        assert res.witness == feasible_pq(g, 4, 1)
+
+    @pytest.mark.parametrize("g, value, refuted", [
+        # positive K5 plus a disjoint digon: 4/1 refuted, the walk over (4, 6]
+        (sg(7, K4 + [(a, 4, POS) for a in range(4)] + [(5, 6, POS), (5, 6, NEG)]), 5,
+         Fraction(14, 3)),
+        # positive K5 with its edge 0-1 doubled by a negative one
+        (sg(5, K4 + [(a, 4, POS) for a in range(4)] + [(0, 1, NEG)]), 5, 4),
+    ], ids=["K5_and_digon", "K5_with_digon"])
+    def test_digon_refuted_at_four_walks_the_ladder_above(self, g, value, refuted):
+        res = chi_c(g)
+        assert (res.value, res.refuted) == (value, refuted)
+        self._agree(res, oracles.midpoint_chi_c(g))
+
+    def test_digon_undecided_at_four_keeps_the_bound(self):
+        # K6 with a negative edge doubling 0-1: the 4/1 probe needs a node.
+        g = sg(6, [(a, b, POS) for a, b in itertools.combinations(range(6), 2)] + [(0, 1, NEG)])
+        with pytest.raises(ChiUndecided) as exc:
+            chi_c(g, budget=SolveBudget(max_nodes=0))
+        err = exc.value
+        assert (err.undecided, err.lower, err.upper) == (EvenRational(4, 1), Fraction(10, 3), 6)
+        assert err.witness == solver._greedy_seed(g) and verify_coloring(g, err.witness)
+        self._agree(err, oracles.midpoint_chi_c(g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs(min_n=2, max_n=7, max_m=12), st.data())
+    def test_graphs_with_a_digon_get_the_midpoint_walks_answers(self, g, data):
+        a = data.draw(st.integers(0, g.n - 1))
+        b = data.draw(st.integers(0, g.n - 1).filter(lambda b: b != a))
+        g = SignedGraph(g.n, g.edges + (Edge(a, b, POS), Edge(a, b, NEG)))
+        max_nodes = data.draw(st.one_of(st.none(), st.integers(0, 30)))
+        got = self._outcome(chi_c, g, max_nodes)
+        self._agree(got, self._outcome(oracles.midpoint_chi_c, g, max_nodes))
+        if not isinstance(got, ChiUndecided):
+            assert got.value >= 4 and verify_coloring(g, got.witness)
+
+    def test_rung_below_four_is_the_ladders(self):
+        for n in range(2, 60):
+            below = solver._rung_below_four(n)
+            ladder = candidate_pairs(n, 2, 4)
+            assert ladder[-1] == (4, 1) and ladder[-2] == below
+            assert Fraction(*below) == max(Fraction(p, p // 4 + 1) for p in range(2, 2 * n + 1, 2))
 
     def test_probe_is_the_cheapest_rung_near_the_midpoint(self):
         rng = random.Random(0)
