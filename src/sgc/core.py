@@ -253,16 +253,15 @@ def _lift_bfs(g: SignedGraph, labels: list[int],
     return reached
 
 
-def _blocks(nbrs: Sequence[Sequence[int]], keep: list[bool]) -> list[list[int]]:
+def _blocks(nbrs: Sequence[Sequence[int]]) -> list[list[int]]:
     """Vertex lists of the blocks (2-connected pieces and bridges) of the
-    simple graph nbrs induced on the vertices v with keep[v]: Hopcroft-Tarjan,
-    by an explicit stack."""
+    simple graph nbrs: Hopcroft-Tarjan, by an explicit stack."""
     index = [-1] * len(nbrs)
     low = index[:]
     count = 0
     blocks = []
-    for root, kept in enumerate(keep):
-        if not kept or index[root] >= 0:
+    for root in range(len(nbrs)):
+        if index[root] >= 0:
             continue
         index[root] = low[root] = count
         count += 1
@@ -270,16 +269,15 @@ def _blocks(nbrs: Sequence[Sequence[int]], keep: list[bool]) -> list[list[int]]:
         while dfs:
             v, it = dfs[-1]
             for w in it:
-                if keep[w]:
-                    iw = index[w]
-                    if iw < 0:
-                        index[w] = low[w] = count
-                        count += 1
-                        stack.append(w)
-                        dfs.append((w, iter(nbrs[w])))
-                        break
-                    if iw < low[v]:
-                        low[v] = iw
+                iw = index[w]
+                if iw < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    dfs.append((w, iter(nbrs[w])))
+                    break
+                if iw < low[v]:
+                    low[v] = iw
             else:
                 dfs.pop()
                 if dfs:
@@ -294,13 +292,87 @@ def _blocks(nbrs: Sequence[Sequence[int]], keep: list[bool]) -> list[list[int]]:
     return blocks
 
 
+def _separation_pairs(nbrs: Sequence[Sequence[int]], block: list[int],
+                      inside: set[int]) -> set[tuple[int, int]]:
+    """The vertex pairs (ascending) whose removal disconnects the 2-connected
+    block of nbrs on the vertices inside, read off one depth-first tree
+    (Hopcroft & Tarjan 1973).
+
+    Number the vertices in preorder.  In a separating pair {a, b}, a is a
+    proper ancestor of b, and the block less a and b falls into U (all
+    outside a's subtree and a's other child subtrees: empty iff a is the
+    root), W (the subtree of a's child toward b less b's subtree: empty iff
+    a is b's parent) and S_d for each child d of b.  With lo and hi the
+    least frond target from d's subtree and the highest one above b, S_d
+    reaches U iff lo < a and W iff a < hi, and W reaches U iff a frond from
+    W lands above a; no other edge joins two parts.  So {a, b} splits the
+    block iff some S_d has lo = hi = a while another part is non-empty, or
+    U and W are non-empty, no frond from W lands above a and no S_d reaches
+    both.  One DFS finds lo and hi, and each b then walks its ancestors:
+    O(n + m) plus O(sum of depths) steps, O(n^2) at worst.
+    """
+    num = {block[0]: 0}
+    order, parent, own, latest, kids = [block[0]], [-1], [0], [-1], [[]]
+    dfs = [(0, iter(nbrs[block[0]]))]
+    while dfs:
+        v, it = dfs[-1]
+        for w in it:
+            if w not in inside:
+                continue
+            t = num.get(w)
+            if t is None:
+                num[w] = t = len(order)
+                order.append(w)
+                parent.append(v)
+                own.append(t)  # the least frond target from t itself, so far
+                latest.append(-1)  # the last vertex a frond into t came from
+                kids.append([])  # (lo, hi, child) per child of t
+                dfs.append((t, iter(nbrs[w])))
+                break
+            if t < v and t != parent[v]:  # a frond from v up to t
+                latest[t] = v
+                if t < own[v]:
+                    own[v] = t
+        else:
+            dfs.pop()
+            b = parent[v]
+            if b > 0:
+                hi = parent[b]  # a frond into hi came from v's subtree iff latest[hi] >= v
+                while latest[hi] < v:
+                    hi = parent[hi]
+                kids[b].append((min([own[v]] + [k[0] for k in kids[v]]), hi, v))
+    # side[x]: the least frond target from x's parent and its other child subtrees
+    side = [0] * len(order)
+    for c, spans in enumerate(kids):
+        spans.sort()
+        for _, _, x in spans:
+            side[x] = min([own[c]] + [lo for lo, _, d in spans[:2] if d != x])
+    pairs = set()
+    for b in range(1, len(order)):
+        spans = kids[b]
+        for lo, hi, _ in spans:
+            if lo == hi and (lo or lo != parent[b] or len(spans) > 1):  # U, W or another S_d
+                pairs.add((min(order[lo], order[b]), max(order[lo], order[b])))
+        x, low_w, a = b, b, parent[parent[b]]  # low_w: the least frond target from W
+        while a > 0:
+            if side[x] < low_w:
+                low_w = side[x]
+            if low_w >= a and not any(lo < a < hi for lo, hi, _ in spans):
+                pairs.add((min(order[a], order[b]), max(order[a], order[b])))
+            x, a = parent[x], parent[a]
+    return pairs
+
+
 def _repeated_pieces(g: SignedGraph):
     """The 2-separated pieces of g that occur at least twice, and g without them.
 
     A separation pair {a, b} is sought only inside a block whose vertices
     all have at least three neighbors in the block (b must cut the block
     once a is gone), so a single vertex with two neighbors in a block (an
-    ear) turns the cut off for that whole block.
+    ear) turns the cut off for that whole block.  Each such block's pairs
+    come from one depth-first search of it (_separation_pairs): one pass
+    over its edges plus O(sum of tree depths) integer steps, so O(n^2) at
+    worst, with no factor of m.
     Each component of g - {a, b} touching both a and b is a piece; its key
     is its sorted list of edges (u, v, '+' or '-') with a, b relabelled 0,
     1 and its other vertices 2, 3, ... in ascending order (edges between a
@@ -321,22 +393,11 @@ def _repeated_pieces(g: SignedGraph):
     nbrs = g._neighbors
     nbr_sets = [set(ws) for ws in nbrs]
     pieces = []  # (a, b, internal vertices, key)
-    for block in _blocks(nbrs, [True] * g.n):
+    for block in _blocks(nbrs):
         inside = set(block)
         if len(block) < 4 or any(len(nbr_sets[x] & inside) < 3 for x in block):
             continue
-        keep = [False] * g.n
-        for x in block:
-            keep[x] = True
-        pairs = set()
-        for a in block:
-            keep[a] = False
-            seen: set[int] = set()
-            for sub in _blocks(nbrs, keep):
-                pairs.update((min(a, b), max(a, b)) for b in sub if b in seen)
-                seen.update(sub)
-            keep[a] = True
-        for a, b in sorted(pairs):
+        for a, b in sorted(_separation_pairs(nbrs, block, inside)):
             done = {a, b}
             for start in nbrs[a]:
                 if start in done:

@@ -74,6 +74,35 @@ def gadget_compositions(draw):
     return replace_edges(host, ind, ind_neg)
 
 
+@st.composite
+def necklaces(draw):
+    """A ring of 2..6 beads, each K4 less the edge between its two ends,
+    with random signs and the vertices relabelled at random.  Any two bead
+    ends are a separation pair, and beads with the same signs and the same
+    relative numbering are repeated pieces."""
+    k = draw(st.integers(2, 6))
+    triples = []
+    for i in range(k):
+        a, x, y, b = 3 * i, 3 * i + 1, 3 * i + 2, 3 * (i + 1) % (3 * k)
+        for u, v in ((a, x), (a, y), (x, y), (x, b), (y, b)):
+            triples.append((u, v, draw(st.sampled_from((POS, NEG)))))
+    perm = draw(st.permutations(range(3 * k)))
+    return SignedGraph.from_triples(3 * k, [(perm[u], perm[v], s) for u, v, s in triples])
+
+
+def prism(k):
+    """C_k x K2, all edges positive: the cycles 0..k-1 and k..2k-1 and the
+    rungs (i, k + i).  It is 3-connected, so it has no separation pair."""
+    return SignedGraph.from_triples(2 * k, [
+        edge for i in range(k)
+        for edge in ((i, (i + 1) % k, POS), (k + i, k + (i + 1) % k, POS), (i, k + i, POS))])
+
+
+def prisms():
+    """prism(k) for k = 3..12."""
+    return st.integers(3, 12).map(prism)
+
+
 def grids(max_p=8):
     """(p, q) integer grids with even p and 2q <= p."""
     return st.integers(1, max_p // 2).flatmap(

@@ -13,7 +13,9 @@ backjumping kernel as it was before a decision became its frame's first
 trail entry and reflection a cut on the picked vertex's colors
 (backjump_search), chi_c as it was when it probed its bracket's index
 midpoint (midpoint_chi_c), the greedy seed that read the edge rule off sign
-bits (oracle_greedy_seed), the candidate ladder (oracle_candidate_ladder), the
+bits (oracle_greedy_seed), the repeated-piece cut as it was when it found
+separation pairs by one block search per vertex (oracle_blocks,
+oracle_repeated_pieces), the candidate ladder (oracle_candidate_ladder), the
 rational circle helpers (rational_point, frac_antipode, frac_circ_dist), the
 tight-cycle DFS with its vertex chain (oracle_find_tight_cycle) and the
 Fraction certificate layer (frac_verify_rational, frac_tight_digraph,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -854,6 +856,130 @@ def oracle_greedy_seed(g: SignedGraph) -> Coloring:
         colors[v] = (~forbidden & (forbidden + 1)).bit_length() - 1  # lowest free
         placed[v] = True
     return Coloring(p, 1, tuple(colors))
+
+
+# core._blocks and core._repeated_pieces as they were when a block's
+# separation pairs came from one block search per vertex; verbatim apart
+# from the oracle prefix on their names.
+
+def oracle_blocks(nbrs: Sequence[Sequence[int]], keep: list[bool]) -> list[list[int]]:
+    """Vertex lists of the blocks (2-connected pieces and bridges) of the
+    simple graph nbrs induced on the vertices v with keep[v]: Hopcroft-Tarjan,
+    by an explicit stack."""
+    index = [-1] * len(nbrs)
+    low = index[:]
+    count = 0
+    blocks = []
+    for root, kept in enumerate(keep):
+        if not kept or index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack, dfs = [root], [(root, iter(nbrs[root]))]
+        while dfs:
+            v, it = dfs[-1]
+            for w in it:
+                if keep[w]:
+                    iw = index[w]
+                    if iw < 0:
+                        index[w] = low[w] = count
+                        count += 1
+                        stack.append(w)
+                        dfs.append((w, iter(nbrs[w])))
+                        break
+                    if iw < low[v]:
+                        low[v] = iw
+            else:
+                dfs.pop()
+                if dfs:
+                    u = dfs[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= index[u]:  # u cuts v's subtree off: one block
+                        block = [u]
+                        while block[-1] != v:
+                            block.append(stack.pop())
+                        blocks.append(block)
+    return blocks
+
+
+def oracle_repeated_pieces(g: SignedGraph):
+    """The 2-separated pieces of g that occur at least twice, and g without them.
+
+    A separation pair {a, b} is sought only inside a block whose vertices
+    all have at least three neighbors in the block (b must cut the block
+    once a is gone), so a single vertex with two neighbors in a block (an
+    ear) turns the cut off for that whole block.
+    Each component of g - {a, b} touching both a and b is a piece; its key
+    is its sorted list of edges (u, v, '+' or '-') with a, b relabelled 0,
+    1 and its other vertices 2, 3, ... in ascending order (edges between a
+    and b stay outside).  So the key does not depend on the order of
+    g.edges, but two copies of a piece share it only when their internal
+    vertices are numbered in the same relative order.
+    Of the pieces whose key occurs at least twice, the innermost are cut
+    out: those with no internal vertex that is a terminal of another such
+    piece.  So no cut piece holds another's terminal, and each keeps both
+    of its own.  Returns None when none is cut, or (quotient, kept,
+    terminals, graphs): the quotient is g on the kept vertices (relabelled
+    by ascending index into kept), graphs holds one relabelled graph per
+    key, and terminals lists (a, b, key index) in quotient labels for each
+    cut piece.
+
+    This depends on g alone: SignedGraph._pieces computes it once per graph.
+    """
+    nbrs = g._neighbors
+    nbr_sets = [set(ws) for ws in nbrs]
+    pieces = []  # (a, b, internal vertices, key)
+    for block in oracle_blocks(nbrs, [True] * g.n):
+        inside = set(block)
+        if len(block) < 4 or any(len(nbr_sets[x] & inside) < 3 for x in block):
+            continue
+        keep = [False] * g.n
+        for x in block:
+            keep[x] = True
+        pairs = set()
+        for a in block:
+            keep[a] = False
+            seen: set[int] = set()
+            for sub in oracle_blocks(nbrs, keep):
+                pairs.update((min(a, b), max(a, b)) for b in sub if b in seen)
+                seen.update(sub)
+            keep[a] = True
+        for a, b in sorted(pairs):
+            done = {a, b}
+            for start in nbrs[a]:
+                if start in done:
+                    continue
+                comp, todo = {start}, [start]
+                while todo:
+                    for w in nbrs[todo.pop()]:
+                        if w not in comp and w != a and w != b:
+                            comp.add(w)
+                            todo.append(w)
+                done |= comp
+                if nbr_sets[b] & comp:
+                    label = {a: 0, b: 1}
+                    label.update((w, i) for i, w in enumerate(sorted(comp), 2))
+                    key = (len(label), tuple(sorted(
+                        (min(label[e.u], label[e.v]), max(label[e.u], label[e.v]), e.sign.symbol)
+                        for e in g.edges if e.u in comp or e.v in comp)))
+                    pieces.append((a, b, comp, key))
+    counts = Counter(key for *_, key in pieces)
+    repeated = [piece for piece in pieces if counts[piece[3]] > 1]
+    ends = {x for a, b, _, _ in repeated for x in (a, b)}
+    cut = [piece for piece in repeated if not ends & piece[2]]  # the innermost
+    if not cut:
+        return None
+    gone = set().union(*(comp for _, _, comp, _ in cut))
+    kept = tuple(v for v in range(g.n) if v not in gone)
+    label = {v: i for i, v in enumerate(kept)}
+    keys: dict[tuple, int] = {}
+    terminals = tuple((label[a], label[b], keys.setdefault(key, len(keys)))
+                      for a, b, _, key in cut)
+    quotient = SignedGraph(len(kept), tuple(
+        Edge(label[e.u], label[e.v], e.sign) for e in g.edges if e.u in label and e.v in label))
+    graphs = tuple(SignedGraph.from_triples(n, triples) for n, triples in keys)
+    return quotient, kept, terminals, graphs
 
 
 # find_tight_cycle as it was before its DFS kept a single arc path;

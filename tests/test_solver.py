@@ -15,10 +15,11 @@ from pathlib import Path
 
 import oracles
 import pytest
-from gen import gadget_compositions, grids, seeded_multigraphs, signed_graphs
+from gen import (gadget_compositions, grids, necklaces, prism, prisms, seeded_multigraphs,
+                 signed_graphs)
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from sgc import solver
+from sgc import core, solver
 from sgc.arith import EvenRational, candidate_pairs, normalize_even
 from sgc.constructions import (big_gamma, circular_clique_signed, k4_omega,
                                positive_clique, signed_cycle, wenger_tilde)
@@ -830,6 +831,43 @@ class TestRepeatedPieces:
             assume(False)
         got = feasible_pq(g, p, q, pins=pins)
         assert (None if got is None else list(got.colors)) == want
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(st.one_of(signed_graphs(min_n=4, max_n=10, min_m=6, max_m=30),
+                     gadget_compositions(), necklaces(), prisms()))
+    def test_same_pieces_as_one_block_search_per_vertex(self, g):
+        # One DFS tree per block gives the separation pairs that removing
+        # each vertex in turn and looking for a cut vertex gave.
+        assert core._repeated_pieces(g) == oracles.oracle_repeated_pieces(g)
+
+    @pytest.mark.parametrize("case", ["as built", "relabelled", "with an ear"])
+    def test_k4_omega_has_the_pieces_of_one_block_search_per_vertex(self, case):
+        g = k4_omega()
+        if case == "relabelled":
+            perm = random.Random(1).sample(range(g.n), g.n)
+            g = SignedGraph(g.n, tuple(Edge(perm[e.u], perm[e.v], e.sign) for e in g.edges))
+        elif case == "with an ear":
+            g = SignedGraph(g.n + 1, g.edges + (Edge(0, g.n, POS), Edge(1, g.n, POS)))
+        assert core._repeated_pieces(g) == oracles.oracle_repeated_pieces(g)
+
+    def test_k4_omega_takes_one_block_search(self, monkeypatch):
+        # Its separation pairs come from a DFS of each block, not from one
+        # block search with each of its 124 vertices removed.
+        calls = []
+        blocks = core._blocks
+
+        def counted(*args):
+            calls.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(core, "_blocks", counted)
+        assert k4_omega()._pieces is not None
+        assert len(calls) == 1
+
+    def test_a_2000_vertex_prism_has_no_pieces(self):
+        # The DFS tree of its one block is deeper than the recursion limit.
+        assert prism(1000)._pieces is None
 
 
 class TestChiC:
