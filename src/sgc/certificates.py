@@ -28,7 +28,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .arith import circle_gap
 from .core import POS, Edge, SignedGraph
 from .solver import Coloring
 
@@ -57,7 +56,9 @@ class RationalColoring:
         if not (type(r) is Fraction or isinstance(r, Fraction)) or r.numerator <= 0:
             raise ValueError(f"circumference must be a positive Fraction, got {r!r}")
         r_num, r_den = r.numerator, r.denominator
-        for v, x in enumerate(self.colors):
+        colors = tuple(self.colors)  # a caller's list must not change the coloring later
+        object.__setattr__(self, "colors", colors)
+        for v, x in enumerate(colors):
             if (not (type(x) is Fraction or isinstance(x, Fraction))
                     or x.numerator < 0 or x.numerator * r_den >= r_num * x.denominator):
                 raise ValueError(f"vertex {v}: point {x!r} not in [0, {r})")
@@ -100,7 +101,7 @@ def _gap(e: Edge, xs: Sequence[int], big_r: int) -> int:
     step (u, v) is tight iff gap == D, and the step (v, u), whose gap is
     R - gap, iff gap == R - D.
     """
-    return circle_gap(xs[e.v], xs[e.u], 0 if e.sign is POS else big_r // 2, big_r)
+    return (xs[e.v] - xs[e.u] - (0 if e.sign is POS else big_r // 2)) % big_r
 
 
 def _edge_gaps(g: SignedGraph, c: RationalColoring
@@ -110,9 +111,12 @@ def _edge_gaps(g: SignedGraph, c: RationalColoring
     if len(c.colors) != g.n:
         raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
     d, big_r, xs = _grid(c)
-    gaps = [_gap(e, xs, big_r) for e in g.edges]
-    top = big_r - d
-    return (d, big_r, xs, gaps) if all(d <= gap <= top for gap in gaps) else None
+    half = big_r // 2
+    gaps = [(xs[v] - xs[u] - (0 if sign is POS else half)) % big_r  # _gap, inline
+            for u, v, sign in g.edges]
+    if gaps and (min(gaps) < d or max(gaps) > big_r - d):
+        return None
+    return d, big_r, xs, gaps
 
 
 def _tight_steps(e: Edge, idx: int, gap: int, d: int, big_r: int) -> list[Arc]:
@@ -131,8 +135,9 @@ def _tight_grid(g: SignedGraph, c: RationalColoring
     if grid is None:
         raise ValueError("coloring does not verify; tight digraph undefined")
     d, big_r, _, gaps = grid
-    return grid, tuple(arc for idx, (e, gap) in enumerate(zip(g.edges, gaps))
-                       for arc in _tight_steps(e, idx, gap, d, big_r))
+    top = big_r - d
+    return grid, tuple(arc for idx, gap in enumerate(gaps) if gap == d or gap == top
+                       for arc in _tight_steps(g.edges[idx], idx, gap, d, big_r))
 
 
 def verify_rational(g: SignedGraph, c: RationalColoring) -> bool:
@@ -304,7 +309,7 @@ def refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
 
     # A negative loop's gap is R/2, so its slack R/2 - D needs no special case.
     # Dividing by 1 + eps, eps = slack/(2D), takes grid point X to 2X/(2D + slack).
-    slack = min(min(gap, big_r - gap) for gap in gaps) - d
+    slack = min(min(gaps), big_r - max(gaps)) - d
     if slack <= 0:
         raise RuntimeError("internal error: zero slack after clearing all tight steps")
     den = 2 * d + slack

@@ -80,7 +80,16 @@ class SignedGraph:
             raise ValueError(f"vertex count {self.n!r} is not an int")
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
-        for idx, e in enumerate(self.edges):
+        n, edges = self.n, tuple(self.edges)  # a caller's list must not change the graph later
+        object.__setattr__(self, "edges", edges)
+        for idx, e in enumerate(edges):
+            if type(e) is Edge:  # the common case, checked without helper calls
+                u, v, sign = e
+                if (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n
+                        and (sign is POS or sign is NEG)):
+                    continue
+            elif not isinstance(e, Edge):
+                raise ValueError(f"edge {idx} is {e!r}, not an Edge")
             if not (_is_int(e.u) and _is_int(e.v)):
                 raise ValueError(f"edge {idx} endpoints {e.u!r},{e.v!r} are not both ints")
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
@@ -110,9 +119,9 @@ class SignedGraph:
     def degrees(self) -> list[int]:
         """Edge-multiplicity degrees; a loop contributes 2 to its vertex."""
         deg = [0] * self.n
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
+        for u, v, _ in self.edges:
+            deg[u] += 1
+            deg[v] += 1
         return deg
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
@@ -142,10 +151,10 @@ class SignedGraph:
         signs is set when a positive edge joins the pair, bit 1 when a
         negative one does.  Loops are left out."""
         signs: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            if e.u != e.v:
-                key = (min(e.u, e.v), max(e.u, e.v))
-                signs[key] = signs.get(key, 0) | (1 if e.sign is POS else 2)
+        for u, v, sign in self.edges:
+            if u != v:
+                key = (u, v) if u < v else (v, u)
+                signs[key] = signs.get(key, 0) | (1 if sign is POS else 2)
         return tuple((a, b, s) for (a, b), s in sorted(signs.items()))
 
     @cached_property
@@ -176,16 +185,16 @@ class SignedGraph:
     def _adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """adjacency() as tuples, computed on first use and kept."""
         adj = [[] for _ in range(self.n)]
-        for idx, e in enumerate(self.edges):
-            adj[e.u].append((e.v, idx))
-            if e.u != e.v:
-                adj[e.v].append((e.u, idx))
+        for idx, (u, v, _) in enumerate(self.edges):
+            adj[u].append((v, idx))
+            if u != v:
+                adj[v].append((u, idx))
         return tuple(map(tuple, adj))
 
     @cached_property
     def _positive_loop(self) -> bool:
         """Whether a positive loop is present, computed on first use and kept."""
-        return any(e.is_loop and e.sign is POS for e in self.edges)
+        return any(u == v and sign is POS for u, v, sign in self.edges)
 
     @cached_property
     def _pieces(self):
@@ -202,8 +211,8 @@ def _group(n: int, labelled_pairs: Iterable[tuple[int, int, int]]) -> tuple:
     for a, b, label in labelled_pairs:
         groups[a].setdefault(label, []).append(b)
         groups[b].setdefault(label, []).append(a)
-    return tuple(tuple((label, tuple(ws)) for label, ws in by_label.items())
-                 for by_label in groups)
+    return tuple([tuple([(label, tuple(ws)) for label, ws in by_label.items()])
+                  for by_label in groups])
 
 
 def switch(g: SignedGraph, s: Iterable[int]) -> SignedGraph:
@@ -391,11 +400,12 @@ def _repeated_pieces(g: SignedGraph):
     This depends on g alone: SignedGraph._pieces computes it once per graph.
     """
     nbrs = g._neighbors
-    nbr_sets = [set(ws) for ws in nbrs]
     pieces = []  # (a, b, internal vertices, key)
-    for block in _blocks(nbrs):
+    for block in _blocks(nbrs):  # the cheap tests first: most blocks fail one
+        if len(block) < 4 or any(len(nbrs[x]) < 3 for x in block):
+            continue
         inside = set(block)
-        if len(block) < 4 or any(len(nbr_sets[x] & inside) < 3 for x in block):
+        if any(len(inside.intersection(nbrs[x])) < 3 for x in block):
             continue
         for a, b in sorted(_separation_pairs(nbrs, block, inside)):
             done = {a, b}
@@ -409,7 +419,7 @@ def _repeated_pieces(g: SignedGraph):
                             comp.add(w)
                             todo.append(w)
                 done |= comp
-                if nbr_sets[b] & comp:
+                if not comp.isdisjoint(nbrs[b]):
                     label = {a: 0, b: 1}
                     label.update((w, i) for i, w in enumerate(sorted(comp), 2))
                     key = (len(label), tuple(sorted(
@@ -509,23 +519,34 @@ def degeneracy(g: SignedGraph) -> tuple[int, list[int]]:
     where order is the elimination order (min-degree first, ties to the
     lowest index); reversed, it is a greedy-colorable order (Matula and Beck
     1983).  A heap keyed (degree, vertex), whose stale entries are skipped
-    when popped, yields each minimum in O((n + m) log n) overall.
+    when popped, yields each minimum in O((n + m) log n) overall.  Removing
+    a vertex lowers each live neighbor's degree by the pair's multiplicity
+    at once, so there is one heap entry per distinct neighbor, not per edge.
     """
-    deg = g.degrees()
+    n = g.n
+    deg = [0] * n
+    mult: list[dict[int, int]] = [{} for _ in range(n)]  # mult[v][y]: edges between v and y
+    for u, v, _ in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+        if u != v:
+            mult[u][v] = mult[u].get(v, 0) + 1
+            mult[v][u] = mult[v].get(u, 0) + 1
     heap = [(dv, v) for v, dv in enumerate(deg)]
     heapify(heap)
-    alive = [True] * g.n
+    alive = [True] * n
     order = []
     d = 0
     while heap:
         dv, v = heappop(heap)
         if not alive[v] or dv != deg[v]:
             continue
-        d = max(d, dv)
+        if dv > d:
+            d = dv
         order.append(v)
         alive[v] = False
-        for y, _idx in g._adj[v]:
+        for y, k in mult[v].items():
             if alive[y]:
-                deg[y] -= 1
+                deg[y] -= k
                 heappush(heap, (deg[y], y))
     return d, order

@@ -32,7 +32,7 @@ from .constructions import (big_gamma, circular_clique_signed, gamma,
                             gamma_prime, hat_clique, k4_omega, mini_gadget,
                             omega_d, outerplanar_F, signed_cycle, spal5,
                             wenger, wenger_tilde)
-from .core import (CapacityError, SignedGraph, StructuralMismatchError,
+from .core import (NEG, POS, CapacityError, Edge, SignedGraph, StructuralMismatchError,
                    UncolorableError, girth_types, switching_equivalent)
 from .indicators import Indicator, ShapeError, z_set
 from .solver import (BudgetExhausted, ChiUndecided, Coloring, SolveBudget,
@@ -47,12 +47,15 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+def _header(lines) -> tuple[int, list[str]]:
+    """The line number and tokens of the first content line (neither blank
+    nor a '#' comment) that lines, enumerate(text.splitlines(), start=1),
+    yields, or (0, []) when there is none.  The caller reads on from lines."""
+    for lineno, raw in lines:
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            return lineno, parts
+    return 0, []
 
 
 def _digits(token: str) -> int | None:
@@ -66,6 +69,9 @@ def _digits(token: str) -> int | None:
     except ValueError:  # more digits than int() converts
         pass
     return None
+
+
+_SHORT = 19  # fast-path digit tokens are shorter: int() raises beyond 4,300 digits
 
 
 def _int(token: str, lineno: int, message: str) -> int:
@@ -85,27 +91,40 @@ def _arg_int(token: str) -> int:
 
 
 def parse_sg(text: str) -> SignedGraph:
-    """Parse the .sg format; raises ParseError with a line number."""
-    n = None
-    triples = []
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        if n is None:
-            if parts[0] != "sg" or len(parts) != 2:
-                raise ParseError(lineno, "expected header 'sg <n>'")
-            n = _int(parts[1], lineno, f"bad vertex count {parts[1]!r}")
-            if n < 0:
-                raise ParseError(lineno, "vertex count must be nonnegative")
+    """Parse the .sg format; raises ParseError with a line number.
+
+    In an all-ASCII text, an edge line whose endpoints are digit tokens
+    shorter than _SHORT takes a fast path that reads them with int()
+    directly; any other token falls back to _int, so the same records parse
+    (`e -0 1 +` too) and every malformed one gets the same line and message."""
+    lines = enumerate(text.splitlines(), start=1)
+    lineno, parts = _header(lines)
+    if not parts:
+        raise ParseError(1, "missing 'sg <n>' header")
+    if parts[0] != "sg" or len(parts) != 2:
+        raise ParseError(lineno, "expected header 'sg <n>'")
+    n = _int(parts[1], lineno, f"bad vertex count {parts[1]!r}")
+    if n < 0:
+        raise ParseError(lineno, "vertex count must be nonnegative")
+    fast = text.isascii()  # then a token's isdigit() means ASCII digits
+    edges = []
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
         if parts[0] == "e":
             if len(parts) != 4:
                 raise ParseError(lineno, "expected 'e <u> <v> <+|->'")
-            u, v = (_int(t, lineno, "edge endpoints must be integers") for t in parts[1:3])
+            _, a, b, s = parts
+            if fast and a.isdigit() and b.isdigit() and len(a) < _SHORT and len(b) < _SHORT:
+                u, v = int(a), int(b)
+            else:
+                u, v = (_int(t, lineno, "edge endpoints must be integers") for t in (a, b))
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(lineno, f"endpoint out of range 0..{n - 1}")
-            if parts[3] not in ("+", "-"):
-                raise ParseError(lineno, f"bad sign token {parts[3]!r} (want + or -)")
-            triples.append((u, v, parts[3]))
+            if s != "+" and s != "-":
+                raise ParseError(lineno, f"bad sign token {s!r} (want + or -)")
+            edges.append(Edge(u, v, POS if s == "+" else NEG))
         elif parts[0] == "v":
             if len(parts) < 3:
                 raise ParseError(lineno, "expected 'v <idx> <name>'")
@@ -115,9 +134,7 @@ def parse_sg(text: str) -> SignedGraph:
             # names are I/O-level decoration only
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
-    if n is None:
-        raise ParseError(1, "missing 'sg <n>' header")
-    return SignedGraph.from_triples(n, triples)
+    return SignedGraph(n, tuple(edges))
 
 
 def render_sg(g: SignedGraph) -> str:
@@ -127,35 +144,41 @@ def render_sg(g: SignedGraph) -> str:
 
 
 def parse_coloring(text: str, n: int) -> Coloring:
-    """Parse a coloring file for an n-vertex graph; must cover every vertex."""
-    header = None
+    """Parse a coloring file for an n-vertex graph; must cover every vertex.
+    Record lines take parse_sg's fast path for digit tokens."""
+    lines = enumerate(text.splitlines(), start=1)
+    lineno, parts = _header(lines)
+    if not parts:
+        raise ParseError(1, "missing 'coloring <p>/<q>' header")
+    if parts[0] != "coloring" or len(parts) != 2 or "/" not in parts[1]:
+        raise ParseError(lineno, "expected header 'coloring <p>/<q>'")
+    p, q = (_int(t, lineno, f"bad p/q {parts[1]!r}") for t in parts[1].split("/", 1))
+    if min(p, q) < 1:
+        raise ParseError(lineno, f"p and q must be at least 1, got {parts[1]!r}")
+    fast = text.isascii()
     seen: dict[int, int] = {}
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        if header is None:
-            if parts[0] != "coloring" or len(parts) != 2 or "/" not in parts[1]:
-                raise ParseError(lineno, "expected header 'coloring <p>/<q>'")
-            header = tuple(_int(t, lineno, f"bad p/q {parts[1]!r}")
-                           for t in parts[1].split("/", 1))
-            if min(header) < 1:
-                raise ParseError(lineno, f"p and q must be at least 1, got {parts[1]!r}")
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
         if len(parts) != 2:
             raise ParseError(lineno, "expected '<vertex> <color>'")
-        v, c = (_int(t, lineno, "vertex and color must be integers") for t in parts)
+        a, b = parts
+        if fast and a.isdigit() and b.isdigit() and len(a) < _SHORT and len(b) < _SHORT:
+            v, c = int(a), int(b)
+        else:
+            v, c = (_int(t, lineno, "vertex and color must be integers") for t in parts)
         if not 0 <= v < n:
             raise ParseError(lineno, f"vertex {v} out of range 0..{n - 1}")
         if v in seen:
             raise ParseError(lineno, f"vertex {v} colored twice")
-        if not 0 <= c < header[0]:
-            raise ParseError(lineno, f"color {c} out of range 0..{header[0] - 1}")
+        if not 0 <= c < p:
+            raise ParseError(lineno, f"color {c} out of range 0..{p - 1}")
         seen[v] = c
-    if header is None:
-        raise ParseError(1, "missing 'coloring <p>/<q>' header")
-    missing = [v for v in range(n) if v not in seen]
-    if missing:
+    if len(seen) < n:
+        missing = [v for v in range(n) if v not in seen]
         raise ParseError(1, f"vertices without a color: {missing[:5]}")
-    return Coloring(header[0], header[1], tuple(seen[v] for v in range(n)))
+    return Coloring(p, q, tuple(seen[v] for v in range(n)))
 
 
 def render_coloring(c: Coloring) -> str:

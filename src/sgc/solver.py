@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import EvenRational, _is_int, circle_edge_ok
+from .arith import EvenRational, _is_int
 # chi_c's ladder as integer (p, q) pairs; it keeps the name candidates,
 # under which the bench traces the ladder layer.
 from .arith import candidate_pairs as candidates
@@ -156,7 +156,7 @@ def _validate_coloring(c: Coloring, n: int | None = None):
     if n is not None and len(c.colors) != n:
         raise ValueError(f"coloring has {len(c.colors)} entries for {n} vertices")
     for i, x in enumerate(c.colors):
-        if not (_is_int(x) and 0 <= x < c.p):
+        if not ((type(x) is int or _is_int(x)) and 0 <= x < c.p):
             raise ValueError(f"color {x!r} of vertex {i} out of range for p={c.p}")
 
 
@@ -169,9 +169,12 @@ def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
     loop always fails.
     """
     _validate_coloring(c, g.n)
-    p, q, half = c.p, c.q, c.p // 2
-    return all(circle_edge_ok(c.colors[e.u], c.colors[e.v], 0 if e.sign is POS else half, p, q)
-               for e in g.edges)
+    p, q, half, xs = c.p, c.q, c.p // 2, c.colors
+    top = p - q
+    for u, v, sign in g.edges:  # circle_edge_ok, inline
+        if not q <= (xs[u] - xs[v] - (0 if sign is POS else half)) % p <= top:
+            return False
+    return True
 
 
 def _windows(p: int, q: int) -> tuple[int, int, int, int]:

@@ -17,9 +17,13 @@ bits (oracle_greedy_seed), the repeated-piece cut as it was when it found
 separation pairs by one block search per vertex (oracle_blocks,
 oracle_repeated_pieces), the candidate ladder (oracle_candidate_ladder), the
 rational circle helpers (rational_point, frac_antipode, frac_circ_dist), the
-tight-cycle DFS with its vertex chain (oracle_find_tight_cycle) and the
+tight-cycle DFS with its vertex chain (oracle_find_tight_cycle), the
 Fraction certificate layer (frac_verify_rational, frac_tight_digraph,
-frac_cert_value, frac_refine and their helpers).
+frac_cert_value, frac_refine and their helpers), the text parsers before
+their fast path (oracle_parse_sg, oracle_parse_coloring), and the per-edge
+helper versions of the degeneracy order, the coloring check and the
+certificate grid's gaps (oracle_degeneracy, oracle_verify_coloring,
+oracle_edge_gaps).
 """
 
 from __future__ import annotations
@@ -28,16 +32,19 @@ import itertools
 import math
 from collections import Counter, deque
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
-from sgc.arith import EvenRational, _as_fraction, circle_edge_ok, circle_gap, normalize_even
+from sgc.arith import (EvenRational, _as_fraction, _is_int, circle_edge_ok, circle_gap,
+                       normalize_even)
 from sgc.certificates import (Arc, CorruptCertificateError, NotRefinableError,
                               RationalColoring, TightCycleCertificate, TightDigraph,
-                              find_tight_cycle)
+                              _grid, find_tight_cycle)
+from sgc.io_cli import ParseError, _int
 from sgc.core import NEG, POS, Edge, SignedGraph, degeneracy, is_balanced
 from sgc.solver import (BudgetExhausted, ChiResult, ChiUndecided, Coloring, SolveBudget,
-                        _begin, _greedy_seed, _reflect, _runs, _support, candidates,
-                        feasible_pq, verify_coloring)
+                        _begin, _greedy_seed, _reflect, _runs, _support, _validate_pq,
+                        candidates, feasible_pq, verify_coloring)
 
 
 def gap(p: int, x: int, y: int) -> int:
@@ -1162,3 +1169,165 @@ def frac_refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
     if not frac_verify_rational(g, refined):
         raise RuntimeError("internal error: refined coloring invalid")
     return refined
+
+
+# io_cli.parse_sg and io_cli.parse_coloring as they were before their fast
+# path for well-formed records, with the line reader they shared; verbatim
+# apart from the oracle prefix on their names.
+
+def oracle_content_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
+
+
+def oracle_parse_sg(text: str) -> SignedGraph:
+    """Parse the .sg format; raises ParseError with a line number."""
+    n = None
+    triples = []
+    for lineno, line in oracle_content_lines(text):
+        parts = line.split()
+        if n is None:
+            if parts[0] != "sg" or len(parts) != 2:
+                raise ParseError(lineno, "expected header 'sg <n>'")
+            n = _int(parts[1], lineno, f"bad vertex count {parts[1]!r}")
+            if n < 0:
+                raise ParseError(lineno, "vertex count must be nonnegative")
+            continue
+        if parts[0] == "e":
+            if len(parts) != 4:
+                raise ParseError(lineno, "expected 'e <u> <v> <+|->'")
+            u, v = (_int(t, lineno, "edge endpoints must be integers") for t in parts[1:3])
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(lineno, f"endpoint out of range 0..{n - 1}")
+            if parts[3] not in ("+", "-"):
+                raise ParseError(lineno, f"bad sign token {parts[3]!r} (want + or -)")
+            triples.append((u, v, parts[3]))
+        elif parts[0] == "v":
+            if len(parts) < 3:
+                raise ParseError(lineno, "expected 'v <idx> <name>'")
+            idx = _int(parts[1], lineno, "vertex index must be an integer")
+            if not 0 <= idx < n:
+                raise ParseError(lineno, f"vertex index out of range 0..{n - 1}")
+            # names are I/O-level decoration only
+        else:
+            raise ParseError(lineno, f"unknown directive {parts[0]!r}")
+    if n is None:
+        raise ParseError(1, "missing 'sg <n>' header")
+    return SignedGraph.from_triples(n, triples)
+
+
+def oracle_parse_coloring(text: str, n: int) -> Coloring:
+    """Parse a coloring file for an n-vertex graph; must cover every vertex."""
+    header = None
+    seen: dict[int, int] = {}
+    for lineno, line in oracle_content_lines(text):
+        parts = line.split()
+        if header is None:
+            if parts[0] != "coloring" or len(parts) != 2 or "/" not in parts[1]:
+                raise ParseError(lineno, "expected header 'coloring <p>/<q>'")
+            header = tuple(_int(t, lineno, f"bad p/q {parts[1]!r}")
+                           for t in parts[1].split("/", 1))
+            if min(header) < 1:
+                raise ParseError(lineno, f"p and q must be at least 1, got {parts[1]!r}")
+            continue
+        if len(parts) != 2:
+            raise ParseError(lineno, "expected '<vertex> <color>'")
+        v, c = (_int(t, lineno, "vertex and color must be integers") for t in parts)
+        if not 0 <= v < n:
+            raise ParseError(lineno, f"vertex {v} out of range 0..{n - 1}")
+        if v in seen:
+            raise ParseError(lineno, f"vertex {v} colored twice")
+        if not 0 <= c < header[0]:
+            raise ParseError(lineno, f"color {c} out of range 0..{header[0] - 1}")
+        seen[v] = c
+    if header is None:
+        raise ParseError(1, "missing 'coloring <p>/<q>' header")
+    missing = [v for v in range(n) if v not in seen]
+    if missing:
+        raise ParseError(1, f"vertices without a color: {missing[:5]}")
+    return Coloring(header[0], header[1], tuple(seen[v] for v in range(n)))
+
+
+# core.degeneracy, solver.verify_coloring with its coloring check, and
+# certificates._edge_gaps with its gap, as they were before each became one
+# pass over the edges without per-edge helper calls; verbatim apart from the
+# oracle prefix on their names.
+
+def oracle_degeneracy(g: SignedGraph) -> tuple[int, list[int]]:
+    """Smallest d such that every subgraph has a vertex of degree <= d.
+
+    Degrees count edge multiplicity; loops count 2.  Returns (d, order)
+    where order is the elimination order (min-degree first, ties to the
+    lowest index); reversed, it is a greedy-colorable order (Matula and Beck
+    1983).  A heap keyed (degree, vertex), whose stale entries are skipped
+    when popped, yields each minimum in O((n + m) log n) overall.
+    """
+    deg = g.degrees()
+    heap = [(dv, v) for v, dv in enumerate(deg)]
+    heapify(heap)
+    alive = [True] * g.n
+    order = []
+    d = 0
+    while heap:
+        dv, v = heappop(heap)
+        if not alive[v] or dv != deg[v]:
+            continue
+        d = max(d, dv)
+        order.append(v)
+        alive[v] = False
+        for y, _idx in g._adj[v]:
+            if alive[y]:
+                deg[y] -= 1
+                heappush(heap, (deg[y], y))
+    return d, order
+
+
+def oracle_validate_coloring(c: Coloring, n: int | None = None):
+    """Raise ValueError unless p and q pass _validate_pq, there are n colors
+    (any number when n is None), and each is an int, not a bool, in 0..p-1."""
+    _validate_pq(c.p, c.q)
+    if n is not None and len(c.colors) != n:
+        raise ValueError(f"coloring has {len(c.colors)} entries for {n} vertices")
+    for i, x in enumerate(c.colors):
+        if not (_is_int(x) and 0 <= x < c.p):
+            raise ValueError(f"color {x!r} of vertex {i} out of range for p={c.p}")
+
+
+def oracle_verify_coloring(g: SignedGraph, c: Coloring) -> bool:
+    """Check a (p,q)-coloring against every edge.
+
+    Malformed colorings (wrong length, out-of-range colors, bad p/q) raise;
+    a well-formed coloring that breaks an edge constraint returns False.
+    Loops need no special case: a negative loop always passes, a positive
+    loop always fails.
+    """
+    oracle_validate_coloring(c, g.n)
+    p, q, half = c.p, c.q, c.p // 2
+    return all(circle_edge_ok(c.colors[e.u], c.colors[e.v], 0 if e.sign is POS else half, p, q)
+               for e in g.edges)
+
+
+def oracle_gap(e: Edge, xs: Sequence[int], big_r: int) -> int:
+    """Clockwise gap, in grid steps, from u's color to v's target point.
+
+    The target is v's color for a positive edge, its antipode for a negative
+    one.  With D steps per unit, the edge holds iff D <= gap <= R - D; the
+    step (u, v) is tight iff gap == D, and the step (v, u), whose gap is
+    R - gap, iff gap == R - D.
+    """
+    return circle_gap(xs[e.v], xs[e.u], 0 if e.sign is POS else big_r // 2, big_r)
+
+
+def oracle_edge_gaps(g: SignedGraph, c: RationalColoring
+                     ) -> Optional[tuple[int, int, list[int], list[int]]]:
+    """(D, R, X, gaps): c's grid and one gap per edge of g in edge order, or
+    None when an edge fails."""
+    if len(c.colors) != g.n:
+        raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
+    d, big_r, xs = _grid(c)
+    gaps = [oracle_gap(e, xs, big_r) for e in g.edges]
+    top = big_r - d
+    return (d, big_r, xs, gaps) if all(d <= gap <= top for gap in gaps) else None

@@ -10,7 +10,7 @@ from gen import grids, signed_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sgc.certificates import (CorruptCertificateError, NotRefinableError,
-                              RationalColoring, TightDigraph, cert_value,
+                              RationalColoring, TightDigraph, _edge_gaps, cert_value,
                               find_tight_cycle, refine, tight_digraph,
                               verify_rational)
 from sgc.core import NEG, POS, SignedGraph
@@ -91,6 +91,13 @@ class TestRationalColoring:
     def test_validation(self, r, colors, message):
         with pytest.raises(ValueError, match=message):
             RationalColoring(r, colors)
+
+    def test_keeps_no_reference_to_the_callers_list(self):
+        colors = [Fraction(0), Fraction(1)]
+        rc = RationalColoring(Fraction(3), colors)
+        colors.append(Fraction(7))
+        assert rc.colors == (Fraction(0), Fraction(1))
+        assert hash(rc) == hash(RationalColoring(Fraction(3), (Fraction(0), Fraction(1))))
 
     def test_grid_round_trip(self):
         c = Coloring(8, 3, (0, 3, 6, 1))
@@ -339,6 +346,7 @@ class TestIntegerGrid:
         g, rc = gc
         ok = verify_rational(g, rc)
         assert ok == oracles.frac_verify_rational(g, rc)
+        assert _edge_gaps(g, rc) == oracles.oracle_edge_gaps(g, rc)
         d = outcome(tight_digraph, g, rc)
         assert d == outcome(oracles.frac_tight_digraph, g, rc)
         cycle = find_tight_cycle(d) if ok else None

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import oracles
 import pytest
-from gen import signed_graphs
+from gen import seeded_multigraphs, signed_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sgc.core import (NEG, POS, Edge, Sign, SignedGraph,
                       StructuralMismatchError, UncolorableError, degeneracy,
                       girth_types, is_balanced, switch, switching_equivalent)
-from sgc.solver import chi_plus
+from sgc.solver import chi_c, chi_plus
 
 
 def sg(n, triples):
@@ -39,6 +39,24 @@ class TestSignedGraph:
             sg(2, [(0, 1, "x")])
         with pytest.raises(ValueError):
             SignedGraph(2, (Edge(0, 1, "+"),))
+
+    def test_keeps_no_reference_to_the_callers_list(self):
+        # The graph used to store the list itself: a positive loop appended
+        # after chi_c had cached "no positive loop" made the next chi_c
+        # raise RuntimeError (seed coloring invalid), and hash() TypeError.
+        edges = [Edge(0, 1, POS), Edge(1, 2, POS), Edge(2, 0, POS)]
+        g = SignedGraph(3, edges)
+        assert chi_c(g).value == 3
+        edges.append(Edge(0, 0, POS))
+        assert type(g.edges) is tuple and g.edges == tuple(edges[:3])
+        assert chi_c(g).value == 3
+        assert hash(g) == hash(SignedGraph(3, tuple(edges[:3])))
+
+    @pytest.mark.parametrize("entry", [(0, 1, POS), [0, 1, POS], None, "e 0 1 +"])
+    def test_entries_must_be_edges(self, entry):
+        # A plain tuple used to fail with AttributeError: no attribute 'u'.
+        with pytest.raises(ValueError, match="edge 1 is .*, not an Edge"):
+            SignedGraph(2, [Edge(0, 1, NEG), entry])
 
     def test_bad_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -243,6 +261,17 @@ class TestDegeneracy:
                     deg[e.v] += 1
             assert (deg[v], v) == min((dx, x) for x, dx in deg.items())
             alive.remove(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs(max_n=9, max_m=24, positive_loops=True))
+    def test_same_order_as_the_per_edge_heap(self, g):
+        # One heap entry per distinct neighbor, lowered by the pair's
+        # multiplicity, must pop the same vertices as one entry per edge.
+        assert degeneracy(g) == oracles.oracle_degeneracy(g)
+
+    def test_same_order_as_the_per_edge_heap_on_random_multigraphs(self):
+        for g in seeded_multigraphs(23, 40, min_n=12, max_n=40):
+            assert degeneracy(g) == oracles.oracle_degeneracy(g)
 
 
 class TestChiPlus:

@@ -26,6 +26,53 @@ from sgc import (
 from sgc.io_cli import fmt_value, main
 
 import gen
+import oracles
+
+
+# Tokens and lines that the fast path of parse_sg and parse_coloring must
+# hand to the per-token checks: signed, other scripts' digits, a superscript
+# (isdigit() but not ASCII), more digits than int() converts, leading zeros
+# on either side of the fast path's length limit, bad signs and directives.
+ODD_TOKENS = ["-0", "+1", "-1", "\u0663", "\u00b2", "1" * 5000, "0" * 4999 + "1", "00",
+              "0" * 17 + "1", "0" * 18 + "1", "9" * 20, "1_0", "x", "", "+", "-", "*",
+              "++", "e", "v", "#", "sg"]
+ODD_LINES = ["", "   ", "# comment", "#", "\x0c", "v 0 name", "v 1 two names", "v 99 x",
+             "v", "e 0 0 -", "e 1 0 +", "coloring 4/1", "sg 3", "0 0", "1 3"]
+
+
+def parsed(fn, *args):
+    """fn's result, or the line and text of the ParseError it raised."""
+    try:
+        return fn(*args)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+@st.composite
+def mutated(draw, text, numbers):
+    """text with up to four edits (a token replaced, dropped or added, a
+    line inserted or deleted), then joined by a random line break."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):  # the header (at 0) one time in ten
+        at = draw(st.integers(min(1, len(lines)), len(lines))) if draw(st.integers(0, 9)) else 0
+        kind = draw(st.sampled_from(["token"] * 4 + ["drop", "add", "insert", "delete"]))
+        if kind == "insert" or at == len(lines):
+            lines.insert(at, draw(st.sampled_from(ODD_LINES)))
+        elif kind == "delete":
+            del lines[at]
+        else:
+            tokens = lines[at].split() or [""]
+            i = draw(st.integers(0, len(tokens) - 1))
+            new = draw(st.sampled_from(ODD_TOKENS + numbers))
+            if kind == "token":
+                tokens[i] = new
+            elif kind == "drop":
+                del tokens[i]
+            else:
+                tokens.insert(i, new)
+            lines[at] = draw(st.sampled_from([" ", "\t", "  "])).join(tokens)
+    sep = draw(st.sampled_from(["\n", "\r\n", "\x0c", "\r"]))
+    return sep.join(lines) + draw(st.sampled_from(["", sep]))
 
 
 class TestParseSg:
@@ -42,6 +89,19 @@ class TestParseSg:
 
     def test_leading_zeros_are_digits(self):
         assert parse_sg("sg 03\ne 00 2 -\nv 01 x") == parse_sg("sg 3\ne 0 2 -")
+
+    @settings(max_examples=400, deadline=None)
+    @given(graph=gen.signed_graphs(max_n=12, max_m=16, positive_loops=True), data=st.data())
+    def test_same_result_as_the_per_token_parser(self, graph, data):
+        # parse_sg's fast path must neither accept nor reject anything the
+        # per-token reader it sits in front of does not, on any line.
+        n = graph.n
+        numbers = [str(k) for k in (n - 1, n, n + 1, 10 ** 20)]
+        text = data.draw(mutated(render_sg(graph), numbers))
+        got = parsed(parse_sg, text)
+        assert got == parsed(oracles.oracle_parse_sg, text)
+        if not isinstance(got, tuple):
+            assert type(got.edges) is tuple
 
     @pytest.mark.parametrize(
         "text,line,fragment",
@@ -104,6 +164,18 @@ class TestParseColoring:
         # 'coloring 4/1\n0 True\n1 2.0\n'.
         with pytest.raises(ValueError):
             render_coloring(c)
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid=gen.grids(max_p=12), data=st.data())
+    def test_same_result_as_the_per_token_parser(self, grid, data):
+        p, q = grid
+        n = data.draw(st.integers(0, 8))
+        colors = tuple(data.draw(st.integers(0, p - 1)) for _ in range(n))
+        numbers = [str(k) for k in (n - 1, n, p - 1, p, 10 ** 20)]
+        text = data.draw(mutated(render_coloring(Coloring(p, q, colors)), numbers))
+        reader_n = data.draw(st.sampled_from([n, n, n + 1, max(n - 1, 0)]))
+        assert (parsed(parse_coloring, text, reader_n)
+                == parsed(oracles.oracle_parse_coloring, text, reader_n))
 
     def test_vertex_order_in_file_is_free(self):
         c = parse_coloring("coloring 8/3\n1 5\n0 2\n", 2)
@@ -213,8 +285,9 @@ class TestCliChi:
         assert (code, err) == (0, "")
         assert out == f"chi_c = 10/3\nwitness: {tmp_path / 'neg_a.col'}\n" + NEG_A_CERTIFICATE
 
-    # -O strips asserts; the certificate path's guards raise instead, so the
-    # output must come out the same.
+    # -O strips asserts; the certificate path's guards, and the parser's
+    # checks on malformed files, raise instead, so the output must come out
+    # the same.
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
     def test_certificate_path_under_python_flags(self, tmp_path, flags):
         env = dict(os.environ, PYTHONPATH=str(Path(sgc.__file__).parent.parent))
@@ -236,6 +309,13 @@ class TestCliChi:
         assert run_m("chi", neg_a, "--certify") == (
             0, f"chi_c = 10/3\nwitness: {tmp_path / 'neg_a.col'}\n" + NEG_A_CERTIFICATE, "")
         assert run_m("refine", c4, "--r", "4", "--coloring", loose) == (0, C4_REFINED, "")
+        bad = tmp_path / "bad.sg"
+        for text, error in [("sg 2\ne 0 1 +\ne 1 2 -\n", "line 3: endpoint out of range 0..1"),
+                            ("sg 2\ne 0 1 *\n", "line 2: bad sign token '*' (want + or -)"),
+                            (f"sg 2\ne 0 {'1' * 5000} +\n", "line 2: edge endpoints must be integers"),
+                            ("sg 2\ne 0 \u00b2 +\n", "line 2: edge endpoints must be integers")]:
+            bad.write_text(text, encoding="utf-8")
+            assert run_m("chi", bad) == (1, "", f"parse error: {error}\n")
 
     def test_unreadable_graph_path(self, run, tmp_path):
         code, out, err = run("chi", tmp_path)

@@ -119,6 +119,32 @@ class TestVerifyColoring:
                        for e in g.edges)
         assert verify_coloring(g, Coloring(p, q, colors)) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs(max_n=6, max_m=14, positive_loops=True), grids(10), st.data())
+    def test_same_verdicts_as_the_per_edge_helper(self, g, pq, data):
+        # A coloring that verifies, when there is one, with a few colors
+        # redrawn at random, and at times malformed (a bool, a float, a color
+        # out of range, one color too many or too few): the same verdict, or
+        # the same ValueError.
+        p, q = pq
+        found = None if g.has_positive_loop() else feasible_pq(g, p, q)
+        colors = list(found.colors) if found else [0] * g.n
+        odd = st.sampled_from([True, False, 1.0, -1, p, p + 3])
+        for v in range(g.n):
+            redraw = data.draw(st.integers(0, 19))
+            if redraw < 4:
+                colors[v] = data.draw(odd if redraw == 0 else st.integers(0, p - 1))
+        extra = data.draw(st.sampled_from([0] * 8 + [1, -1]))
+        colors = colors + [0] if extra > 0 else colors[:g.n + extra]
+        c = Coloring(p, q, tuple(colors))
+
+        def verdict(verify):
+            try:
+                return verify(g, c)
+            except ValueError as exc:
+                return str(exc)
+        assert verdict(verify_coloring) == verdict(oracles.oracle_verify_coloring)
+
 
 class TestFeasiblePq:
     def test_digon_window(self):
