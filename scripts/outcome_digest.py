@@ -26,6 +26,13 @@ value):
 
     PYTHONPATH=src python3 scripts/outcome_digest.py --seeds 1 2 > old.txt  # old checkout
     PYTHONPATH=src python3 scripts/outcome_digest.py --seeds 1 2 --against old.txt
+
+`--relations` prints, instead of chi_c outcomes, the terminal relations the
+verdict-only searches decide: `solver._relation`'s offset mask and nodes
+for `wenger_tilde` at its apex pair (8, 9) and for `k4_omega`'s repeated
+piece at its terminals (0, 1), at each rung of RUNGS (14/3 down to 48/11;
+with `--smoke`, 14/3 and 9/2 only).  With `--against` it prints each
+relation whose mask moved and a tally, and exits 1 when any mask moved.
 """
 
 import argparse
@@ -44,6 +51,8 @@ from workloads import ChiRandom  # noqa: E402
 
 KINDS = ("identical", "nodes-only", "newly-decided", "newly-undecided", "bracket-moved",
          "changed")
+RUNGS = ((28, 6), (32, 7), (18, 4), (40, 9), (44, 10), (48, 11))
+SMOKE_RUNGS = ((28, 6), (18, 4))
 
 
 def outcome(g, max_nodes: int) -> str:
@@ -60,6 +69,43 @@ def outcome(g, max_nodes: int) -> str:
         w = res.witness
     shown = "none" if w is None else f"{w.p}/{w.q} {','.join(map(str, w.colors))}"
     return f"{verdict} witness {shown} nodes {budget.nodes}"
+
+
+def relations(rungs) -> list[str]:
+    """One line per relation at each rung: its subject, mask (hex) and nodes."""
+    S, C = sgc.solver, sgc.constructions
+    subjects = (("wenger_tilde 8,9", C.wenger_tilde(), 8, 9),
+                ("k4_omega-piece 0,1", C.k4_omega()._pieces[3][0], 0, 1))
+    lines = []
+    for p, q in rungs:
+        for name, g, u, v in subjects:
+            budget = S.SolveBudget()
+            mask = S._relation(g, u, v, p, q, budget)
+            lines.append(f"relation {name} at {p}/{q} mask {mask:x} nodes {budget.nodes}")
+    return lines
+
+
+def compare_relations(old_lines: list[str], new_lines: list[str]) -> tuple[list[str], bool]:
+    """The --against report of relation lines: each moved mask, then the
+    nodes on both sides and the count identical, nodes-only and changed."""
+    old = dict(line.rsplit(" mask ", 1) for line in old_lines)
+    report, counts, nodes = [], Counter(), Counter()
+    for line in new_lines:
+        subject, now = line.rsplit(" mask ", 1)
+        if subject not in old:
+            raise SystemExit(f"{subject} is not in the old output")
+        was_mask, was_spent = old[subject].split(" nodes ")
+        mask, spent = now.split(" nodes ")
+        nodes["old"] += int(was_spent)
+        nodes["new"] += int(spent)
+        moved = ("changed" if mask != was_mask else
+                 "identical" if spent == was_spent else "nodes-only")
+        counts[moved] += 1
+        if moved == "changed":
+            report.append(f"{subject} changed: mask {was_mask} -> {mask}")
+    tally = " ".join(f"{k} {counts[k]}" for k in ("identical", "nodes-only", "changed"))
+    report.append(f"relations nodes {nodes['old']} -> {nodes['new']} {tally}")
+    return report, counts["changed"] > 0
 
 
 def split(line: str) -> tuple[str, str, str, int]:
@@ -125,18 +171,25 @@ def main() -> int:
     ap.add_argument("--smoke", action="store_true", help="the 12-graph smoke corpus")
     ap.add_argument("--against", metavar="OLD.txt",
                     help="compare with an earlier run's output instead of printing it")
+    ap.add_argument("--relations", action="store_true",
+                    help="the verdict-only terminal relations instead of chi_c outcomes")
     args = ap.parse_args()
 
-    workload = ChiRandom(smoke=args.smoke)
-    lines = []
-    for seed in args.seeds:
-        for i, inst in enumerate(workload.setup(sgc, seed)):
-            g = sgc.io_cli.parse_sg(inst.text)
-            lines.append(f"seed {seed} #{i} {outcome(g, workload.max_nodes)}")
+    if args.relations:
+        lines = relations(SMOKE_RUNGS if args.smoke else RUNGS)
+        head, diff = r"relation ", compare_relations
+    else:
+        workload = ChiRandom(smoke=args.smoke)
+        lines = []
+        for seed in args.seeds:
+            for i, inst in enumerate(workload.setup(sgc, seed)):
+                g = sgc.io_cli.parse_sg(inst.text)
+                lines.append(f"seed {seed} #{i} {outcome(g, workload.max_nodes)}")
+        head, diff = r"seed \d+ #\d+ ", compare
     if args.against:
         old = [line for line in Path(args.against).read_text().splitlines()
-               if re.match(r"seed \d+ #\d+ ", line)]
-        report, changed = compare(old, lines)
+               if re.match(head, line)]
+        report, changed = diff(old, lines)
         print("\n".join(report))
         return 1 if changed else 0
     body = "".join(line + "\n" for line in lines)

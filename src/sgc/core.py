@@ -383,11 +383,12 @@ def _repeated_pieces(g: SignedGraph):
     over its edges plus O(sum of tree depths) integer steps, so O(n^2) at
     worst, with no factor of m.
     Each component of g - {a, b} touching both a and b is a piece; its key
-    is its sorted list of edges (u, v, '+' or '-') with a, b relabelled 0,
-    1 and its other vertices 2, 3, ... in ascending order (edges between a
-    and b stay outside).  So the key does not depend on the order of
-    g.edges, but two copies of a piece share it only when their internal
-    vertices are numbered in the same relative order.
+    is the sorted list of its vertices' edges (u, v, '+' or '-'), read off
+    their adjacency, with a, b relabelled 0, 1 and its other vertices 2,
+    3, ... in ascending order (edges between a and b stay outside).  So the
+    key does not depend on the order of g.edges, but two copies of a piece
+    share it only when their internal vertices are numbered in the same
+    relative order.
     Of the pieces whose key occurs at least twice, the innermost are cut
     out: those with no internal vertex that is a terminal of another such
     piece.  So no cut piece holds another's terminal, and each keeps both
@@ -400,6 +401,7 @@ def _repeated_pieces(g: SignedGraph):
     This depends on g alone: SignedGraph._pieces computes it once per graph.
     """
     nbrs = g._neighbors
+    marks = None  # each edge as a key spells it, built for the first block searched
     pieces = []  # (a, b, internal vertices, key)
     for block in _blocks(nbrs):  # the cheap tests first: most blocks fail one
         if len(block) < 4 or any(len(nbrs[x]) < 3 for x in block):
@@ -407,6 +409,8 @@ def _repeated_pieces(g: SignedGraph):
         inside = set(block)
         if any(len(inside.intersection(nbrs[x])) < 3 for x in block):
             continue
+        if marks is None:
+            adj, marks = g._adj, [(u, v, sign.symbol) for u, v, sign in g.edges]
         for a, b in sorted(_separation_pairs(nbrs, block, inside)):
             done = {a, b}
             for start in nbrs[a]:
@@ -422,9 +426,10 @@ def _repeated_pieces(g: SignedGraph):
                 if not comp.isdisjoint(nbrs[b]):
                     label = {a: 0, b: 1}
                     label.update((w, i) for i, w in enumerate(sorted(comp), 2))
+                    own = {idx for w in comp for _, idx in adj[w]}  # its edges, once each
+                    relabelled = ((label[u], label[v], s) for u, v, s in (marks[i] for i in own))
                     key = (len(label), tuple(sorted(
-                        (min(label[e.u], label[e.v]), max(label[e.u], label[e.v]), e.sign.symbol)
-                        for e in g.edges if e.u in comp or e.v in comp)))
+                        (x, y, s) if x <= y else (y, x, s) for x, y, s in relabelled)))
                     pieces.append((a, b, comp, key))
     counts = Counter(key for *_, key in pieces)
     repeated = [piece for piece in pieces if counts[piece[3]] > 1]

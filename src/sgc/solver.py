@@ -10,10 +10,10 @@ witnesses.  That order fixes which coloring is found first, so every
 search whose solution is returned keeps it: feasible_pq's own, and with it
 chi_c and chi_plus.  The verdict-only searches, for a terminal relation
 (a repeated piece's, or an indicator's Z-set) and for the quotient (below),
-branch instead on the least domain size over degree (Bessiere and Regin
-1996), which refutes in fewer nodes; it changes how much work a verdict
-takes, never the verdict.  _search's verdict_only flag selects that order
-and reads each vertex's degree off the adjacency it is given.
+branch instead on the vertex with the most unassigned neighbors, then the
+smallest domain (maximum degree ordering, Dechter and Meiri 1994), which
+refutes in fewer nodes; it changes how much work a verdict takes, never the
+verdict.  _search's verdict_only flag selects that order.
 
 The search is one iterative loop over an explicit stack of frames, so its
 depth is not bounded by Python's recursion limit.  Propagation queues the
@@ -58,7 +58,6 @@ raises, it never returns a wrong answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -78,6 +77,9 @@ class Coloring:
     p: int
     q: int
     colors: tuple[int, ...]
+
+    def __post_init__(self):  # a caller's list must not change the coloring later
+        object.__setattr__(self, "colors", tuple(self.colors))
 
 
 @dataclass(frozen=True)
@@ -292,14 +294,17 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     Branches on the unassigned vertex with the least key (ties to the lowest
     index), trying its colors in ascending order; an explicit stack of
     frames stands in for recursion.  size[x] holds the key: x's domain size,
-    or with verdict_only its domain size over its degree (its number of
-    distinct neighbors, at least 1) as the exact integer popcount * lcm /
-    degree.  A vertex with one color left is assigned, whether a decision,
-    a root pin or propagation put it there, and its key, taken, is one above
-    every other.  Only callers that use the verdict alone set verdict_only,
-    since the first solution depends on the order.  neighbors[x] lists x's
-    distinct neighbors in adj (SignedGraph._neighbors when adj is the
-    graph's own; derived from adj when not given).
+    or with verdict_only (top - its unassigned neighbors) * (p + 1) + its
+    domain size, top the most distinct neighbors of any vertex.  A vertex
+    with one color left is assigned, whether a decision, a root pin or
+    propagation put it there, and its key, taken, is above every other;
+    with verdict_only, as a decision or propagation assigns it, each
+    unassigned neighbor's key gains p + 1, on the trail (a vertex assigned
+    for want of unassigned neighbors changes none).  Only callers that use
+    the verdict alone set verdict_only, since the first solution depends on
+    the order.  neighbors[x] lists x's distinct neighbors in adj
+    (SignedGraph._neighbors when adj is the graph's own; derived from adj
+    when not given).
 
     A node is one assignment made by branching, and only a real choice
     costs one: a vertex cut to one color is never picked (its neighbors were
@@ -375,20 +380,21 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
         queue = [0]
     if neighbors is None:
         neighbors = [[w for _, ws in gx for w in ws] for gx in adj]
-    scale = [1] * n
-    if verdict_only:  # domain size over degree: each vertex's distinct neighbors
-        degree = [len(ws) or 1 for ws in neighbors]
-        lcm = math.lcm(*degree)
-        scale = [lcm // d for d in degree]
-    taken = p * max(scale) + 1  # the key of an assigned vertex
-    size = [d.bit_count() * s if d & (d - 1) else taken for d, s in zip(domains, scale)]
+    taken = p + 1  # the key of an assigned vertex, above every domain size
+    size = [d.bit_count() if d & (d - 1) else taken for d in domains]
+    step = 0  # what a key gains per neighbor assigned (verdict_only)
+    if verdict_only:  # (top - unassigned neighbors) * (p + 1) + domain size
+        step, top = taken, max(map(len, neighbors))
+        taken *= top + 1
+        size = [taken if s == step else s + (top - sum(size[w] != step for w in ws)) * step
+                for s, ws in zip(size, neighbors)]
     spend = budget.spend
     queued = [d != full for d in domains]
     # A frame is (vertex, colors not yet tried, conflicts of its failed
     # colors, whether reflection holds at it, trail of (vertex, old domain,
     # old why, old key) written since its color was set: the vertex's own
-    # entry first, then propagation's, then the vertices assigned for want
-    # of unassigned neighbors).
+    # entry first, then its neighbors' key gains, then propagation's, then
+    # the vertices assigned for want of unassigned neighbors).
     frames: list[tuple[int, int, int, bool, list]] = []
     mirrored = all(d == full or _reflect(d, p) == d for d in domains)
     v, untried, conf, trail = -1, 0, 0, []
@@ -413,10 +419,20 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                         if not nd:
                             conflict = yw | yx
                             break
-                        trail.append((w, dw, yw, size[w]))
+                        sw = size[w]
+                        trail.append((w, dw, yw, sw))
                         domains[w] = nd
                         why[w] = yw | yx
-                        size[w] = nd.bit_count() * scale[w] if nd & (nd - 1) else taken
+                        if nd & (nd - 1):
+                            size[w] = sw - (dw ^ nd).bit_count()
+                        else:
+                            size[w] = taken
+                            if step:  # one more assigned neighbor for each of w's
+                                for y in neighbors[w]:
+                                    sy = size[y]
+                                    if sy != taken:
+                                        trail.append((y, domains[y], why[y], sy))
+                                        size[y] = sy + step
                         if not queued[w]:
                             queued[w] = True
                             queue.append(w)
@@ -475,6 +491,12 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
         domains[v] = lsb
         why[v] = 1 << v
         size[v] = taken
+        if step:  # one more assigned neighbor for each of v's
+            for y in neighbors[v]:
+                sy = size[y]
+                if sy != taken:
+                    trail.append((y, domains[y], why[y], sy))
+                    size[y] = sy + step
         queue.append(v)
         queued[v] = True
 
@@ -486,9 +508,8 @@ def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudge
     The one loop over pinned separations: a repeated piece's relation (u, v
     = 0, 1) and an indicator's Z-set (its bits 0..p/2).  Each d not yet in
     the mask is one pinned search whose verdict alone is kept, so it
-    branches on domain size over degree (verdict_only): at 18/4 the
-    big_gamma piece of k4_omega is refuted at d = 0, 1 and 2 in 12,955
-    nodes; the canonical order takes 67,645.  A coloring found with v at d
+    branches on the most unassigned neighbors (verdict_only), which refutes
+    in fewer nodes than the canonical order.  A coloring found with v at d
     also shows every separation reached by recoloring v alone (the colors
     its neighbors allow it, _allowed), and by recoloring u alone, turned so
     that u is back at 0; those join the mask at once, and their searches
@@ -521,7 +542,7 @@ def _quotient_refuted(g: SignedGraph, p: int, q: int, domains: list[int],
     are dropped.  So a refuted quotient refutes g.  If every domain left is
     full, _search pins the quotient's lowest vertex, as it pins g's.  A
     quotient coloring is never shown (g is searched whole instead), so this
-    search too branches on domain size over degree (verdict_only).
+    search too branches on the most unassigned neighbors (verdict_only).
     """
     structure = g._pieces
     if structure is None:

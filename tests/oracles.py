@@ -10,26 +10,25 @@ search kernel with its edge kinds and mask tables (oracle_search,
 oracle_adjacency, oracle_masks), the iterative chronological kernel that
 replaced it, before backjumping (chrono_search, chrono_support), the
 backjumping kernel as it was before a decision became its frame's first
-trail entry and reflection a cut on the picked vertex's colors
-(backjump_search), chi_c as it was when it probed its bracket's index
-midpoint (midpoint_chi_c), the greedy seed that read the edge rule off sign
-bits (oracle_greedy_seed), the repeated-piece cut as it was when it found
-separation pairs by one block search per vertex (oracle_blocks,
-oracle_repeated_pieces), the candidate ladder (oracle_candidate_ladder), the
-rational circle helpers (rational_point, frac_antipode, frac_circ_dist), the
-tight-cycle DFS with its vertex chain (oracle_find_tight_cycle), the
-Fraction certificate layer (frac_verify_rational, frac_tight_digraph,
-frac_cert_value, frac_refine and their helpers), the text parsers before
-their fast path (oracle_parse_sg, oracle_parse_coloring), and the per-edge
-helper versions of the degeneracy order, the coloring check and the
-certificate grid's gaps (oracle_degeneracy, oracle_verify_coloring,
-oracle_edge_gaps).
+trail entry and reflection a cut on the picked vertex's colors, but with
+today's verdict-only order recounted at every pick (backjump_search), chi_c
+as it was when it probed its bracket's index midpoint (midpoint_chi_c), the
+greedy seed that read the edge rule off sign bits (oracle_greedy_seed), the
+repeated-piece cut as it was when it found separation pairs by one block
+search per vertex (oracle_blocks, oracle_repeated_pieces), the candidate
+ladder (oracle_candidate_ladder), the rational circle helpers
+(rational_point, frac_antipode, frac_circ_dist), the tight-cycle DFS with
+its vertex chain (oracle_find_tight_cycle), the Fraction certificate layer
+(frac_verify_rational, frac_tight_digraph, frac_cert_value, frac_refine and
+their helpers), the text parsers before their fast path (oracle_parse_sg,
+oracle_parse_coloring), and the per-edge helper versions of the degeneracy
+order, the coloring check and the certificate grid's gaps
+(oracle_degeneracy, oracle_verify_coloring, oracle_edge_gaps).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter, deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -597,15 +596,16 @@ def backjump_search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], 
 
     Branches on the unassigned vertex with the least key (ties to the lowest
     index), trying its colors in ascending order; an explicit stack of
-    frames stands in for recursion.  size[x] holds the key: x's domain size,
-    or with verdict_only its domain size over its degree (its number of
-    distinct neighbors, at least 1) as the exact integer popcount * lcm /
-    degree.  A vertex with one color left is assigned, whether a decision,
-    a root pin or propagation put it there, and its key, taken, is one above
-    every other.  Only callers that use the verdict alone set verdict_only,
-    since the first solution depends on the order.  neighbors[x] lists x's
-    distinct neighbors in adj (SignedGraph._neighbors when adj is the
-    graph's own; derived from adj when not given).
+    frames stands in for recursion.  size[x] holds x's domain size; a vertex
+    with one color left is assigned, whether a decision, a root pin or
+    propagation put it there, and its size, taken, is one above every
+    other.  The key is the size, or with verdict_only (the most unassigned
+    neighbors, the size), recounted from the domains at every pick: the
+    kernel keeps that key up to date instead, so the two must agree.  Only
+    callers that use the verdict alone set verdict_only, since the first
+    solution depends on the order.  neighbors[x] lists x's distinct
+    neighbors in adj (SignedGraph._neighbors when adj is the graph's own;
+    derived from adj when not given).
 
     A node is one assignment made by branching, and only a real choice
     costs one: a vertex cut to one color is never picked (its neighbors were
@@ -674,13 +674,14 @@ def backjump_search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], 
         queue = [0]
     if neighbors is None:
         neighbors = [[w for _, ws in gx for w in ws] for gx in adj]
-    scale = [1] * n
-    if verdict_only:  # domain size over degree: each vertex's distinct neighbors
-        degree = [len(ws) or 1 for ws in neighbors]
-        lcm = math.lcm(*degree)
-        scale = [lcm // d for d in degree]
-    taken = p * max(scale) + 1  # the key of an assigned vertex
-    size = [d.bit_count() * s if d & (d - 1) else taken for d, s in zip(domains, scale)]
+    taken = p + 1  # the size of an assigned vertex
+    size = [d.bit_count() if d & (d - 1) else taken for d in domains]
+
+    def key(x: int) -> tuple[int, ...]:
+        # Recounted from scratch at every pick, not kept up to date.
+        if not verdict_only:
+            return size[x], x
+        return -sum(size[w] != taken for w in neighbors[x]), size[x], x
     spend = budget.spend
     queued = [d != full for d in domains]
     # A frame is (vertex, its domain and why when picked, colors not yet
@@ -715,7 +716,7 @@ def backjump_search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], 
                         trail.append((w, dw, yw, size[w]))
                         domains[w] = nd
                         why[w] = yw | yx
-                        size[w] = nd.bit_count() * scale[w] if nd & (nd - 1) else taken
+                        size[w] = nd.bit_count() if nd & (nd - 1) else taken
                         if not queued[w]:
                             queued[w] = True
                             queue.append(w)
@@ -728,17 +729,17 @@ def backjump_search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], 
             # assigned since has a color of its own mirror.
             sym = mirrored and (v < 0 or domains[v] & fixed != 0)
             while True:
-                smallest = min(size)
-                if smallest == taken:
+                unassigned = [x for x in range(n) if size[x] != taken]
+                if not unassigned:
                     return [d.bit_length() - 1 for d in domains]
-                w = size.index(smallest)
+                w = min(unassigned, key=key)
                 for x in neighbors[w]:
                     if size[x] != taken:
                         break
                 else:  # no unassigned neighbor: its lowest color, without a node
                     dw = domains[w]
                     low = dw & -dw
-                    trail.append((w, dw, why[w], smallest))
+                    trail.append((w, dw, why[w], size[w]))
                     domains[w] = low
                     size[w] = taken
                     sym = sym and low & fixed != 0
@@ -772,7 +773,7 @@ def backjump_search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], 
                     conflict = conf | saved_why
                 domains[v] = saved
                 why[v] = saved_why
-                size[v] = saved.bit_count() * scale[v]
+                size[v] = saved.bit_count()
                 v, saved, saved_why, untried, conf, mirrored, trail = frames.pop()
         lsb = untried & -untried
         untried ^= lsb

@@ -154,8 +154,9 @@ class TestZSet:
         self._assert_pinned_verdicts(graph, *grid, data)
 
     def test_apex_z_set_takes_under_20000_nodes(self):
-        # The separations branch on domain size over degree; feasible_pq's
-        # canonical order, pinned at each d, takes 72,943 nodes in all.
+        # The separations branch on the most unassigned neighbors;
+        # feasible_pq's canonical order, pinned at each d, takes 72,943 nodes
+        # in all.
         budget = SolveBudget(max_nodes=3_000_000)
         z = z_set(Indicator(wenger_tilde(), 8, 9), 18, 4, budget=budget)
         assert z.members() == (3, 4, 5, 6, 7, 8, 9)

@@ -46,7 +46,7 @@ GOLDEN = [
     'reference coloring of the expanded host checks at 28/6                   True',
     'reference coloring of the full composition checks at 28/6                True',
     'expanded-host apex separations at 18/4                     (3, 4, 5, 6, 7, 8, 9)',
-    'full composition at 18/4 (3,000,000-node budget)           INFEASIBLE (proved) in 12986 nodes',
+    'full composition at 18/4 (3,000,000-node budget)           INFEASIBLE (proved) in 3478 nodes',
 ]
 
 
@@ -112,3 +112,35 @@ def test_outcome_digest_compares_against_an_old_output(tmp_path):
         f"seed 1 #{undecided[0]} bracket-moved"])
     assert report[-1] == (f"seed 1 nodes {total + 5} -> {total} identical 8 nodes-only 1 "
                           "newly-decided 1 newly-undecided 0 bracket-moved 1 changed 1")
+
+
+def test_outcome_digest_compares_relation_masks(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / "outcome_digest.py"), "--relations", "--smoke"]
+    plain = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+    assert (plain.returncode, plain.stderr) == (0, "")
+    *lines, last = plain.stdout.splitlines()
+    assert [line.split(" mask ")[0] for line in lines] == [
+        f"relation {subject} at {rung}" for rung in ("28/6", "18/4")
+        for subject in ("wenger_tilde 8,9", "k4_omega-piece 0,1")]
+    assert lines[2].endswith(" mask fff8 nodes 3478")  # apexes at 18/4: 3 <= d <= 15
+    body = "".join(line + "\n" for line in lines)
+    assert last == f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
+    total = sum(int(line.rsplit(" ", 1)[1]) for line in lines)
+
+    def against(old_lines):
+        old = tmp_path / "old.txt"
+        old.write_text("".join(line + "\n" for line in old_lines) + "sha256 0\n")
+        done = subprocess.run([*cmd, "--against", str(old)], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert done.stderr == ""
+        return done.returncode, done.stdout.splitlines()
+
+    assert against(lines) == (0, [f"relations nodes {total} -> {total} "
+                                  "identical 4 nodes-only 0 changed 0"])
+    old = list(lines)
+    old[0] = re.sub(r"nodes (\d+)$", lambda m: f"nodes {int(m[1]) + 5}", old[0])
+    old[3] = old[3].replace(" mask fff8 ", " mask fffc ")
+    assert against(old) == (1, [
+        "relation k4_omega-piece 0,1 at 18/4 changed: mask fffc -> fff8",
+        f"relations nodes {total + 5} -> {total} identical 2 nodes-only 1 changed 1"])

@@ -110,6 +110,16 @@ class TestVerifyColoring:
         with pytest.raises(ValueError, match=message):
             verify_coloring(sg(2, []), c)
 
+    def test_a_list_of_colors_is_kept_as_a_tuple(self):
+        # Like SignedGraph's edges: a caller's list is copied, so the
+        # coloring is hashable, equals its tuple twin and cannot change.
+        colors = [0, 2]
+        c = Coloring(4, 1, colors)
+        colors[0] = 1
+        assert c.colors == (0, 2)
+        assert c == Coloring(4, 1, (0, 2))
+        assert hash(c) == hash(Coloring(4, 1, (0, 2)))
+
     @settings(max_examples=200, deadline=None)
     @given(signed_graphs(max_n=4, max_m=6, positive_loops=True), grids(8), st.data())
     def test_matches_independent_predicate(self, g, pq, data):
@@ -488,7 +498,7 @@ class TestSearchKernel:
                     assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("p,q,nodes,searches", [
-        (14, 3, 65, 4), (20, 4, 41, 3), (22, 5, 12_079, 6), (24, 5, 775, 5), (28, 6, 4_835, 5)])
+        (14, 3, 24, 2), (20, 4, 36, 3), (22, 5, 3_600, 6), (24, 5, 25, 2), (28, 6, 40, 3)])
     def test_relation_searches_spend_what_the_backjumping_kernel_spent(
             self, monkeypatch, p, q, nodes, searches):
         # k4_omega's piece around its 14/3: the verdict-only pinned searches
@@ -541,8 +551,9 @@ class TestSearchKernel:
     @settings(max_examples=400, deadline=None)
     @given(signed_graphs(min_n=2, max_n=14, max_m=40), grids(24), st.data())
     def test_degree_weighted_order_keeps_the_chronological_verdict(self, g, pq, data):
-        # The verdict-only searches branch on domain size over degree; that
-        # order may find another solution, never another verdict.
+        # The verdict-only searches branch on the most unassigned neighbors,
+        # then domain size; that order may find another solution, never
+        # another verdict.
         p, q = pq
         full = (1 << p) - 1
         pins = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.integers(0, p - 1),
@@ -564,23 +575,24 @@ class TestSearchKernel:
             assert all(got[v] == c for v, c in pins.items())
 
     def test_degree_weighted_order_never_branches_an_assigned_vertex_again(self):
-        # Vertex 0 (three neighbors) is pinned by rotation; then the others
-        # keep five colors each, and 0's key must still top theirs, 5/2 and
-        # 5/1.  Vertex 1 is the one branch: 2 and 3, left with no unassigned
-        # neighbor, take their lowest colors without a node.
+        # Vertex 0 (three neighbors, the most) is pinned by rotation; then
+        # the others keep five colors each, 1 and 2 one unassigned neighbor
+        # (key 2 * 9 + 5) and 3 none (3 * 9 + 5), and 0's key, 4 * 9, must
+        # still top theirs.  Vertex 1 is the one branch: 2 and 3, left with
+        # no unassigned neighbor, take their lowest colors without a node.
         g = sg(4, [(0, 1, POS), (0, 2, POS), (0, 3, POS), (1, 2, NEG)])
         adj = solver._adjacency(g, 8, 2)
         budget = SolveBudget(max_nodes=100)
         assert solver._search(4, adj, 8, [255] * 4, budget, verdict_only=True) == [0, 2, 2, 2]
         assert budget.nodes == 1
 
-    @pytest.mark.parametrize("g", [signed_cycle(5, False), signed_cycle(6, True), sg(4, K4),
-                                   circular_clique_signed(6, 2)],
-                             ids=["C5+", "C6-", "K4", "clique6/2"])
+    @pytest.mark.parametrize("g", [sg(4, K4), circular_clique_signed(6, 2)],
+                             ids=["K4", "clique6/2"])
     def test_verdict_only_is_the_canonical_order_when_degrees_are_equal(self, g):
-        # Every vertex has as many distinct neighbors as any other, so domain
-        # size over degree ranks the vertices as domain size does: the same
-        # first solution in the same number of nodes.
+        # Both graphs are complete, so at every pick each unassigned vertex
+        # has as many unassigned neighbors as any other, and the verdict
+        # order ranks the vertices as domain size does: the same first
+        # solution in the same nodes.
         for p in range(2, 13, 2):
             for q in range(1, p // 2 + 1):
                 adj = solver._adjacency(g, p, q)
@@ -592,6 +604,32 @@ class TestSearchKernel:
                     got = self._run(lambda *args: solver._search(*args, verdict_only=True),
                                     g.n, adj, p, list(domains), max_nodes=20_000)
                     assert got == want
+
+    @pytest.mark.parametrize("g,canonical,verdict_only", [
+        (signed_cycle(5, False), [1, 2, 3], [2, 3]),
+        (signed_cycle(6, True), [1, 2, 3, 4], [2, 4])], ids=["C5+", "C6-"])
+    def test_verdict_only_branches_on_the_most_unassigned_neighbors_first(
+            self, g, canonical, verdict_only):
+        # At 6/2, vertex 0 pinned by rotation: its neighbors 1 and n-1 keep
+        # three colors and one unassigned neighbor, the rest more colors and
+        # two.  The canonical order picks 1, the smaller domain; the verdict
+        # order picks 2.  Next it picks 3 on C5+ (3 and 4 have one unassigned
+        # neighbor and two colors each: the lower index) and 4 on C6-, the
+        # one vertex with two unassigned neighbors left.  Vertex 1, left with
+        # none, takes its lowest color without a node.
+        class Picks(list):  # root domains that note each node's vertex
+            def __setitem__(self, x, d):
+                if budget.nodes > len(picks):  # a node is spent, then its vertex set
+                    picks.append(x)
+                super().__setitem__(x, d)
+
+        adj = solver._adjacency(g, 6, 2)
+        for order, want in ((False, canonical), (True, verdict_only)):
+            budget, picks = SolveBudget(), []
+            solution = solver._search(g.n, adj, 6, Picks([63] * g.n), budget, order,
+                                      g._neighbors)
+            assert verify_coloring(g, Coloring(6, 2, tuple(solution)))
+            assert picks == want and budget.nodes == len(want)
 
     def test_empty_root_domain_is_refuted_at_set_up(self):
         # No pair mask reaches either vertex, so propagation never sees the
@@ -716,8 +754,9 @@ class TestRepeatedPieces:
     """feasible_pq refutes through one relation per repeated 2-separated piece."""
 
     def test_k4_omega_at_18_4_takes_under_20000_nodes(self):
-        # The piece relation's searches branch on domain size over degree;
-        # in the canonical order the same refutation takes 72,935 nodes.
+        # The piece relation's searches branch on the most unassigned
+        # neighbors; in the canonical order the same refutation takes 72,935
+        # nodes.
         budget = SolveBudget(max_nodes=3_000_000)
         assert feasible_pq(k4_omega(), 18, 4, budget=budget) is None
         assert budget.nodes <= 20_000
