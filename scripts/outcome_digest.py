@@ -30,9 +30,10 @@ value):
 `--relations` prints, instead of chi_c outcomes, the terminal relations the
 verdict-only searches decide: `solver._relation`'s offset mask and nodes
 for `wenger_tilde` at its apex pair (8, 9) and for `k4_omega`'s repeated
-piece at its terminals (0, 1), at each rung of RUNGS (14/3 down to 48/11;
-with `--smoke`, 14/3 and 9/2 only).  With `--against` it prints each
-relation whose mask moved and a tally, and exits 1 when any mask moved.
+piece at its terminals (0, 1), at each rung of RUNGS: 28/6, 46/10, 32/7,
+18/4, 40/9, 44/10 and 48/11, from 14/3 down (with `--smoke`, 28/6 and 18/4
+only).  With `--against` it prints each relation whose mask moved and a
+tally, and exits 1 when any mask moved.
 """
 
 import argparse
@@ -51,7 +52,7 @@ from workloads import ChiRandom  # noqa: E402
 
 KINDS = ("identical", "nodes-only", "newly-decided", "newly-undecided", "bracket-moved",
          "changed")
-RUNGS = ((28, 6), (32, 7), (18, 4), (40, 9), (44, 10), (48, 11))
+RUNGS = ((28, 6), (46, 10), (32, 7), (18, 4), (40, 9), (44, 10), (48, 11))
 SMOKE_RUNGS = ((28, 6), (18, 4))
 
 

@@ -363,13 +363,10 @@ def wenger_coloring(p: int, q: int) -> Coloring:
     """The reference (p,q)-coloring of the 10-vertex host at circle size 14/3.
 
     In circle units: u = v = 0, w = 3, x1 = 2, x2 = 1, x3 = 2, x4 = 1/3,
-    x5 = 4, z = t = 1.  Needs q divisible by 3 so that 1/3 unit lands on the
-    step grid.
+    x5 = 4, z = t = 1.  As 3p = 14q, 3 divides q, so 1/3 unit is q/3 steps.
     """
     if 3 * p != 14 * q:
         raise ValueError("reference coloring lives at circle size 14/3")
-    if q % 3:
-        raise ValueError("need q divisible by 3 to place a color at 1/3")
     third = q // 3
     cols = (3 * q, 2 * q, q, 2 * q, third, 4 * q, q, q, 0, 0)
     return Coloring(p, q, cols)

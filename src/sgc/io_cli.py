@@ -47,15 +47,13 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _header(lines) -> tuple[int, list[str]]:
-    """The line number and tokens of the first content line (neither blank
-    nor a '#' comment) that lines, enumerate(text.splitlines(), start=1),
-    yields, or (0, []) when there is none.  The caller reads on from lines."""
-    for lineno, raw in lines:
+def _records(text: str):
+    """(line number, tokens) for each line of text that is neither blank nor
+    a '#' comment, numbered from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if parts and parts[0][0] != "#":
-            return lineno, parts
-    return 0, []
+            yield lineno, parts
 
 
 def _digits(token: str) -> int | None:
@@ -97,9 +95,9 @@ def parse_sg(text: str) -> SignedGraph:
     shorter than _SHORT takes a fast path that reads them with int()
     directly; any other token falls back to _int, so the same records parse
     (`e -0 1 +` too) and every malformed one gets the same line and message."""
-    lines = enumerate(text.splitlines(), start=1)
-    lineno, parts = _header(lines)
-    if not parts:
+    records = _records(text)
+    lineno, parts = next(records, (0, None))
+    if parts is None:
         raise ParseError(1, "missing 'sg <n>' header")
     if parts[0] != "sg" or len(parts) != 2:
         raise ParseError(lineno, "expected header 'sg <n>'")
@@ -108,10 +106,7 @@ def parse_sg(text: str) -> SignedGraph:
         raise ParseError(lineno, "vertex count must be nonnegative")
     fast = text.isascii()  # then a token's isdigit() means ASCII digits
     edges = []
-    for lineno, raw in lines:
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
+    for lineno, parts in records:
         if parts[0] == "e":
             if len(parts) != 4:
                 raise ParseError(lineno, "expected 'e <u> <v> <+|->'")
@@ -146,9 +141,9 @@ def render_sg(g: SignedGraph) -> str:
 def parse_coloring(text: str, n: int) -> Coloring:
     """Parse a coloring file for an n-vertex graph; must cover every vertex.
     Record lines take parse_sg's fast path for digit tokens."""
-    lines = enumerate(text.splitlines(), start=1)
-    lineno, parts = _header(lines)
-    if not parts:
+    records = _records(text)
+    lineno, parts = next(records, (0, None))
+    if parts is None:
         raise ParseError(1, "missing 'coloring <p>/<q>' header")
     if parts[0] != "coloring" or len(parts) != 2 or "/" not in parts[1]:
         raise ParseError(lineno, "expected header 'coloring <p>/<q>'")
@@ -157,10 +152,7 @@ def parse_coloring(text: str, n: int) -> Coloring:
         raise ParseError(lineno, f"p and q must be at least 1, got {parts[1]!r}")
     fast = text.isascii()
     seen: dict[int, int] = {}
-    for lineno, raw in lines:
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
+    for lineno, parts in records:
         if len(parts) != 2:
             raise ParseError(lineno, "expected '<vertex> <color>'")
         a, b = parts
@@ -217,12 +209,12 @@ def fmt_value(x: Fraction) -> str:
 
 def _parse_fraction(s: str) -> Fraction:
     """The rational --r gives, N or N/D, each side read as a file field is
-    (_int); anything else, or D = 0, is a usage error."""
+    (_digits); anything else, or D = 0, is a usage error."""
     a, slash, b = s.partition("/")
-    try:  # a ParseError here has no line: it becomes the usage error
-        return Fraction(_int(a, 0, s), _int(b, 0, s) if slash else 1)
-    except (ParseError, ZeroDivisionError):
-        raise _UsageError(f"bad rational {s!r} (want N or N/D)") from None
+    num, den = _digits(a), _digits(b) if slash else 1
+    if num is None or not den:
+        raise _UsageError(f"bad rational {s!r} (want N or N/D)")
+    return Fraction(num, den)
 
 
 def _read(path: str) -> str:

@@ -1,59 +1,23 @@
 """Exact (p,q)-coloring search and circular chromatic numbers.
 
-The search is deterministic backtracking over bitmask color domains with
-arc-consistency propagation: the branching vertex is the one with the
-smallest remaining domain (ties to the lowest index), colors are tried in
-ascending order, and when every root domain is full vertex 0 is fixed to
-color 0 (sound by rotation symmetry; the open search branches vertex 0
-first and tries color 0 first anyway).  Repeat runs produce byte-identical
-witnesses.  That order fixes which coloring is found first, so every
-search whose solution is returned keeps it: feasible_pq's own, and with it
-chi_c and chi_plus.  The verdict-only searches, for a terminal relation
-(a repeated piece's, or an indicator's Z-set) and for the quotient (below),
-branch instead on the vertex with the most unassigned neighbors, then the
-smallest domain (maximum degree ordering, Dechter and Meiri 1994), which
-refutes in fewer nodes; it changes how much work a verdict takes, never the
-verdict.  _search's verdict_only flag selects that order.
+Which function owns which rule:
 
-The search is one iterative loop over an explicit stack of frames, so its
-depth is not bounded by Python's recursion limit.  Propagation queues the
-vertices whose domain shrank and revises their neighbors.  Every adjacent
-vertex pair carries one constraint, a p-bit mask of the offsets allowed
-between its colors, and the support of a domain across the pair is the
-sumset of the domain with that mask, memoised per search: O(1) for a
-one-color domain and when |domain| + |mask| > p (then every color), by
-doubling over the mask's runs otherwise.  A support of every color revises
-nothing, so its neighbors are skipped.  Which pairs are adjacent, and with
-which signs, is kept on the graph (SignedGraph._sign_groups), so a probe
-only stamps each sign's window onto it; a pair with both signs allows no
-offset when p < 4q, and feasible_pq refutes such a rung before it builds
-anything else.  chi_c reads such a pair as the lower bound 4, which picks
-its first probes (the largest rung below 4, then 4/1); it builds the
-candidate ladder only when 4/1 is refuted, and the greedy seed's coloring
-only when that coloring is needed.  Failures back up by conflict-directed
-backjumping rather than chronologically, and while the state is symmetric
-under c -> -c a picked vertex tries only colors 0..p/2, as each color above
-is the mirror of one tried before it; both skip only subtrees without a
-solution, so the first solution found, and hence every witness, is the one
-the chronological search finds, in no more nodes.  A decision is the first
-entry of its own trail, so undo is one loop over the trail.
+- _search: the one search kernel (arc consistency over bitmask domains,
+  backjumping, the rotation pin, the reflection cut), its two branching
+  orders (canonical, which fixes the witnesses, and verdict_only), and what
+  a node is.
+- _windows, _adjacency: each adjacent pair's mask of allowed offsets.
+- _runs, _support: a domain's support across such a mask.
+- _relation: the terminal offsets a piece or an indicator allows.
+- _quotient_refuted: repeated 2-separated pieces replaced by their relations.
+- feasible_pq: one rung, with its pins, its set-up refutations and its
+  verified witness.
+- chi_c: the walk over the candidate ladder (_probe, _greedy_seed,
+  _rung_below_four); chi_s and chi_plus build on it and on feasible_pq.
 
-Before that search, feasible_pq cuts out the innermost 2-separated pieces
-whose edge list, in any order, occurs at least twice
-(core._repeated_pieces), replaces each by the set of terminal offsets it
-allows (computed once per distinct piece), and refutes the instance
-outright when that smaller quotient has no coloring.  Pieces are sought
-only in blocks where every vertex has three neighbors inside the block,
-and two copies count as the same piece only when their internal vertices
-are numbered in the same relative order; elsewhere the whole graph is
-searched.
-
-All color arithmetic is exact integers; budgets are node counts.  A node is
-one vertex<-color assignment made by branching: a vertex that propagation
-cuts to one color (a pin among them), or that is left with no unassigned
-neighbor and takes its lowest color, costs none.  Reading separations off a
-coloring _relation has found costs none either.  An exhausted budget
-raises, it never returns a wrong answer.
+All color arithmetic is exact integers and budgets are node counts; an
+exhausted budget raises, it never returns a wrong answer.  Repeat runs
+produce byte-identical witnesses.
 """
 
 from __future__ import annotations
@@ -294,11 +258,11 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     Branches on the unassigned vertex with the least key (ties to the lowest
     index), trying its colors in ascending order; an explicit stack of
     frames stands in for recursion.  size[x] holds the key: x's domain size,
-    or with verdict_only (top - its unassigned neighbors) * (p + 1) + its
-    domain size, top the most distinct neighbors of any vertex.  A vertex
-    with one color left is assigned, whether a decision, a root pin or
-    propagation put it there, and its key, taken, is above every other;
-    with verdict_only, as a decision or propagation assigns it, each
+    less p + 1 per unassigned neighbor with verdict_only, so that the most
+    unassigned neighbors come first and the smaller domain breaks a tie.  A
+    vertex with one color left is assigned, whether a decision, a root pin or
+    propagation put it there, and its key, taken = p + 1, is above every
+    other; with verdict_only, as a decision or propagation assigns it, each
     unassigned neighbor's key gains p + 1, on the trail (a vertex assigned
     for want of unassigned neighbors changes none).  Only callers that use
     the verdict alone set verdict_only, since the first solution depends on
@@ -383,10 +347,9 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     taken = p + 1  # the key of an assigned vertex, above every domain size
     size = [d.bit_count() if d & (d - 1) else taken for d in domains]
     step = 0  # what a key gains per neighbor assigned (verdict_only)
-    if verdict_only:  # (top - unassigned neighbors) * (p + 1) + domain size
-        step, top = taken, max(map(len, neighbors))
-        taken *= top + 1
-        size = [taken if s == step else s + (top - sum(size[w] != step for w in ws)) * step
+    if verdict_only:  # domain size - (p + 1) per unassigned neighbor
+        step = taken
+        size = [s if s == taken else s - sum(size[w] != taken for w in ws) * taken
                 for s, ws in zip(size, neighbors)]
     spend = budget.spend
     queued = [d != full for d in domains]
@@ -830,11 +793,6 @@ def circular_to_zero_free(c: Coloring) -> list[int]:
     """Inverse of zero_free_to_circular; requires q == 1."""
     if c.q != 1:
         raise ValueError(f"need q == 1, got q={c.q}")
-    _validate_pq(c.p, c.q)
+    _validate_coloring(c)
     k = c.p // 2
-    out = []
-    for v, x in enumerate(c.colors):
-        if not (_is_int(x) and 0 <= x < c.p):
-            raise ValueError(f"vertex {v}: color {x!r} out of range for p={c.p}")
-        out.append(x + 1 if x < k else k - 1 - x)
-    return out
+    return [x + 1 if x < k else k - 1 - x for x in c.colors]

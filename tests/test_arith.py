@@ -113,6 +113,10 @@ class TestIntegerCircle:
         with pytest.raises(ValueError):
             antipode(0, 7)
 
+    def test_antipode_of_a_color_off_the_circle_rejected(self):
+        with pytest.raises(ValueError, match="color 5 out of range for p=4"):
+            antipode(5, 4)
+
 
 class TestRationalCircle:
     def test_rational_point(self):

@@ -22,6 +22,7 @@ from sgc import (
     signed_cycle,
     verify_coloring,
     wenger,
+    wenger_tilde,
 )
 from sgc.io_cli import fmt_value, main
 
@@ -317,6 +318,12 @@ class TestCliChi:
             bad.write_text(text, encoding="utf-8")
             assert run_m("chi", bad) == (1, "", f"parse error: {error}\n")
 
+    def test_certify_without_edges(self, run, tmp_path):
+        src = tmp_path / "empty.sg"
+        src.write_text("sg 3\n")
+        assert run("chi", src, "--certify") == (
+            0, "chi_c = 1\nno certificate: graph has no edges\n", "")
+
     def test_unreadable_graph_path(self, run, tmp_path):
         code, out, err = run("chi", tmp_path)
         assert (code, out) == (1, "")
@@ -449,6 +456,13 @@ class TestCliZset:
             + "".join(f"  d = {Fraction(d, 5)} : no\n" for d in range(10))
             + "empty set\n"
         )
+
+    def test_budget_exhausted(self, run, tmp_path, monkeypatch):
+        src = tmp_path / "wenger_tilde.sg"
+        src.write_text(render_sg(wenger_tilde()))
+        monkeypatch.setenv("SGC_BUDGET", "10")
+        assert run("zset", src, "--u", "8", "--v", "9", "--r", "18/4") == (
+            3, "", "budget exhausted after 11 nodes\n")
 
     def test_golden_not_contiguous(self, run, tmp_path):
         # Vertex 2 sits one step from each terminal (a +- digon at 4/1 allows

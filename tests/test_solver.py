@@ -175,6 +175,9 @@ class TestFeasiblePq:
         with pytest.raises(UncolorableError):
             feasible_pq(sg(1, [(0, 0, POS)]), 4, 1)
 
+    def test_the_graph_without_vertices_has_the_empty_coloring(self):
+        assert feasible_pq(SignedGraph(0, ()), 2, 1) == Coloring(2, 1, ())
+
     def test_pins(self):
         c = feasible_pq(DIGON, 8, 2, pins=(Pin(0, 3), Pin(1, 1)))
         assert c is not None and c.colors == (3, 1)
@@ -844,6 +847,23 @@ class TestRepeatedPieces:
         assert feasible_pq(h, p, q, budget=budget) is None
         assert budget.nodes == 0
 
+    # ROADMAP item 5's gate: each 2-separated piece, not only repeated ones
+    # numbered alike, is cut.  Today one ear (a vertex on two host vertices)
+    # turns the cut off, and a relabelling hides the repeats, so the whole
+    # graph is searched and the budget runs out.
+    @pytest.mark.xfail(strict=True, raises=BudgetExhausted,
+                       reason="the cut needs every 2-separated piece (ROADMAP item 5)")
+    @pytest.mark.parametrize("variant", ["ear", "relabelled"])
+    def test_k4_omega_variant_at_18_4_takes_under_20000_nodes(self, variant):
+        g = k4_omega()
+        if variant == "ear":
+            h = SignedGraph(g.n + 1, g.edges + (Edge(0, g.n, POS), Edge(1, g.n, POS)))
+        else:
+            perm = list(range(g.n))
+            random.Random(1).shuffle(perm)
+            h = SignedGraph(g.n, tuple(Edge(perm[u], perm[v], s) for u, v, s in g.edges))
+        assert feasible_pq(h, 18, 4, budget=SolveBudget(max_nodes=20_000)) is None
+
     def test_back_to_back_calls_spend_identical_nodes(self):
         spent = []
         for _ in range(2):
@@ -1290,6 +1310,8 @@ class TestZeroFreeConversions:
             zero_free_to_circular([1], 0)
         with pytest.raises(ValueError):
             circular_to_zero_free(Coloring(8, 2, (0,)))
+        with pytest.raises(ValueError, match="color 7 of vertex 1 out of range for p=4"):
+            circular_to_zero_free(Coloring(4, 1, (0, 7)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.data())
