@@ -51,10 +51,10 @@ class Sign(Enum):
 POS = Sign.POSITIVE
 NEG = Sign.NEGATIVE
 
-_SIGN_OF = {
-    POS: POS, NEG: NEG,
-    1: POS, -1: NEG,
-    "+": POS, "-": NEG,
+_SIGN_OF = {  # by type too: True and 1.0 equal 1, but are no sign
+    (Sign, POS): POS, (Sign, NEG): NEG,
+    (int, 1): POS, (int, -1): NEG,
+    (str, "+"): POS, (str, "-"): NEG,
 }
 
 
@@ -103,7 +103,7 @@ class SignedGraph:
         edges = []
         for u, v, s in triples:
             try:
-                sign = _SIGN_OF[s]
+                sign = _SIGN_OF[type(s), s]
             except (KeyError, TypeError):
                 raise ValueError(f"bad sign {s!r} on edge ({u},{v})") from None
             edges.append(Edge(u, v, sign))
@@ -174,7 +174,8 @@ class SignedGraph:
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's distinct neighbors, ascending, loops left out: the
         search asks whether a picked vertex has any left unassigned, and
-        _repeated_pieces walks the blocks over them."""
+        _block_pairs walks the graph over them once for its blocks and
+        their separation pairs."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for a, b, _ in self._pair_signs:  # ascending and loop-free: so is each list
             nbrs[a].append(b)
@@ -220,10 +221,11 @@ def switch(g: SignedGraph, s: Iterable[int]) -> SignedGraph:
 
     Loops never change sign (both endpoints move together).
     """
-    sset = set(s)
-    for v in sset:
-        if not 0 <= v < g.n:
-            raise ValueError(f"switching set contains non-vertex {v}")
+    sset = set()
+    for v in s:  # each member, before True or 1.0 can stand in for 1 in the set
+        if not (_is_int(v) and 0 <= v < g.n):
+            raise ValueError(f"switching set contains non-vertex {v!r}")
+        sset.add(v)
     edges = tuple(
         Edge(e.u, e.v, -e.sign) if (e.u in sset) != (e.v in sset) else e
         for e in g.edges
@@ -262,114 +264,104 @@ def _lift_bfs(g: SignedGraph, labels: list[int],
     return reached
 
 
-def _blocks(nbrs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Vertex lists of the blocks (2-connected pieces and bridges) of the
-    simple graph nbrs: Hopcroft-Tarjan, by an explicit stack."""
-    index = [-1] * len(nbrs)
-    low = index[:]
-    count = 0
-    blocks = []
-    for root in range(len(nbrs)):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack, dfs = [root], [(root, iter(nbrs[root]))]
-        while dfs:
-            v, it = dfs[-1]
-            for w in it:
-                iw = index[w]
-                if iw < 0:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    dfs.append((w, iter(nbrs[w])))
-                    break
-                if iw < low[v]:
-                    low[v] = iw
-            else:
-                dfs.pop()
-                if dfs:
-                    u = dfs[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= index[u]:  # u cuts v's subtree off: one block
-                        block = [u]
-                        while block[-1] != v:
-                            block.append(stack.pop())
-                        blocks.append(block)
-    return blocks
+def _block_pairs(nbrs: Sequence[Sequence[int]]) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """The blocks (2-connected pieces and bridges) of the simple graph nbrs
+    that have at least 4 vertices, each with at least 3 neighbors in the
+    block, each with its separation pairs (ascending), in the order the
+    blocks close: one depth-first search of the graph, by an explicit stack.
 
-
-def _separation_pairs(nbrs: Sequence[Sequence[int]], block: list[int],
-                      inside: set[int]) -> set[tuple[int, int]]:
-    """The vertex pairs (ascending) whose removal disconnects the 2-connected
-    block of nbrs on the vertices inside, read off one depth-first tree
-    (Hopcroft & Tarjan 1973).
-
-    Number the vertices in preorder.  In a separating pair {a, b}, a is a
-    proper ancestor of b, and the block less a and b falls into U (all
-    outside a's subtree and a's other child subtrees: empty iff a is the
-    root), W (the subtree of a's child toward b less b's subtree: empty iff
-    a is b's parent) and S_d for each child d of b.  With lo and hi the
-    least frond target from d's subtree and the highest one above b, S_d
-    reaches U iff lo < a and W iff a < hi, and W reaches U iff a frond from
-    W lands above a; no other edge joins two parts.  So {a, b} splits the
-    block iff some S_d has lo = hi = a while another part is non-empty, or
-    U and W are non-empty, no frond from W lands above a and no S_d reaches
-    both.  One DFS finds lo and hi, and each b then walks its ancestors:
-    O(n + m) plus O(sum of depths) steps, O(n^2) at worst.
+    Number the vertices in preorder, and let lo(v) be the least vertex
+    next to v's subtree, or v: the least frond target from it whenever that
+    lies above v's parent.  When a child v of b finishes, lo(v) >= b closes
+    a block rooted at b: v and the vertices stacked since it (Tarjan 1972).
+    A block's DFS tree is the graph's cut to the block, so a kept block's
+    pairs come from the same numbers (Hopcroft & Tarjan 1973), with its root
+    r in place of the 0 a search of the block alone would number it.  In a
+    separating pair {a, b}, a is a proper ancestor of b, and the block less
+    a and b falls into U (all outside a's subtree and a's other child
+    subtrees: empty iff a = r), W (the subtree of a's child toward b less
+    b's subtree: empty iff a is b's parent) and S_d for each child d of b
+    in the block.  With lo and hi the least frond target from d's subtree
+    and the highest one above b, S_d reaches U iff lo < a and W iff a < hi,
+    and W reaches U iff a frond from W lands above a; no other edge joins
+    two parts.  So {a, b} splits the block iff some S_d has lo = hi = a
+    while another part is non-empty, or U and W are non-empty, no frond
+    from W lands above a and no S_d reaches both.  hi is read off the
+    block's vertices in descending order, when d's whole subtree has been
+    seen.  Each d and each b of a kept block walks its ancestors: O(n + m)
+    plus O(sum of depths in the kept blocks) steps, O(n^2) at worst.
     """
-    num = {block[0]: 0}
-    order, parent, own, latest, kids = [block[0]], [-1], [0], [-1], [[]]
-    dfs = [(0, iter(nbrs[block[0]]))]
+    n = len(nbrs)
+    num, order = [-1] * n, []  # order[i]: the vertex numbered i
+    # Lists by number have a spare last entry for index -1, the number of a
+    # virtual parent whose children are the roots of the components.
+    parent, low = [-1] * (n + 1), list(range(n + 1))  # low[i]: lo(i), once i has finished
+    end = [0] * (n + 1)  # end[i]: 1 + the last number in i's subtree
+    own, side, first = [0] * n, [0] * n, [-1] * n
+    found = []
+    stack, dfs = [], [(-1, iter(range(n)))]
     while dfs:
         v, it = dfs[-1]
         for w in it:
-            if w not in inside:
-                continue
-            t = num.get(w)
-            if t is None:
+            t = num[w]
+            if t < 0:
                 num[w] = t = len(order)
                 order.append(w)
-                parent.append(v)
-                own.append(t)  # the least frond target from t itself, so far
-                latest.append(-1)  # the last vertex a frond into t came from
-                kids.append([])  # (lo, hi, child) per child of t
+                parent[t] = v
+                stack.append(t)
                 dfs.append((t, iter(nbrs[w])))
                 break
-            if t < v and t != parent[v]:  # a frond from v up to t
-                latest[t] = v
-                if t < own[v]:
-                    own[v] = t
+            if t < low[v]:
+                low[v] = t
         else:
             dfs.pop()
-            b = parent[v]
-            if b > 0:
-                hi = parent[b]  # a frond into hi came from v's subtree iff latest[hi] >= v
-                while latest[hi] < v:
-                    hi = parent[hi]
-                kids[b].append((min([own[v]] + [k[0] for k in kids[v]]), hi, v))
-    # side[x]: the least frond target from x's parent and its other child subtrees
-    side = [0] * len(order)
-    for c, spans in enumerate(kids):
-        spans.sort()
-        for _, _, x in spans:
-            side[x] = min([own[c]] + [lo for lo, _, d in spans[:2] if d != x])
-    pairs = set()
-    for b in range(1, len(order)):
-        spans = kids[b]
-        for lo, hi, _ in spans:
-            if lo == hi and (lo or lo != parent[b] or len(spans) > 1):  # U, W or another S_d
-                pairs.add((min(order[lo], order[b]), max(order[lo], order[b])))
-        x, low_w, a = b, b, parent[parent[b]]  # low_w: the least frond target from W
-        while a > 0:
-            if side[x] < low_w:
-                low_w = side[x]
-            if low_w >= a and not any(lo < a < hi for lo, hi, _ in spans):
-                pairs.add((min(order[a], order[b]), max(order[a], order[b])))
-            x, a = parent[x], parent[a]
-    return pairs
+            end[v], b = len(order), parent[v]
+            if b < 0:
+                continue
+            if low[v] < b:  # v's subtree reaches above b: v is in b's block, which goes on
+                if low[v] < low[b]:
+                    low[b] = low[v]
+                continue
+            block = [b]  # then its other vertices, descending
+            while block[-1] != v:
+                block.append(stack.pop())
+            verts = [order[x] for x in block]
+            if len(verts) < 4 or any(len(nbrs[x]) < 3 for x in verts):
+                continue  # the cheap tests first: most blocks fail one
+            inside = set(verts)
+            if any(len(inside.intersection(nbrs[x])) < 3 for x in verts):
+                continue
+            r, kids = b, {x: [] for x in block}  # kids[x]: (lo, hi, child) per child of x
+            for d in block[1:]:  # descending: first[t] is the least vertex so far next to t
+                b, ts = parent[d], [num[w] for w in nbrs[order[d]]]
+                own[d] = min([d] + [t for t in ts if t != b])  # the least frond target from d
+                for t in ts:
+                    first[t] = d
+                if b != r:  # hi is next to d's subtree iff d <= first[hi] < end[d]
+                    hi = parent[b]
+                    while not d <= first[hi] < end[d]:
+                        hi = parent[hi]
+                    kids[b].append((low[d], hi, d))
+            for c in block[1:]:
+                spans = kids[c]
+                spans.sort()
+                for _, _, x in spans:  # the least frond target from c and its other subtrees
+                    side[x] = min([own[c]] + [lo for lo, _, d in spans[:2] if d != x])
+            pairs = set()
+            for b in block[1:]:
+                spans = kids[b]
+                for lo, hi, _ in spans:  # lo = hi = a, and U, W or another S_d is there
+                    if lo == hi and (lo != r or lo != parent[b] or len(spans) > 1):
+                        pairs.add((min(order[lo], order[b]), max(order[lo], order[b])))
+                x, low_w, a = b, b, parent[parent[b]]  # low_w: the least frond target from W
+                while a > r:
+                    if side[x] < low_w:
+                        low_w = side[x]
+                    if low_w >= a and not any(lo < a < hi for lo, hi, _ in spans):
+                        pairs.add((min(order[a], order[b]), max(order[a], order[b])))
+                    x, a = parent[x], parent[a]
+            found.append((verts, sorted(pairs)))
+    return found
 
 
 def _repeated_pieces(g: SignedGraph):
@@ -378,10 +370,10 @@ def _repeated_pieces(g: SignedGraph):
     A separation pair {a, b} is sought only inside a block whose vertices
     all have at least three neighbors in the block (b must cut the block
     once a is gone), so a single vertex with two neighbors in a block (an
-    ear) turns the cut off for that whole block.  Each such block's pairs
-    come from one depth-first search of it (_separation_pairs): one pass
-    over its edges plus O(sum of tree depths) integer steps, so O(n^2) at
-    worst, with no factor of m.
+    ear) turns the cut off for that whole block.  The blocks and their
+    pairs come from one depth-first search of g (_block_pairs): one pass
+    over its edges plus O(sum of tree depths in the kept blocks) integer
+    steps, so O(n^2) at worst, with no factor of m.
     Each component of g - {a, b} touching both a and b is a piece; its key
     is the sorted list of its vertices' edges (u, v, '+' or '-'), read off
     their adjacency, with a, b relabelled 0, 1 and its other vertices 2,
@@ -401,17 +393,13 @@ def _repeated_pieces(g: SignedGraph):
     This depends on g alone: SignedGraph._pieces computes it once per graph.
     """
     nbrs = g._neighbors
-    marks = None  # each edge as a key spells it, built for the first block searched
+    blocks = _block_pairs(nbrs)
+    if not blocks:
+        return None
+    adj, marks = g._adj, [(u, v, sign.symbol) for u, v, sign in g.edges]  # edges as keys spell them
     pieces = []  # (a, b, internal vertices, key)
-    for block in _blocks(nbrs):  # the cheap tests first: most blocks fail one
-        if len(block) < 4 or any(len(nbrs[x]) < 3 for x in block):
-            continue
-        inside = set(block)
-        if any(len(inside.intersection(nbrs[x])) < 3 for x in block):
-            continue
-        if marks is None:
-            adj, marks = g._adj, [(u, v, sign.symbol) for u, v, sign in g.edges]
-        for a, b in sorted(_separation_pairs(nbrs, block, inside)):
+    for _, pairs in blocks:
+        for a, b in pairs:
             done = {a, b}
             for start in nbrs[a]:
                 if start in done:

@@ -75,6 +75,37 @@ def gadget_compositions(draw):
 
 
 @st.composite
+def joined_compositions(draw):
+    """Two or three gadget_compositions, each after the first joined to the
+    ones before it by a bridge, by two edges or through a shared cut vertex.
+
+    The vertices are relabelled at random: either keeping each
+    composition's relative order, so that its repeated pieces stay
+    repeated, or by any permutation.  So a block with at least 3 neighbors
+    per vertex need not hold the search's root, and two of them may share
+    a cut vertex.
+    """
+    n, triples, starts = 0, [], []
+    for h in draw(st.lists(gadget_compositions(), min_size=2, max_size=3)):
+        starts.append(n)
+        label = list(range(n, n + h.n))
+        join = draw(st.sampled_from(("bridge", "two edges", "cut vertex"))) if n else None
+        if join == "cut vertex":  # one of h's vertices is an earlier one
+            x = draw(st.integers(0, h.n - 1))
+            label = label[:x] + [draw(st.integers(0, n - 1))] + label[x:-1]
+        for _ in range({"bridge": 1, "two edges": 2}.get(join, 0)):
+            triples.append((draw(st.integers(0, n - 1)), draw(st.sampled_from(label)),
+                            draw(st.sampled_from((POS, NEG)))))
+        triples += [(label[u], label[v], s) for u, v, s in h.edges]
+        n += h.n - (join == "cut vertex")
+    perm = list(draw(st.permutations(range(n))))
+    if draw(st.booleans()):  # keep the order within each composition's new vertices
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            perm[lo:hi] = sorted(perm[lo:hi])
+    return SignedGraph.from_triples(n, [(perm[u], perm[v], s) for u, v, s in triples])
+
+
+@st.composite
 def necklaces(draw):
     """A ring of 2..6 beads, each K4 less the edge between its two ends,
     with random signs and the vertices relabelled at random.  Any two bead

@@ -15,10 +15,11 @@ today's verdict-only order recounted at every pick (backjump_search), chi_c
 as it was when it probed its bracket's index midpoint (midpoint_chi_c), the
 greedy seed that read the edge rule off sign bits (oracle_greedy_seed), the
 repeated-piece cut as it was when it found separation pairs by one block
-search per vertex (oracle_blocks, oracle_repeated_pieces), the candidate
-ladder (oracle_candidate_ladder), the rational circle helpers
-(rational_point, frac_antipode, frac_circ_dist), the tight-cycle DFS with
-its vertex chain (oracle_find_tight_cycle), the Fraction certificate layer
+search per vertex (oracle_blocks, oracle_block_pairs,
+oracle_repeated_pieces), the candidate ladder (oracle_candidate_ladder),
+the rational circle helpers (rational_point, frac_antipode,
+frac_circ_dist), the tight-cycle DFS with its vertex chain
+(oracle_find_tight_cycle), the Fraction certificate layer
 (frac_verify_rational, frac_tight_digraph, frac_cert_value, frac_refine and
 their helpers), the text parsers before their fast path (oracle_parse_sg,
 oracle_parse_coloring), and the per-edge helper versions of the degeneracy
@@ -868,7 +869,8 @@ def oracle_greedy_seed(g: SignedGraph) -> Coloring:
 
 # core._blocks and core._repeated_pieces as they were when a block's
 # separation pairs came from one block search per vertex; verbatim apart
-# from the oracle prefix on their names.
+# from the oracle prefix on their names and the pair search split out of
+# oracle_repeated_pieces as oracle_block_pairs.
 
 def oracle_blocks(nbrs: Sequence[Sequence[int]], keep: list[bool]) -> list[list[int]]:
     """Vertex lists of the blocks (2-connected pieces and bridges) of the
@@ -911,6 +913,31 @@ def oracle_blocks(nbrs: Sequence[Sequence[int]], keep: list[bool]) -> list[list[
     return blocks
 
 
+def oracle_block_pairs(nbrs: Sequence[Sequence[int]]) -> list[tuple[list[int], list]]:
+    """Each block of nbrs with at least 4 vertices, each with at least 3
+    neighbors in it, and its separation pairs (ascending): the vertex pairs
+    {a, b} such that b is a cut vertex of the block less a."""
+    nbr_sets = [set(ws) for ws in nbrs]
+    found = []
+    for block in oracle_blocks(nbrs, [True] * len(nbrs)):
+        inside = set(block)
+        if len(block) < 4 or any(len(nbr_sets[x] & inside) < 3 for x in block):
+            continue
+        keep = [False] * len(nbrs)
+        for x in block:
+            keep[x] = True
+        pairs = set()
+        for a in block:
+            keep[a] = False
+            seen: set[int] = set()
+            for sub in oracle_blocks(nbrs, keep):
+                pairs.update((min(a, b), max(a, b)) for b in sub if b in seen)
+                seen.update(sub)
+            keep[a] = True
+        found.append((block, sorted(pairs)))
+    return found
+
+
 def oracle_repeated_pieces(g: SignedGraph):
     """The 2-separated pieces of g that occur at least twice, and g without them.
 
@@ -938,22 +965,8 @@ def oracle_repeated_pieces(g: SignedGraph):
     nbrs = g._neighbors
     nbr_sets = [set(ws) for ws in nbrs]
     pieces = []  # (a, b, internal vertices, key)
-    for block in oracle_blocks(nbrs, [True] * g.n):
-        inside = set(block)
-        if len(block) < 4 or any(len(nbr_sets[x] & inside) < 3 for x in block):
-            continue
-        keep = [False] * g.n
-        for x in block:
-            keep[x] = True
-        pairs = set()
-        for a in block:
-            keep[a] = False
-            seen: set[int] = set()
-            for sub in oracle_blocks(nbrs, keep):
-                pairs.update((min(a, b), max(a, b)) for b in sub if b in seen)
-                seen.update(sub)
-            keep[a] = True
-        for a, b in sorted(pairs):
+    for _, pairs in oracle_block_pairs(nbrs):
+        for a, b in pairs:
             done = {a, b}
             for start in nbrs[a]:
                 if start in done:

@@ -40,6 +40,13 @@ class TestSignedGraph:
         with pytest.raises(ValueError):
             SignedGraph(2, (Edge(0, 1, "+"),))
 
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, [1]])
+    def test_bools_and_floats_are_not_signs(self, sign):
+        # True and 1.0 equal 1: both used to read as +, while False was a
+        # bad sign.
+        with pytest.raises(ValueError, match=r"bad sign .* on edge \(0,1\)"):
+            sg(2, [(0, 1, sign)])
+
     def test_keeps_no_reference_to_the_callers_list(self):
         # The graph used to store the list itself: a positive loop appended
         # after chi_c had cached "no positive loop" made the next chi_c
@@ -126,6 +133,13 @@ class TestSwitch:
     def test_rejects_bad_vertex(self):
         with pytest.raises(ValueError):
             switch(C4_NEG, {7})
+
+    @pytest.mark.parametrize("members", [[True], [1.0], ["a"], [None], [1, True]])
+    def test_members_must_be_vertices(self, members):
+        # [True] and [1.0] used to switch vertex 1, and ["a"] raised
+        # TypeError, while pins, terminals and edge endpoints reject them.
+        with pytest.raises(ValueError, match="switching set contains non-vertex"):
+            switch(C4_NEG, members)
 
     @settings(max_examples=150, deadline=None)
     @given(signed_graphs(max_n=6, max_m=8, positive_loops=True), st.data())

@@ -1,5 +1,6 @@
-"""Golden output of scripts/reproduce_values.py, the reproduction report, and
-the determinism of scripts/outcome_digest.py and its comparison mode."""
+"""Golden output of scripts/reproduce_values.py, the reproduction report; the
+determinism, pinned digests and comparison mode of scripts/outcome_digest.py;
+and the totals of scripts/code_size.py."""
 
 import hashlib
 import os
@@ -50,6 +51,14 @@ GOLDEN = [
 ]
 
 
+# The outcome digests: every value, refuted rung, witness, node count and
+# relation mask they cover.  A change to any of these is declared, as node
+# pins are.
+SMOKE_DIGEST = "sha256 762d435a6d8b30263b509622a00c53d69537ee6715fd047d4764e128de2ece9c"
+RELATIONS_SMOKE_DIGEST = "sha256 412f7022a6273d24ad52c5cec47a32acbb4d25ae2f5f3184c47118b009c71117"
+SEEDS_1_2_DIGEST = "sha256 976b2b03cf683d3fc606c1a42989e97610f3c2a2e69928bfedfe89fe915a675c"
+
+
 # -O strips asserts; the package's output guards raise instead, so the
 # report must come out the same.
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
@@ -75,6 +84,17 @@ def test_outcome_digest_is_deterministic_and_digests_its_lines():
                             line) for line in lines)
     body = "".join(line + "\n" for line in lines)
     assert last == f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
+    assert last == SMOKE_DIGEST
+
+
+def test_outcome_digest_pins_the_whole_corpus_at_seeds_1_and_2():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "outcome_digest.py"),
+                           "--seeds", "1", "2"], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(done.stdout.splitlines()) == 2 * 500 + 1
+    assert done.stdout.splitlines()[-1] == SEEDS_1_2_DIGEST
 
 
 def test_outcome_digest_compares_against_an_old_output(tmp_path):
@@ -126,6 +146,7 @@ def test_outcome_digest_compares_relation_masks(tmp_path):
     assert lines[2].endswith(" mask fff8 nodes 3478")  # apexes at 18/4: 3 <= d <= 15
     body = "".join(line + "\n" for line in lines)
     assert last == f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
+    assert last == RELATIONS_SMOKE_DIGEST
     total = sum(int(line.rsplit(" ", 1)[1]) for line in lines)
 
     def against(old_lines):
@@ -144,3 +165,16 @@ def test_outcome_digest_compares_relation_masks(tmp_path):
     assert against(old) == (1, [
         "relation k4_omega-piece 0,1 at 18/4 changed: mask fffc -> fff8",
         f"relations nodes {total + 5} -> {total} identical 2 nodes-only 1 changed 1"])
+
+
+def test_code_size_totals_its_module_rows():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_size.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    header, *rows, total = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    modules = sorted(path.name for path in (ROOT / "src" / "sgc").glob("*.py"))
+    assert [name for name, *_ in rows] == modules
+    assert [int(x) for x in total[1:]] == [sum(int(row[i]) for row in rows) for i in (1, 2)]
+    assert total[0] == "total"
+    assert all(0 < int(code) < int(lines) for _, lines, code in rows)

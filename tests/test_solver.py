@@ -15,8 +15,8 @@ from pathlib import Path
 
 import oracles
 import pytest
-from gen import (gadget_compositions, grids, necklaces, prism, prisms, seeded_multigraphs,
-                 signed_graphs)
+from gen import (gadget_compositions, grids, joined_compositions, necklaces, prism, prisms,
+                 seeded_multigraphs, signed_graphs)
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sgc import core, solver
@@ -920,10 +920,12 @@ class TestRepeatedPieces:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(st.one_of(signed_graphs(min_n=4, max_n=10, min_m=6, max_m=30),
-                     gadget_compositions(), necklaces(), prisms()))
+                     gadget_compositions(), joined_compositions(), necklaces(), prisms()))
     def test_same_pieces_as_one_block_search_per_vertex(self, g):
-        # One DFS tree per block gives the separation pairs that removing
-        # each vertex in turn and looking for a cut vertex gave.
+        # One DFS of the graph gives the blocks, and the separation pairs
+        # that removing each vertex of a block in turn and looking for a
+        # cut vertex gave.
+        assert core._block_pairs(g._neighbors) == oracles.oracle_block_pairs(g._neighbors)
         assert core._repeated_pieces(g) == oracles.oracle_repeated_pieces(g)
 
     @pytest.mark.parametrize("case", ["as built", "relabelled", "with an ear"])
@@ -937,16 +939,16 @@ class TestRepeatedPieces:
         assert core._repeated_pieces(g) == oracles.oracle_repeated_pieces(g)
 
     def test_k4_omega_takes_one_block_search(self, monkeypatch):
-        # Its separation pairs come from a DFS of each block, not from one
-        # block search with each of its 124 vertices removed.
+        # Its blocks and separation pairs come from one DFS of the graph,
+        # not from one block search with each of its 124 vertices removed.
         calls = []
-        blocks = core._blocks
+        block_pairs = core._block_pairs
 
         def counted(*args):
             calls.append(args)
-            return blocks(*args)
+            return block_pairs(*args)
 
-        monkeypatch.setattr(core, "_blocks", counted)
+        monkeypatch.setattr(core, "_block_pairs", counted)
         assert k4_omega()._pieces is not None
         assert len(calls) == 1
 
