@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+__all__ = ["EvenRational", "antipode", "candidates", "circ_dist", "normalize_even"]
+
 
 def _is_int(x) -> bool:
     """Whether x is an int and not a bool (bool subclasses int, but True is

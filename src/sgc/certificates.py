@@ -28,8 +28,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from .arith import _is_int
 from .core import POS, Edge, SignedGraph
-from .solver import Coloring
+from .solver import Coloring, _validate_coloring
+
+__all__ = ["CorruptCertificateError", "NotRefinableError", "RationalColoring",
+           "TightCycleCertificate", "TightDigraph", "cert_value", "find_tight_cycle",
+           "refine", "tight_digraph", "verify_rational"]
 
 Arc = tuple[int, int, int]  # (from vertex, to vertex, edge index)
 
@@ -65,6 +70,7 @@ class RationalColoring:
 
     @classmethod
     def from_coloring(cls, c: Coloring) -> "RationalColoring":
+        _validate_coloring(c)
         return cls(Fraction(c.p, c.q), tuple(Fraction(x, c.q) for x in c.colors))
 
     def to_coloring(self, p: int, q: int) -> Coloring:
@@ -119,6 +125,14 @@ def _edge_gaps(g: SignedGraph, c: RationalColoring
     return d, big_r, xs, gaps
 
 
+def _is_arc(arc) -> bool:
+    """Whether arc is a triple of ints (bools are no vertex or edge index)."""
+    if type(arc) is not tuple or len(arc) != 3:
+        return False
+    u, v, idx = arc
+    return type(u) is type(v) is type(idx) is int or all(map(_is_int, arc))
+
+
 def _tight_steps(e: Edge, idx: int, gap: int, d: int, big_r: int) -> list[Arc]:
     """The tight steps along edge idx, given its gap on the grid (D, R)."""
     steps = [(e.u, e.v, idx)] if gap == d else []
@@ -149,17 +163,19 @@ def verify_rational(g: SignedGraph, c: RationalColoring) -> bool:
 class TightDigraph:
     """All tight steps of a coloring; arcs carry their originating edge.
 
-    Arc endpoints must be vertices 0..n-1; edge indices are checked against
-    the graph by cert_value.
+    Arcs are triples of ints whose endpoints are vertices 0..n-1; edge
+    indices are checked against the graph by cert_value.
     """
 
     n: int
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"vertex count must be a nonnegative int, got {self.n!r}")
         for arc in self.arcs:
+            if not _is_arc(arc):
+                raise ValueError(f"arc {arc!r} is not a triple of ints")
             if not (0 <= arc[0] < self.n and 0 <= arc[1] < self.n):
                 raise ValueError(f"arc {arc!r} has an endpoint outside 0..{self.n - 1}")
 
@@ -226,7 +242,7 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
     """Validate a tight cycle and extract the value it certifies.
 
     Raises CorruptCertificateError when the arcs do not form a closed tight
-    walk under c, or when the step counts give no integer a with 2a + t >= 1.
+    walk under c.
     """
     cycle = tuple(cycle)
     if not cycle:
@@ -236,7 +252,10 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
         raise ValueError("coloring does not verify; nothing to certify")
     d, big_r, _, gaps = grid
     t = 0
-    for i, (u, v, idx) in enumerate(cycle):
+    for i, arc in enumerate(cycle):
+        if not _is_arc(arc):
+            raise CorruptCertificateError(f"arc {i}: {arc!r} is not a triple of ints")
+        u, v, idx = arc
         if not 0 <= idx < g.m:
             raise CorruptCertificateError(f"arc {i}: no edge {idx}")
         e = g.edges[idx]
@@ -249,13 +268,10 @@ def cert_value(g: SignedGraph, c: RationalColoring, cycle: Sequence[Arc]) -> Tig
             raise CorruptCertificateError(f"arc {i}: step ({u},{v}) is not tight")
         t += e.sign is not POS
     s, r = len(cycle) - t, c.r
+    # A tight step moves D or D - R/2 grid steps and the walk closes, so R
+    # divides turns, and 2a + t = 2(s+t)D/R is at least 1.
     turns = s * d - (big_r // 2 - d) * t  # R*a, in grid steps
-    if turns % big_r:
-        raise CorruptCertificateError(
-            f"step counts s={s}, t={t} give non-integral a={Fraction(turns, big_r)}")
     a = turns // big_r
-    if 2 * a + t < 1:
-        raise CorruptCertificateError(f"degenerate cycle: 2a + t = {2 * a + t} certifies nothing")
     certified = Fraction(2 * (s + t), 2 * a + t)
     if certified != r:
         raise RuntimeError("internal error: tight cycle value mismatch")

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from .arith import circle_edge_ok
 from .core import NEG, POS, Edge, Sign, SignedGraph, switch
 from .indicators import Indicator, replace_edges
-from .solver import Coloring
+from .solver import Coloring, _validate_pq
+
+__all__ = ["GadgetEmbedding", "big_gamma", "circular_clique_signed", "gadget_interior_colors",
+           "gamma", "gamma_prime", "hat_clique", "k4_omega", "k4_omega_coloring",
+           "mini_gadget", "omega_d", "outerplanar_F", "positive_clique", "signed_cycle",
+           "spal5", "wenger", "wenger_coloring", "wenger_tilde", "wenger_tilde_coloring",
+           "wenger_tilde_detail"]
 
 
 def positive_clique(n: int) -> SignedGraph:
@@ -46,10 +52,7 @@ def _clique_edges(p: int, q: int, n_limit: int) -> list[tuple[int, int, Sign]]:
     i's antipode); both can hold at once (a parallel pair), and i = j yields
     a negative loop since the antipodal distance is exactly p/2 >= q.
     """
-    if p < 2 or p % 2:
-        raise ValueError("p must be even and at least 2")
-    if not (1 <= q <= p // 2):
-        raise ValueError("q must satisfy 1 <= q <= p/2")
+    _validate_pq(p, q)
     edges: list[tuple[int, int, Sign]] = []
     for i in range(n_limit):
         for j in range(i, n_limit):
@@ -218,8 +221,7 @@ def gadget_interior_colors(p: int, q: int, outer: tuple[int, int, int]) -> tuple
     or (3q + h, 2q + h, q) steps depending on whether the span exceeds q,
     where h = (p - 4q)/2; then undo the normalisation.
     """
-    if p % 2 or p < 2:
-        raise ValueError("p must be even and positive")
+    _validate_pq(p, q)
     if not (4 * q <= p < 6 * q):
         raise ValueError("circle size must lie in [4, 6)")
     for c in outer:

@@ -17,6 +17,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .arith import _is_int
 
+__all__ = ["CapacityError", "Edge", "Sign", "SignedGraph", "StructuralMismatchError",
+           "UncolorableError", "degeneracy", "girth_types", "is_balanced", "switch",
+           "switching_equivalent"]
+
 
 class CapacityError(Exception):
     """The input is beyond a solver's supported size."""

@@ -20,6 +20,8 @@ from .core import POS, Edge, SignedGraph
 # feasible_pq is not called here: it is imported because bench/spans.py rebinds it.
 from .solver import SolveBudget, _begin, _relation, _validate_pq, feasible_pq
 
+__all__ = ["Indicator", "ShapeError", "ZSet", "predict_scaled_chi", "replace_edges", "z_set"]
+
 
 class ShapeError(ValueError):
     """Z-set does not match any shape with a known composition formula."""

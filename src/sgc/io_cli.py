@@ -38,6 +38,8 @@ from .indicators import Indicator, ShapeError, z_set
 from .solver import (BudgetExhausted, ChiUndecided, Coloring, SolveBudget,
                      _validate_coloring, chi_c, chi_s, verify_coloring)
 
+__all__ = ["ParseError", "parse_coloring", "parse_sg", "render_coloring", "render_sg"]
+
 
 class ParseError(ValueError):
     """Malformed .sg or coloring text; carries the offending line number."""

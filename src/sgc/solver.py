@@ -33,6 +33,10 @@ from .arith import candidate_pairs as candidates
 from .core import (CapacityError, POS, SignedGraph, UncolorableError,
                    _group, _lift_bfs, degeneracy, is_balanced)
 
+__all__ = ["BudgetExhausted", "ChiResult", "ChiUndecided", "Coloring", "Pin", "SolveBudget",
+           "chi_c", "chi_plus", "chi_s", "circular_to_zero_free", "feasible_pq",
+           "verify_coloring", "zero_free_to_circular"]
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -779,8 +783,8 @@ def zero_free_to_circular(f: Sequence[int], k: int) -> Coloring:
     (up to rotation) under which negating a color corresponds to taking the
     antipode, so validity transfers exactly in both directions.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"need an int k >= 1, got {k!r}")
     colors = []
     for v, x in enumerate(f):
         if not _is_int(x) or x == 0 or abs(x) > k:

@@ -108,6 +108,17 @@ class TestRationalColoring:
         # Any grid with the same circumference works when the points fit it.
         assert rc.to_coloring(16, 6) == Coloring(16, 6, (0, 6, 12, 2))
 
+    @pytest.mark.parametrize("c, message", [
+        (Coloring(4, 1, (True, 2, 0)), "color True of vertex 0 out of range for p=4"),
+        (Coloring(4, 1, (0, 2.0)), r"color 2\.0 of vertex 1 out of range for p=4"),
+        (Coloring(4, 1, (0, 4)), "color 4 of vertex 1 out of range for p=4"),
+        (Coloring(5, 2, (0,)), "p must be an even integer >= 2, got 5"),
+        (Coloring(4, True, (0,)), "p, q must be ints, got 4, True"),
+    ])
+    def test_from_coloring_checks_the_coloring(self, c, message):
+        with pytest.raises(ValueError, match=message):
+            RationalColoring.from_coloring(c)
+
     def test_to_coloring_errors(self):
         with pytest.raises(ValueError):
             OPT.to_coloring(4, 1)
@@ -164,6 +175,24 @@ class TestFindTightCycle:
     ])
     def test_endpoints_outside_the_vertices_are_rejected(self, n, arcs):
         with pytest.raises(ValueError):
+            TightDigraph(n, arcs)
+
+    @pytest.mark.parametrize("n, arcs", [
+        (3, ((0.5, 1, 0),)),
+        (3, ((0, 1.0, 0),)),
+        (3, ((0, 1, 0.0),)),
+        (3, ((True, 1, 0),)),
+        (3, ((0, 1, False),)),
+        (3, ((0, 1, "0"),)),
+        (3, ((0, 1),)),
+        (3, ((0, 1, 0, 0),)),
+        (3, ([0, 1, 0],)),
+        (True, ()),
+        (2.0, ()),
+        ("3", ()),
+    ])
+    def test_fields_that_are_not_ints_are_rejected(self, n, arcs):
+        with pytest.raises(ValueError, match="int"):
             TightDigraph(n, arcs)
 
     def test_empty(self):
@@ -227,6 +256,26 @@ class TestCertValue:
             cert_value(C4_NEG, OPT, ((0, 1, 9),))  # no such edge
         with pytest.raises(CorruptCertificateError):
             cert_value(C4_NEG, OPT, ((1, 0, 0), (0, 1, 0)))  # slack direction
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("spoil", [float, bool, str], ids=["float", "bool", "str"])
+    def test_arc_fields_that_are_not_ints_are_rejected(self, field, spoil):
+        # Every field of the C4 cycle takes the values 0 and 1, so a bool
+        # spoils an arc without changing what the field reads as.
+        good = find_tight_cycle(tight_digraph(C4_NEG, OPT))
+        i = next(i for i, arc in enumerate(good) if arc[field] in (0, 1))
+        arc = list(good[i])
+        arc[field] = spoil(arc[field])
+        cycle = good[:i] + (tuple(arc),) + good[i + 1:]
+        with pytest.raises(CorruptCertificateError, match=f"arc {i}: .* is not a triple of ints"):
+            cert_value(C4_NEG, OPT, cycle)
+
+    @pytest.mark.parametrize("arc", [(0, 1), (0, 1, 0, 0), [0, 1, 0], None],
+                             ids=["pair", "quadruple", "list", "none"])
+    def test_arcs_that_are_not_triples_are_rejected(self, arc):
+        good = find_tight_cycle(tight_digraph(C4_NEG, OPT))
+        with pytest.raises(CorruptCertificateError, match="arc 0: .* is not a triple of ints"):
+            cert_value(C4_NEG, OPT, (arc,) + good[1:])
 
     def test_negative_a_is_accepted(self):
         # The tight cycle 0 -> 2 -> 4 -> 3 -> 1 -> 0 of this optimal witness

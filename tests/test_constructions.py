@@ -106,7 +106,8 @@ class TestCircularCliqueSigned:
             got = [(e.u, e.v, e.sign) for e in circular_clique_signed(p, q).edges]
             assert got == want, (p, q)
 
-    @pytest.mark.parametrize("p,q", [(7, 2), (0, 1), (6, 0), (6, 4)])
+    @pytest.mark.parametrize("p,q", [(7, 2), (0, 1), (6, 0), (6, 4), (6.0, 2), (6, 2.0),
+                                     (True, 1), (2, True)])
     def test_validation(self, p, q):
         with pytest.raises(ValueError):
             circular_clique_signed(p, q)
@@ -272,6 +273,9 @@ class TestGadgetInteriorColors:
         "p,q,outer",
         [
             (15, 4, (0, 1, 2)),    # odd p
+            (16.0, 4, (0, 2, 4)),  # p not an int
+            (16, 4.0, (0, 2, 4)),  # q not an int
+            (16, 0, (0, 2, 4)),    # q below 1
             (14, 4, (0, 1, 2)),    # circle size below 4
             (36, 6, (0, 1, 2)),    # circle size 6 and above
             (28, 6, (0, 1, 28)),   # color out of range

@@ -500,6 +500,8 @@ class TestCliGen:
             (("gen", "cycle", "4", "x"), "cycle sign must be + or -"),
             (("gen", "omega", "3"), "d must be even and at least 4"),
             (("gen", "clique", "14"), "clique takes P Q"),
+            (("gen", "clique", "3", "1"), "p must be an even integer >= 2, got 3"),
+            (("gen", "hat", "4", "3"), "need 1 <= q <= p/2, got q=3, p=4"),
         ],
     )
     def test_usage_errors(self, run, argv, fragment):

@@ -1,6 +1,7 @@
 """The package namespace (what `from sgc import *` exports) and its sources."""
 
 import ast
+import importlib
 import re
 import sys
 import types
@@ -10,6 +11,45 @@ from pathlib import Path
 import sgc
 
 ROOT = Path(__file__).resolve().parents[1]
+
+MODULES = ("arith", "core", "solver", "certificates", "indicators", "constructions", "io_cli")
+
+# The public names, in order; a change here is a change to the package's API.
+PUBLIC = [
+    "EvenRational", "antipode", "candidates", "circ_dist", "normalize_even",
+    "CapacityError", "Edge", "Sign", "SignedGraph", "StructuralMismatchError",
+    "UncolorableError", "degeneracy", "girth_types", "is_balanced", "switch",
+    "switching_equivalent",
+    "BudgetExhausted", "ChiResult", "ChiUndecided", "Coloring", "Pin", "SolveBudget",
+    "chi_c", "chi_plus", "chi_s", "circular_to_zero_free", "feasible_pq", "verify_coloring",
+    "zero_free_to_circular",
+    "CorruptCertificateError", "NotRefinableError", "RationalColoring",
+    "TightCycleCertificate", "TightDigraph", "cert_value", "find_tight_cycle", "refine",
+    "tight_digraph", "verify_rational",
+    "Indicator", "ShapeError", "ZSet", "predict_scaled_chi", "replace_edges", "z_set",
+    "GadgetEmbedding", "big_gamma", "circular_clique_signed", "gadget_interior_colors",
+    "gamma", "gamma_prime", "hat_clique", "k4_omega", "k4_omega_coloring", "mini_gadget",
+    "omega_d", "outerplanar_F", "positive_clique", "signed_cycle", "spal5", "wenger",
+    "wenger_coloring", "wenger_tilde", "wenger_tilde_coloring", "wenger_tilde_detail",
+    "ParseError", "parse_coloring", "parse_sg", "render_coloring", "render_sg",
+]
+
+
+def test_public_names_are_pinned():
+    assert sgc.__all__ == PUBLIC
+
+
+def test_each_module_lists_only_what_it_defines():
+    for name in MODULES:
+        module = importlib.import_module(f"sgc.{name}")
+        assert module.__all__, name
+        for attr in module.__all__:
+            assert getattr(module, attr).__module__ == module.__name__, (name, attr)
+
+
+def test_package_list_is_the_module_lists_in_order():
+    assert sgc.__all__ == [attr for name in MODULES
+                           for attr in importlib.import_module(f"sgc.{name}").__all__]
 
 
 def test_all_names_resolve_and_are_not_submodules():

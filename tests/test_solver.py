@@ -1310,6 +1310,9 @@ class TestZeroFreeConversions:
             zero_free_to_circular([3], 2)
         with pytest.raises(ValueError):
             zero_free_to_circular([1], 0)
+        for k in (1.5, True, 2.0, "1"):
+            with pytest.raises(ValueError, match=f"need an int k >= 1, got {k!r}"):
+                zero_free_to_circular([1], k)
         with pytest.raises(ValueError):
             circular_to_zero_free(Coloring(8, 2, (0,)))
         with pytest.raises(ValueError, match="color 7 of vertex 1 out of range for p=4"):
