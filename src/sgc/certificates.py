@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .arith import _is_int
 from .core import POS, Edge, SignedGraph
-from .solver import Coloring, _validate_coloring
+from .solver import Coloring, _validate_coloring, _validate_pq
 
 __all__ = ["CorruptCertificateError", "NotRefinableError", "RationalColoring",
            "TightCycleCertificate", "TightDigraph", "cert_value", "find_tight_cycle",
@@ -74,7 +74,9 @@ class RationalColoring:
         return cls(Fraction(c.p, c.q), tuple(Fraction(x, c.q) for x in c.colors))
 
     def to_coloring(self, p: int, q: int) -> Coloring:
-        """Back onto the integer grid {0..p-1}, scaled by q; exact or error."""
+        """Back onto the integer grid {0..p-1}, scaled by q; exact or error.
+        p and q must pass solver._validate_pq."""
+        _validate_pq(p, q)
         if Fraction(p, q) != self.r:
             raise ValueError(f"{p}/{q} != circumference {self.r}")
         colors = []

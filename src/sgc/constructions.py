@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import circle_edge_ok
+from .arith import _is_int, circle_edge_ok
 from .core import NEG, POS, Edge, Sign, SignedGraph, switch
 from .indicators import Indicator, replace_edges
 from .solver import Coloring, _validate_pq
@@ -225,8 +225,8 @@ def gadget_interior_colors(p: int, q: int, outer: tuple[int, int, int]) -> tuple
     if not (4 * q <= p < 6 * q):
         raise ValueError("circle size must lie in [4, 6)")
     for c in outer:
-        if not (0 <= c < p):
-            raise ValueError("outer colors must lie in 0..p-1")
+        if not (_is_int(c) and 0 <= c < p):
+            raise ValueError(f"outer colors must be ints in 0..p-1, got {c!r}")
     h = (p - 4 * q) // 2
     lo, hi = q - h, q + h
     roles = tuple(outer)

@@ -82,10 +82,12 @@ def z_set(ind: Indicator, p: int, q: int, budget: SolveBudget | None = None) -> 
     """Compute the Z-set of an indicator at circle size (p, q).
 
     The members are bits 0..p//2 of the terminal relation (solver._relation):
-    for each d, feasible_pq's verdict pinned at f(u) = 0, f(v) = d, found by
-    a verdict-only search.  Pinning u to 0 loses nothing (rotate the circle);
-    restricting d to at most p//2 loses nothing (negate the circle).  Errors
-    and an exhausted budget raise as in feasible_pq.
+    for each d, feasible_pq's verdict pinned at f(u) = 0, f(v) = d, decided
+    by verdict-only searches that pin d from p//2 down until one is refuted,
+    then let f(v) range over every d below it not yet shown.  Pinning u to 0
+    loses nothing (rotate the circle); restricting d to at most p//2 loses
+    nothing (negate the circle).  Errors and an exhausted budget raise as in
+    feasible_pq.
     """
     _validate_pq(p, q)
     budget = _begin(ind.graph, budget)

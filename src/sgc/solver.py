@@ -8,7 +8,8 @@ Which function owns which rule:
   a node is.
 - _windows, _adjacency: each adjacent pair's mask of allowed offsets.
 - _runs, _support: a domain's support across such a mask.
-- _relation: the terminal offsets a piece or an indicator allows.
+- _relation: the terminal offsets a piece or an indicator allows
+  (_separations: those one coloring shows).
 - _quotient_refuted: repeated 2-separated pieces replaced by their relations.
 - feasible_pq: one rung, with its pins, its set-up refutations and its
   verified witness.
@@ -468,33 +469,56 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
         queued[v] = True
 
 
+def _separations(adj: Sequence[Sequence[tuple[int, Sequence[int]]]], sol: Sequence[int],
+                 u: int, v: int, p: int) -> int:
+    """The separations a coloring sol with u at 0 shows, as a symmetric
+    offset mask: v at each color its neighbors allow it (_allowed), and u at
+    each color c its neighbors allow, which puts v at sol[v] - c once the
+    coloring is turned so that u is back at 0."""
+    d = sol[v]
+    at_u = _reflect(_allowed(adj[u], sol, p), p)
+    seps = _allowed(adj[v], sol, p) | (at_u << d | at_u >> (p - d)) & (1 << p) - 1
+    return seps | _reflect(seps, p)
+
+
 def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudget) -> int:
     """The symmetric offset mask {+-d : g has a (p,q)-coloring with vertex u
     at 0 and vertex v != u at d}; d up to p/2 suffices, by reflection.
 
-    The one loop over pinned separations: a repeated piece's relation (u, v
-    = 0, 1) and an indicator's Z-set (its bits 0..p/2).  Each d not yet in
-    the mask is one pinned search whose verdict alone is kept, so it
-    branches on the most unassigned neighbors (verdict_only), which refutes
-    in fewer nodes than the canonical order.  A coloring found with v at d
-    also shows every separation reached by recoloring v alone (the colors
-    its neighbors allow it, _allowed), and by recoloring u alone, turned so
-    that u is back at 0; those join the mask at once, and their searches
-    are skipped.
+    The one loop over separations: a repeated piece's relation (u, v = 0,
+    1) and an indicator's Z-set (its bits 0..p/2).  Its searches keep their
+    verdict alone, so they branch on the most unassigned neighbors
+    (verdict_only), which refutes in fewer nodes than the canonical order.
+    d walks down from p/2, one pinned search per d not yet in the mask,
+    while those searches find colorings.  At the first refuted d, one search
+    lets v take every separation below d not yet shown, with their mirrors:
+    v's root domain is closed under c -> -c, so the reflection cut holds at
+    the root.  That union search repeats, each time without what the last
+    coloring showed, until it refutes or nothing is left.  A coloring shows
+    more than its own separation (_separations), and what it shows joins
+    the mask at once, so those searches are skipped.
     """
     adj = _adjacency(g, p, q)
     full = (1 << p) - 1
     mask = 0
-    for d in range(p // 2 + 1):
+
+    def colored(at_v: int) -> list[int] | None:
+        domains = [full] * g.n
+        domains[u], domains[v] = 1, at_v
+        return _search(g.n, adj, p, domains, budget, True, g._neighbors)
+
+    for d in range(p // 2, -1, -1):
         if mask >> d & 1:
             continue
-        domains = [full] * g.n
-        domains[u], domains[v] = 1, 1 << d
-        sol = _search(g.n, adj, p, domains, budget, True, g._neighbors)
-        if sol is not None:  # v at each color it allows; u at c puts v at d - c
-            at_u = _reflect(_allowed(adj[u], sol, p), p)
-            seps = _allowed(adj[v], sol, p) | (at_u << d | at_u >> (p - d)) & full
-            mask |= seps | _reflect(seps, p)
+        sol = colored(1 << d)
+        if sol is None:  # refuted: the rest below d in union searches
+            left = (1 << d) - 1 & ~mask
+            left |= _reflect(left, p)
+            while left and (sol := colored(left)) is not None:
+                mask |= _separations(adj, sol, u, v, p)
+                left &= ~mask
+            return mask
+        mask |= _separations(adj, sol, u, v, p)
     return mask
 
 

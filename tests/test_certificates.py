@@ -126,6 +126,15 @@ class TestRationalColoring:
         with pytest.raises(ValueError):
             off_grid.to_coloring(4, 1)
 
+    @pytest.mark.parametrize("p, q, message", [
+        (4, True, "p, q must be ints, got 4, True"),
+        (4.0, 1, r"p, q must be ints, got 4\.0, 1"),
+    ])
+    def test_to_coloring_checks_p_and_q(self, p, q, message):
+        rc = RationalColoring(Fraction(4), (Fraction(0), Fraction(2)))
+        with pytest.raises(ValueError, match=message):
+            rc.to_coloring(p, q)
+
 
 class TestVerifyRational:
     def test_length_mismatch(self):

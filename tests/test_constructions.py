@@ -280,6 +280,8 @@ class TestGadgetInteriorColors:
             (36, 6, (0, 1, 2)),    # circle size 6 and above
             (28, 6, (0, 1, 28)),   # color out of range
             (28, 6, (-1, 1, 2)),   # color out of range
+            (16, 4, (0.0, 2, 4)),  # color not an int
+            (16, 4, (True, 2, 4)),  # color a bool
         ],
     )
     def test_validation(self, p, q, outer):

@@ -17,7 +17,7 @@ import oracles
 import pytest
 from gen import (gadget_compositions, grids, joined_compositions, necklaces, prism, prisms,
                  seeded_multigraphs, signed_graphs)
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sgc import core, solver
 from sgc.arith import EvenRational, candidate_pairs, normalize_even
@@ -501,11 +501,11 @@ class TestSearchKernel:
                     assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("p,q,nodes,searches", [
-        (14, 3, 24, 2), (20, 4, 36, 3), (22, 5, 3_600, 6), (24, 5, 25, 2), (28, 6, 40, 3)])
+        (14, 3, 71, 5), (20, 4, 61, 5), (22, 5, 2_785, 6), (24, 5, 96, 5), (28, 6, 138, 8)])
     def test_relation_searches_spend_what_the_backjumping_kernel_spent(
             self, monkeypatch, p, q, nodes, searches):
-        # k4_omega's piece around its 14/3: the verdict-only pinned searches
-        # of _relation (none of chi_random's 500 graphs at seed 1 has a
+        # k4_omega's piece around its 14/3: the verdict-only searches of
+        # _relation (none of chi_random's 500 graphs at seed 1 has a
         # repeated piece) keep the mask, the number of searches and every
         # node of the kernel before.
         h = k4_omega()._pieces[3][0]
@@ -796,6 +796,10 @@ class TestRepeatedPieces:
 
     @settings(max_examples=300, deadline=None)
     @given(signed_graphs(min_n=2, max_n=9, max_m=20), grids(16))
+    # A negative edge at 6/3 forces offset 0: d = 3 is refuted, and the
+    # union search over d = 0, 1, 2 and their mirrors finds a coloring
+    # before it refutes.
+    @example(SignedGraph.from_triples(2, [(0, 1, NEG)]), (6, 3))
     def test_relation_is_the_chronological_verdict_at_every_offset(self, h, pq):
         # Bit d of the relation is set exactly when the chronological search
         # colors h with vertex 0 at 0 and vertex 1 at d, for every d: the
@@ -811,11 +815,11 @@ class TestRepeatedPieces:
         assert solver._relation(h, 0, 1, p, q, SolveBudget(max_nodes=1_000_000)) == want
 
     def test_a_found_coloring_settles_the_separations_it_shows(self, monkeypatch):
-        # wenger_tilde at 18/4 with its terminals 8 and 9: one pinned search
-        # per d = 0..9 gives the mask.  d = 0, 1 and 2 are refuted; the
-        # coloring found at d = 3 shows d = 4 by recoloring one terminal,
-        # and the one found at d = 5 shows d = 6..9, so those five searches
-        # are skipped.
+        # wenger_tilde at 18/4 with its terminals 8 and 9: pinned searches
+        # walk down from d = 9.  The colorings found at d = 9, 7, 4 and 3
+        # show d = 8, 6 and 5 as well, so those searches are skipped; d = 2
+        # is refuted, and one search with vertex 9 free over {0, 1, 17}
+        # (d = 0 and 1 and their mirrors) refutes the rest.
         g, p, q = wenger_tilde(), 18, 4
         adj = solver._adjacency(g, p, q)
         full = (1 << p) - 1
@@ -829,12 +833,13 @@ class TestRepeatedPieces:
         search = solver._search
 
         def counted(*args):
-            calls.append(args[3][9].bit_length() - 1)  # vertex 9's pinned color
+            at_9 = args[3][9]  # vertex 9's root domain
+            calls.append(tuple(c for c in range(p) if at_9 >> c & 1))
             return search(*args)
 
         monkeypatch.setattr(solver, "_search", counted)
         assert solver._relation(g, 8, 9, p, q, SolveBudget()) == want
-        assert calls == [0, 1, 2, 3, 5]
+        assert calls == [(9,), (7,), (4,), (3,), (2,), (0, 1, 17)]
 
     @pytest.mark.parametrize("p,q", [(18, 5), (14, 4), (22, 6)])
     def test_a_digon_refutes_below_4_before_any_relation(self, p, q):
