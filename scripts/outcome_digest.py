@@ -30,9 +30,9 @@ value):
 `--relations` prints, instead of chi_c outcomes, the terminal relations the
 verdict-only searches decide: `solver._relation`'s offset mask and nodes
 for `wenger_tilde` at its apex pair (8, 9) and for `k4_omega`'s repeated
-piece at its terminals (0, 1), at each rung of RUNGS: 28/6, 46/10, 32/7,
-18/4, 40/9, 44/10 and 48/11, from 14/3 down, where most separations are
-refuted, then 108/23 and 248/53 just above 14/3, where every separation
+piece at its terminals (0, 1), at each rung of RUNGS: 28/6, 74/16, 46/10,
+32/7, 18/4, 40/9, 44/10 and 48/11, from 14/3 down, where most separations
+are refuted, then 108/23 and 248/53 just above 14/3, where every separation
 has a coloring (with `--smoke`, 28/6 and 18/4 only).  So the digest prices
 both kinds of rung.  With `--against` it prints each relation whose mask
 moved, each one the old output lacks (not compared), and a tally of the
@@ -55,8 +55,8 @@ from workloads import ChiRandom  # noqa: E402
 
 KINDS = ("identical", "nodes-only", "newly-decided", "newly-undecided", "bracket-moved",
          "changed")
-RUNGS = ((28, 6), (46, 10), (32, 7), (18, 4), (40, 9), (44, 10), (48, 11), (108, 23),
-         (248, 53))
+RUNGS = ((28, 6), (74, 16), (46, 10), (32, 7), (18, 4), (40, 9), (44, 10), (48, 11),
+         (108, 23), (248, 53))
 SMOKE_RUNGS = ((28, 6), (18, 4))
 
 

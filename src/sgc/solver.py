@@ -3,9 +3,9 @@
 Which function owns which rule:
 
 - _search: the one search kernel (arc consistency over bitmask domains,
-  backjumping, the rotation pin, the reflection cut), its two branching
-  orders (canonical, which fixes the witnesses, and verdict_only), and what
-  a node is.
+  backjumping, the rotation pin, the reflection cut, refuted parts), its
+  two branching orders (canonical, which fixes the witnesses, and
+  verdict_only), and what a node is.
 - _windows, _adjacency: each adjacent pair's mask of allowed offsets.
 - _runs, _support: a domain's support across such a mask.
 - _relation: the terminal offsets a piece or an indicator allows
@@ -322,12 +322,34 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     refutes -c by symmetry, or ends the vertex's colors: a solution, or a
     backjump past it.
 
-    Backjumping and the reflection cut skip only subtrees that hold no
-    solution, whatever the branching order: the search returns the first
-    solution of the chronological search in the same order (unpinned when
-    the root domains are full and verdict_only is not set), in no more
-    nodes.  domains is consumed destructively.  Returns that solution, or
-    None, also when a root domain or a pair's mask is empty.
+    Refuted parts (component caching: Bacchus, Dalmao & Pitassi 2009): a
+    vertex's part is it and the unassigned vertices it reaches through
+    unassigned ones.  Arc consistency holds on every pair with an assigned
+    vertex, so the parts take their colorings independently, and a
+    decision's propagation stays inside its own part; so does its bit in
+    why, and a conflict that holds it arose inside that part.  When v is
+    exhausted with a non-empty conflict, each color of v failed with v in
+    its conflict (or is the mirror of one that did), so v's part has no
+    coloring within the domains it had at v's branch point, which the
+    trail has just restored.  The search records that part, keyed by its
+    sorted vertices and their domains, under v and v's domain.  At a later
+    branch point, only when the picked vertex w and its domain have such
+    records is w's part computed, and only as far as the largest of them;
+    a recorded key fails the current color, with conflict the OR of why
+    over the part, which holds every decision that cut those domains.
+    Nothing is assigned, so that costs no node; every branch point but the
+    root's follows a node, so there are no more such failures than nodes.
+    A part is recorded only when some unassigned vertex lies outside it and
+    its breadth-first search visits no more vertices than the nodes spent
+    since the last part the search tried to record, O(1) amortised per
+    node.  The records live for this call only.
+
+    Backjumping, the reflection cut and refuted parts skip only subtrees
+    that hold no solution, whatever the branching order: the search returns
+    the first solution of the chronological search in the same order
+    (unpinned when the root domains are full and verdict_only is not set),
+    in no more nodes.  domains is consumed destructively.  Returns that
+    solution, or None, also when a root domain or a pair's mask is empty.
     """
     if n == 0:
         return []
@@ -358,6 +380,28 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                 for s, ws in zip(size, neighbors)]
     spend = budget.spend
     queued = [d != full for d in domains]
+    # refuted[(v, v's domain)] = keys of the refuted parts recorded at v
+    refuted: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    paid = budget.nodes  # the node count at the last part tried
+
+    def part(x: int, limit: int) -> list[int] | None:
+        """x's part, x first: the unassigned vertices that x reaches through
+        unassigned ones; None once it holds more than limit vertices."""
+        seen, found = {x}, [x]
+        for y in found:
+            for z in neighbors[y]:
+                if size[z] != taken and z not in seen:
+                    seen.add(z)
+                    found.append(z)
+            if len(found) > limit:
+                return None
+        return found
+
+    def key(found: list[int]) -> tuple[int, ...]:
+        """A part's key: its sorted vertices, then their domains."""
+        found.sort()
+        return (*found, *[domains[x] for x in found])
+
     # A frame is (vertex, colors not yet tried, conflicts of its failed
     # colors, whether reflection holds at it, trail of (vertex, old domain,
     # old why, old key) written since its color was set: the vertex's own
@@ -429,12 +473,19 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                     sym = sym and low & fixed != 0
                     continue
                 break  # a real choice: branch on w
-            frames.append((v, untried, conf, mirrored, trail))
-            mirrored = sym
-            v = w
-            untried = domains[v] & half if sym else domains[v]
-            conf = 0
-        else:  # undo v's failed color; back up to the deepest decision in conflict
+            keys = refuted.get((w, domains[w])) if refuted else None
+            found = keys and part(w, max(map(len, keys)) // 2)  # two numbers a vertex
+            if found and key(found) in keys:
+                conflict = 0  # w's part is refuted: v's color fails, no node
+                for x in found:
+                    conflict |= why[x]
+            else:
+                frames.append((v, untried, conf, mirrored, trail))
+                mirrored = sym
+                v = w
+                untried = domains[v] & half if sym else domains[v]
+                conf = 0
+        if conflict >= 0:  # undo v's failed color; back up to the deepest decision in conflict
             for x in queue:
                 queued[x] = False
             queue.clear()
@@ -451,6 +502,11 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                     if untried:
                         break
                     conflict = conf | why[v]
+                    if conflict:  # record v's part, unless it is every unassigned vertex
+                        found = part(v, budget.nodes - paid)
+                        paid = budget.nodes
+                        if found is not None and len(found) + size.count(taken) < n:
+                            refuted.setdefault((v, domains[v]), set()).add(key(found))
                 v, untried, conf, mirrored, trail = frames.pop()
         lsb = untried & -untried
         untried ^= lsb
