@@ -337,12 +337,20 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     records is w's part computed, and only as far as the largest of them;
     a recorded key fails the current color, with conflict the OR of why
     over the part, which holds every decision that cut those domains.
-    Nothing is assigned, so that costs no node; every branch point but the
-    root's follows a node, so there are no more such failures than nodes.
-    A part is recorded only when some unassigned vertex lies outside it and
-    its breadth-first search visits no more vertices than the nodes spent
-    since the last part the search tried to record, O(1) amortised per
-    node.  The records live for this call only.
+    Nothing is assigned, so that costs no node.  That conflict may hold
+    decisions a search of the part would have left out of its own, so the
+    search can back up to a deeper decision than the search without
+    records, and spend more nodes than it from there; it still skips only
+    subtrees without a solution.  Every branch point but the root's
+    follows a node, so there is at most one lookup per node; a lookup walks
+    and sorts at most the largest part recorded under w and its domain,
+    O(k log k) for k vertices, and this is not amortised.  A part is
+    recorded only when its breadth-first search visits no more vertices
+    than the nodes spent since the last part the search tried to record,
+    which amortises those walks to O(1) vertices per node, and when some
+    unassigned vertex lies outside it, which counting the assigned keys in
+    size tells: one scan of n keys, as each pick's min over size is, and
+    at most one per node.  The records live for this call only.
 
     Backjumping, the reflection cut and refuted parts skip only subtrees
     that hold no solution, whatever the branching order: the search returns
@@ -380,8 +388,9 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                 for s, ws in zip(size, neighbors)]
     spend = budget.spend
     queued = [d != full for d in domains]
-    # refuted[(v, v's domain)] = keys of the refuted parts recorded at v
-    refuted: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    # refuted[(v, v's domain)] = [the most vertices in a part recorded at v,
+    # keys of those parts]
+    refuted: dict[tuple[int, int], list] = {}
     paid = budget.nodes  # the node count at the last part tried
 
     def part(x: int, limit: int) -> list[int] | None:
@@ -473,9 +482,9 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                     sym = sym and low & fixed != 0
                     continue
                 break  # a real choice: branch on w
-            keys = refuted.get((w, domains[w])) if refuted else None
-            found = keys and part(w, max(map(len, keys)) // 2)  # two numbers a vertex
-            if found and key(found) in keys:
+            entry = refuted.get((w, domains[w])) if refuted else None
+            found = entry and part(w, entry[0])
+            if found and key(found) in entry[1]:
                 conflict = 0  # w's part is refuted: v's color fails, no node
                 for x in found:
                     conflict |= why[x]
@@ -506,7 +515,9 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                         found = part(v, budget.nodes - paid)
                         paid = budget.nodes
                         if found is not None and len(found) + size.count(taken) < n:
-                            refuted.setdefault((v, domains[v]), set()).add(key(found))
+                            entry = refuted.setdefault((v, domains[v]), [0, set()])
+                            entry[0] = max(entry[0], len(found))
+                            entry[1].add(key(found))
                 v, untried, conf, mirrored, trail = frames.pop()
         lsb = untried & -untried
         untried ^= lsb
