@@ -265,11 +265,16 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     frames stands in for recursion.  size[x] holds the key: x's domain size,
     less p + 1 per unassigned neighbor with verdict_only, so that the most
     unassigned neighbors come first and the smaller domain breaks a tie.  A
-    vertex with one color left is assigned, whether a decision, a root pin or
-    propagation put it there, and its key, taken = p + 1, is above every
-    other; with verdict_only, as a decision or propagation assigns it, each
-    unassigned neighbor's key gains p + 1, on the trail (a vertex assigned
-    for want of unassigned neighbors changes none).  Only callers that use
+    vertex with one color left is assigned, whether a decision, a root
+    domain or propagation put it there, and each such vertex is queued.  It
+    is marked assigned in one place, as it leaves the queue: its key becomes
+    taken = p + 1, above every other, and with verdict_only each unassigned
+    neighbor's key gains p + 1, on the trail (a vertex assigned for want of
+    unassigned neighbors changes none).  Until then a cut lowers its key by
+    the colors it removes, as it does any vertex's.  Keys are read only at a
+    pick, once the queue is empty, and the pop needs no trail entry of its
+    own: the decision's or the cut's entry on the same trail restores the
+    key, and the root's trail is never undone.  Only callers that use
     the verdict alone set verdict_only, since the first solution depends on
     the order.  neighbors[x] lists x's distinct neighbors in adj
     (SignedGraph._neighbors when adj is the graph's own; derived from adj
@@ -380,12 +385,11 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     if neighbors is None:
         neighbors = [[w for _, ws in gx for w in ws] for gx in adj]
     taken = p + 1  # the key of an assigned vertex, above every domain size
-    size = [d.bit_count() if d & (d - 1) else taken for d in domains]
+    size = [d.bit_count() for d in domains]
     step = 0  # what a key gains per neighbor assigned (verdict_only)
-    if verdict_only:  # domain size - (p + 1) per unassigned neighbor
+    if verdict_only:  # domain size - (p + 1) per neighbor, until the singletons' pops
         step = taken
-        size = [s if s == taken else s - sum(size[w] != taken for w in ws) * taken
-                for s, ws in zip(size, neighbors)]
+        size = [s - len(ws) * taken for s, ws in zip(size, neighbors)]
     spend = budget.spend
     queued = [d != full for d in domains]
     # refuted[(v, v's domain)] = [the most vertices in a part recorded at v,
@@ -426,6 +430,14 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
             queued[x] = False
             dx = domains[x]
             yx = why[x]
+            if not dx & (dx - 1) and size[x] != taken:  # one color left: x is assigned
+                size[x] = taken
+                if step:  # one more assigned neighbor for each of x's
+                    for y in neighbors[x]:
+                        sy = size[y]
+                        if sy != taken:
+                            trail.append((y, domains[y], why[y], sy))
+                            size[y] = sy + step
             for mask, memo, ws in groups[x]:
                 sup = memo.get(dx)
                 if sup is None:
@@ -444,16 +456,7 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                         trail.append((w, dw, yw, sw))
                         domains[w] = nd
                         why[w] = yw | yx
-                        if nd & (nd - 1):
-                            size[w] = sw - (dw ^ nd).bit_count()
-                        else:
-                            size[w] = taken
-                            if step:  # one more assigned neighbor for each of w's
-                                for y in neighbors[w]:
-                                    sy = size[y]
-                                    if sy != taken:
-                                        trail.append((y, domains[y], why[y], sy))
-                                        size[y] = sy + step
+                        size[w] = sw - (dw ^ nd).bit_count()
                         if not queued[w]:
                             queued[w] = True
                             queue.append(w)
@@ -525,13 +528,6 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
         trail = [(v, domains[v], why[v], size[v])]
         domains[v] = lsb
         why[v] = 1 << v
-        size[v] = taken
-        if step:  # one more assigned neighbor for each of v's
-            for y in neighbors[v]:
-                sy = size[y]
-                if sy != taken:
-                    trail.append((y, domains[y], why[y], sy))
-                    size[y] = sy + step
         queue.append(v)
         queued[v] = True
 
