@@ -352,10 +352,8 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     O(k log k) for k vertices, and this is not amortised.  A part is
     recorded only when its breadth-first search visits no more vertices
     than the nodes spent since the last part the search tried to record,
-    which amortises those walks to O(1) vertices per node, and when some
-    unassigned vertex lies outside it, which counting the assigned keys in
-    size tells: one scan of n keys, as each pick's min over size is, and
-    at most one per node.  The records live for this call only.
+    which amortises those walks to O(1) vertices per node.  The records
+    live for this call only.
 
     Backjumping, the reflection cut and refuted parts skip only subtrees
     that hold no solution, whatever the branching order: the search returns
@@ -514,10 +512,10 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                     if untried:
                         break
                     conflict = conf | why[v]
-                    if conflict:  # record v's part, unless it is every unassigned vertex
+                    if conflict:  # record v's part
                         found = part(v, budget.nodes - paid)
                         paid = budget.nodes
-                        if found is not None and len(found) + size.count(taken) < n:
+                        if found is not None:
                             entry = refuted.setdefault((v, domains[v]), [0, set()])
                             entry[0] = max(entry[0], len(found))
                             entry[1].add(key(found))
