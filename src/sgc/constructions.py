@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .arith import _is_int, circle_edge_ok
 from .core import NEG, POS, Edge, Sign, SignedGraph, switch
-from .indicators import Indicator, replace_edges
+from .indicators import Indicator, _graft, replace_edges
 from .solver import Coloring, _validate_pq
 
 __all__ = ["GadgetEmbedding", "big_gamma", "circular_clique_signed", "gadget_interior_colors",
@@ -116,19 +116,9 @@ def gamma_prime(i: int) -> SignedGraph:
     if i < 1:
         raise ValueError("index must be at least 1")
     first = gamma(2 * i - 1)
-    second = gamma(2 * i)
-    na = first.graph.n
-
-    def remap(w: int) -> int:
-        if w == second.u:
-            return first.u
-        if w == second.v:
-            return first.v
-        return na + w  # second block's internals sit after the first block
-
-    triples = [(e.u, e.v, e.sign) for e in first.graph.edges]
-    triples += [(remap(e.u), remap(e.v), e.sign) for e in second.graph.edges]
-    return SignedGraph.from_triples(na + second.graph.n - 2, triples)
+    edges = list(first.graph.edges)
+    n = _graft(edges, gamma(2 * i), first.u, first.v, first.graph.n)
+    return SignedGraph(n, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -114,19 +114,25 @@ def replace_edges(
     if i_neg is None and any(e.sign is not POS for e in host.edges):
         raise ValueError("host has negative edges but no negative-edge indicator given")
 
-    new_edges: list[Edge] = []
-    next_base = host.n
-    for k, e in enumerate(host.edges):
+    edges: list[Edge] = []
+    base = host.n
+    for e in host.edges:
         ind = i_pos if e.sign is POS else i_neg
-        a, b = min(e.u, e.v), max(e.u, e.v)
-        internals = [w for w in range(ind.graph.n) if w not in (ind.u, ind.v)]
-        vmap = {ind.u: a, ind.v: b}
-        for pos, w in enumerate(internals):
-            vmap[w] = next_base + pos
-        next_base += len(internals)
-        for g_edge in ind.graph.edges:
-            new_edges.append(Edge(vmap[g_edge.u], vmap[g_edge.v], g_edge.sign))
-    return SignedGraph(next_base, tuple(new_edges))
+        base = _graft(edges, ind, min(e.u, e.v), max(e.u, e.v), base)
+    return SignedGraph(base, tuple(edges))
+
+
+def _graft(edges: list[Edge], ind: Indicator, a: int, b: int, base: int) -> int:
+    """Append a copy of ind's edges, in ind's order, to edges: terminal u on
+    vertex a, v on b, and the other vertices on base, base + 1, ... in
+    ascending index.  Returns the vertex after the last one used."""
+    vmap = {ind.u: a, ind.v: b}
+    for w in range(ind.graph.n):
+        if w not in vmap:
+            vmap[w] = base
+            base += 1
+    edges += [Edge(vmap[u], vmap[v], sign) for u, v, sign in ind.graph.edges]
+    return base
 
 
 def predict_scaled_chi(z: ZSet, chi: Fraction | int) -> Fraction:
