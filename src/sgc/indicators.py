@@ -50,7 +50,8 @@ class ZSet:
 
     ``member[d]`` records whether separation d (in steps, 0 <= d <= p//2) is
     realisable.  Separations beyond p//2 are redundant: negating the circle
-    maps a coloring with separation d to one with separation p - d.
+    maps a coloring with separation d to one with separation p - d.  p and
+    q must pass the solver's grid check (_validate_pq).
     """
 
     p: int
@@ -58,6 +59,7 @@ class ZSet:
     member: tuple[bool, ...]
 
     def __post_init__(self) -> None:
+        _validate_pq(self.p, self.q)
         if len(self.member) != self.p // 2 + 1:
             raise ValueError("membership table must have p//2 + 1 entries")
 
@@ -151,8 +153,11 @@ def predict_scaled_chi(z: ZSet, chi: Fraction | int) -> Fraction:
 
     The returned value is the composed chi_c at the fixed point, i.e. it is
     exact when r equals the composed value itself.  Raises ShapeError for
-    empty, non-contiguous, or unrecognised shapes.
+    empty, non-contiguous, or unrecognised shapes, and ValueError unless chi
+    is an int (not a bool) or a Fraction.
     """
+    if not (_is_int(chi) or isinstance(chi, Fraction)):
+        raise ValueError(f"chi must be an int or a Fraction, got {chi!r}")
     chi = Fraction(chi)
     d_lo, d_hi = z.as_interval()
     half = z.p // 2

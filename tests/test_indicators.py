@@ -69,6 +69,13 @@ class TestZSetContainer:
         with pytest.raises(ValueError):
             ZSet(8, 2, (True, True))
 
+    @pytest.mark.parametrize("p, q, size", [(7, 2, 4), (8, 5, 5), (8, 0, 5), (8.0, 2, 5),
+                                            (True, 1, 1)])
+    def test_grid_is_checked(self, p, q, size):
+        # Each of these used to construct, ZSet(7, 2, (True,) * 4) among them.
+        with pytest.raises(ValueError):
+            ZSet(p, q, (True,) * size)
+
     def test_as_interval(self):
         assert ZSet(8, 2, (False, True, True, True, False)).as_interval() == (1, 3)
         assert ZSet(4, 1, (False, False, True)).as_interval() == (2, 2)
@@ -234,6 +241,14 @@ class TestPredictScaledChi:
         z = z_set(gamma_ind(1), 18, 5)
         assert z.as_interval() == (0, 8)
         assert predict_scaled_chi(z, 3) == Fraction(3, 5)
+
+    @pytest.mark.parametrize("chi", [0.1, 3.0, True, "3"])
+    def test_chi_must_be_an_int_or_a_fraction(self, chi):
+        # 0.1 used to scale its binary fraction, 3602879701896397/2**55,
+        # and True to read as 1.
+        z = ZSet(8, 2, (False, True, True, True, False))
+        with pytest.raises(ValueError, match="chi"):
+            predict_scaled_chi(z, chi)
 
     @pytest.mark.parametrize(
         "member",
