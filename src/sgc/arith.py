@@ -133,10 +133,11 @@ def candidate_pairs(n: int, lo, hi) -> list[tuple[int, int]]:
     at least 1/n^2, so floor(p * n^2 / q) is one exact key per value, and it
     orders them.  p ascends, so the first (p, q) seen at a key has the least
     even numerator: it is the value's even-numerator normal form.  No gcd
-    and no Fraction is taken.
+    and no Fraction is taken.  n must be an int, not a bool, that is at
+    least 1.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"need an int n >= 1, got {n!r}")
     lo_v, hi_v = _as_fraction(lo), _as_fraction(hi)
     if hi_v <= 0:
         return []

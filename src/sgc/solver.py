@@ -96,7 +96,8 @@ class ChiUndecided(Exception):
 class SolveBudget:
     """Cumulative node budget shared across solver calls: nodes counts the
     nodes spent, and the node past max_nodes (None: no cap) raises.
-    max_nodes must be None or an int, not a bool, that is at least 0."""
+    max_nodes must be None or an int, not a bool, that is at least 0, and
+    nodes an int, not a bool, that is at least 0."""
 
     max_nodes: int | None = None
     nodes: int = 0
@@ -104,6 +105,8 @@ class SolveBudget:
     def __post_init__(self):
         if self.max_nodes is not None and not (_is_int(self.max_nodes) and self.max_nodes >= 0):
             raise ValueError(f"max_nodes must be None or an int >= 0, got {self.max_nodes!r}")
+        if not (_is_int(self.nodes) and self.nodes >= 0):
+            raise ValueError(f"nodes must be an int >= 0, got {self.nodes!r}")
 
     def spend(self):
         self.nodes += 1

@@ -182,6 +182,12 @@ class TestCandidates:
         with pytest.raises(ValueError):
             candidates(0, 2, 4)
 
+    @pytest.mark.parametrize("n", [True, 2.0, Fraction(2), "2"])
+    def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
+        # candidates(True, 2, 3) used to return [EvenRational(2, 1)].
+        with pytest.raises(ValueError, match="int n"):
+            candidates(n, 2, 3)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.fractions(-1, 90, max_denominator=50),
            st.fractions(-1, 90, max_denominator=50))

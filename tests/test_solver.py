@@ -239,6 +239,12 @@ class TestFeasiblePq:
     def test_budget_cap_accepts_none_and_nonnegative_ints(self, max_nodes):
         assert SolveBudget(max_nodes=max_nodes).max_nodes == max_nodes
 
+    @pytest.mark.parametrize("nodes", [True, -1, -10, 1.0, "0"])
+    def test_budget_spent_nodes_must_be_a_nonnegative_int(self, nodes):
+        # nodes=-10 under max_nodes=5 used to allow 15 nodes.
+        with pytest.raises(ValueError, match="nodes must"):
+            SolveBudget(max_nodes=5, nodes=nodes)
+
     def test_a_refutation_without_nodes_returns_under_a_zero_cap(self):
         budget = SolveBudget(max_nodes=0)
         assert feasible_pq(signed_cycle(4, True), 4, 2, budget=budget) is None
