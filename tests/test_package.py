@@ -106,3 +106,14 @@ def test_readme_python_blocks_run():
     assert ns["res"].value == Fraction(8, 3)
     assert sgc.verify_coloring(ns["g"], ns["res"].witness) is True
     assert sgc.cert_value(ns["g"], ns["rc"], ns["cycle"]).r == Fraction(8, 3)
+
+
+def test_readme_file_format_blocks_parse():
+    # The graph and coloring examples of the README's File formats section
+    # parse as they stand, and the coloring colors the graph.
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### File formats", 1)[1].split("\n## ", 1)[0]
+    graph, coloring = re.findall(r"^```\n(.*?)^```", section, re.M | re.S)
+    g = sgc.parse_sg(graph)
+    assert (g.n, g.m) == (4, 2)
+    assert sgc.verify_coloring(g, sgc.parse_coloring(coloring, g.n)) is True
