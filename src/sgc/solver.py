@@ -386,11 +386,9 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     if neighbors is None:
         neighbors = [[w for _, ws in gx for w in ws] for gx in adj]
     taken = p + 1  # the key of an assigned vertex, above every domain size
-    size = [d.bit_count() for d in domains]
-    step = 0  # what a key gains per neighbor assigned (verdict_only)
-    if verdict_only:  # domain size - (p + 1) per neighbor, until the singletons' pops
-        step = taken
-        size = [s - len(ws) * taken for s, ws in zip(size, neighbors)]
+    step = taken if verdict_only else 0  # what a key gains per neighbor assigned
+    # domain size - step per neighbor, until the queued singletons' pops
+    size = [d.bit_count() - len(ws) * step for d, ws in zip(domains, neighbors)]
     spend = budget.spend
     queued = [d != full for d in domains]
     # refuted[(v, v's domain)] = [the most vertices in a part recorded at v,
