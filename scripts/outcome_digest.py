@@ -35,8 +35,9 @@ piece at its terminals (0, 1), at each rung of RUNGS: 28/6, 74/16, 46/10,
 are refuted, then 108/23 and 248/53 just above 14/3, where every separation
 has a coloring (with `--smoke`, 28/6 and 18/4 only).  So the digest prices
 both kinds of rung.  With `--against` it prints each relation whose mask
-moved, each one the old output lacks (not compared), and a tally of the
-rest, and exits 1 when any mask moved.
+moved, each one whose mask stayed but whose nodes moved (so trades between
+rungs show), each one the old output lacks (not compared), and a tally of
+the rest, and exits 1 when any mask moved.
 """
 
 import argparse
@@ -91,9 +92,10 @@ def relations(rungs) -> list[str]:
 
 
 def compare_relations(old_lines: list[str], new_lines: list[str]) -> tuple[list[str], bool]:
-    """The --against report of relation lines: each moved mask and each
-    subject the old lines lack, then, over the subjects on both sides, the
-    nodes on each side and the count identical, nodes-only and changed."""
+    """The --against report of relation lines: each moved mask, each mask
+    kept at another node count and each subject the old lines lack, then,
+    over the subjects on both sides, the nodes on each side and the count
+    identical, nodes-only and changed."""
     old = dict(line.rsplit(" mask ", 1) for line in old_lines)
     report, counts, nodes = [], Counter(), Counter()
     for line in new_lines:
@@ -110,6 +112,8 @@ def compare_relations(old_lines: list[str], new_lines: list[str]) -> tuple[list[
         counts[moved] += 1
         if moved == "changed":
             report.append(f"{subject} changed: mask {was_mask} -> {mask}")
+        elif moved == "nodes-only":
+            report.append(f"{subject} nodes {was_spent} -> {spent}")
     tally = " ".join(f"{k} {counts[k]}" for k in ("identical", "nodes-only", "changed"))
     report.append(f"relations nodes {nodes['old']} -> {nodes['new']} {tally}")
     return report, counts["changed"] > 0

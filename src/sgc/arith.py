@@ -134,10 +134,14 @@ def candidate_pairs(n: int, lo, hi) -> list[tuple[int, int]]:
     orders them.  p ascends, so the first (p, q) seen at a key has the least
     even numerator: it is the value's even-numerator normal form.  No gcd
     and no Fraction is taken.  n must be an int, not a bool, that is at
-    least 1.
+    least 1; lo and hi each an int (not a bool), a Fraction or an
+    EvenRational, since a float or a str has no exact value to cut by.
     """
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"need an int n >= 1, got {n!r}")
+    for x in (lo, hi):
+        if not (_is_int(x) or isinstance(x, (Fraction, EvenRational))):
+            raise ValueError(f"need an int, Fraction or EvenRational bound, got {x!r}")
     lo_v, hi_v = _as_fraction(lo), _as_fraction(hi)
     if hi_v <= 0:
         return []
@@ -162,6 +166,7 @@ def candidates(n: int, lo, hi) -> list[EvenRational]:
     Any signed graph on n vertices that has a cycle attains its chi_c at a
     rational p/q with even p <= 2n; this enumerates those, normalizes, and
     returns them deduplicated in ascending value order (candidate_pairs).
-    lo/hi accept ints, Fractions, or EvenRationals.
+    lo/hi accept ints, Fractions, or EvenRationals; anything else raises
+    ValueError.
     """
     return [EvenRational(p, q) for p, q in candidate_pairs(n, lo, hi)]

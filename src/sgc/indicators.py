@@ -51,7 +51,8 @@ class ZSet:
     ``member[d]`` records whether separation d (in steps, 0 <= d <= p//2) is
     realisable.  Separations beyond p//2 are redundant: negating the circle
     maps a coloring with separation d to one with separation p - d.  p and
-    q must pass the solver's grid check (_validate_pq).
+    q must pass the solver's grid check (_validate_pq), and every entry of
+    ``member`` must be a bool.
     """
 
     p: int
@@ -62,6 +63,8 @@ class ZSet:
         _validate_pq(self.p, self.q)
         if len(self.member) != self.p // 2 + 1:
             raise ValueError("membership table must have p//2 + 1 entries")
+        if not all(type(x) is bool for x in self.member):
+            raise ValueError(f"membership table must hold bools, got {self.member!r}")
 
     def members(self) -> tuple[int, ...]:
         return tuple(d for d, ok in enumerate(self.member) if ok)
@@ -84,12 +87,14 @@ def z_set(ind: Indicator, p: int, q: int, budget: SolveBudget | None = None) -> 
     """Compute the Z-set of an indicator at circle size (p, q).
 
     The members are bits 0..p//2 of the terminal relation (solver._relation):
-    for each d, feasible_pq's verdict pinned at f(u) = 0, f(v) = d, decided
-    by verdict-only searches that pin d from p//2 down until one is refuted,
-    then let f(v) range over every d below it not yet shown.  Pinning u to 0
-    loses nothing (rotate the circle); restricting d to at most p//2 loses
-    nothing (negate the circle).  Errors and an exhausted budget raise as in
-    feasible_pq.
+    for each d, feasible_pq's verdict pinned at f(u) = 0, f(v) = d.  One loop
+    of verdict-only searches decides them all: each lets f(v) range over
+    every separation not yet shown, with its mirror, so f(v)'s root colors
+    stay closed under c -> -c; each coloring found shows every separation
+    that recoloring one terminal reaches, and the loop stops at the first
+    refutation.  Pinning u to 0 loses nothing (rotate the circle);
+    restricting d to at most p//2 loses nothing (negate the circle).  Errors
+    and an exhausted budget raise as in feasible_pq.
     """
     _validate_pq(p, q)
     budget = _begin(ind.graph, budget)

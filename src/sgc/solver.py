@@ -545,41 +545,29 @@ def _separations(adj: Sequence[Sequence[tuple[int, Sequence[int]]]], sol: Sequen
 
 def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudget) -> int:
     """The symmetric offset mask {+-d : g has a (p,q)-coloring with vertex u
-    at 0 and vertex v != u at d}; d up to p/2 suffices, by reflection.
+    at 0 and vertex v != u at d}.
 
     The one loop over separations: a repeated piece's relation (u, v = 0,
     1) and an indicator's Z-set (its bits 0..p/2).  Its searches keep their
     verdict alone, so they branch on the most unassigned neighbors
     (verdict_only), which refutes in fewer nodes than the canonical order.
-    d walks down from p/2, one pinned search per d not yet in the mask,
-    while those searches find colorings.  At the first refuted d, one search
-    lets v take every separation below d not yet shown, with their mirrors:
-    v's root domain is closed under c -> -c, so the reflection cut holds at
-    the root.  That union search repeats, each time without what the last
-    coloring showed, until it refutes or nothing is left.  A coloring shows
-    more than its own separation (_separations), and what it shows joins
-    the mask at once, so those searches are skipped.
+    Each search pins u at 0 and lets v take every separation not yet in the
+    mask.  A coloring shows more than its own separation: every one that
+    recoloring u or v alone reaches (_separations), and all it shows joins
+    the mask before the next search; the loop ends at the first refutation
+    or when the mask is full.  Every mask _separations returns is symmetric,
+    so v's root domain stays closed under c -> -c and the reflection cut
+    holds at the root.
     """
     adj = _adjacency(g, p, q)
     full = (1 << p) - 1
     mask = 0
-
-    def colored(at_v: int) -> list[int] | None:
+    while mask != full:
         domains = [full] * g.n
-        domains[u], domains[v] = 1, at_v
-        return _search(g.n, adj, p, domains, budget, True, g._neighbors)
-
-    for d in range(p // 2, -1, -1):
-        if mask >> d & 1:
-            continue
-        sol = colored(1 << d)
-        if sol is None:  # refuted: the rest below d in union searches
-            left = (1 << d) - 1 & ~mask
-            left |= _reflect(left, p)
-            while left and (sol := colored(left)) is not None:
-                mask |= _separations(adj, sol, u, v, p)
-                left &= ~mask
-            return mask
+        domains[u], domains[v] = 1, full ^ mask
+        sol = _search(g.n, adj, p, domains, budget, True, g._neighbors)
+        if sol is None:
+            break
         mask |= _separations(adj, sol, u, v, p)
     return mask
 

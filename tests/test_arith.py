@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import frac_antipode, frac_circ_dist, rational_point
-from sgc.arith import (EvenRational, antipode, candidates, circ_dist,
+from sgc.arith import (EvenRational, antipode, candidate_pairs, candidates, circ_dist,
                        circle_edge_ok, circle_gap, normalize_even)
 
 
@@ -187,6 +187,16 @@ class TestCandidates:
         # candidates(True, 2, 3) used to return [EvenRational(2, 1)].
         with pytest.raises(ValueError, match="int n"):
             candidates(n, 2, 3)
+
+    @pytest.mark.parametrize("bound", [2.5, 6.0, True, "2", None])
+    def test_rejects_a_bound_that_is_not_exact(self, bound):
+        # candidate_pairs(3, 2.5, 6) used to return [(6, 2), (4, 1), (6, 1)],
+        # and True, '2' and 6.0 were read as bounds.
+        for lo, hi in ((bound, 6), (2, bound)):
+            with pytest.raises(ValueError, match="bound"):
+                candidate_pairs(3, lo, hi)
+            with pytest.raises(ValueError, match="bound"):
+                candidates(3, lo, hi)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.fractions(-1, 90, max_denominator=50),

@@ -76,6 +76,13 @@ class TestZSetContainer:
         with pytest.raises(ValueError):
             ZSet(p, q, (True,) * size)
 
+    @pytest.mark.parametrize("member", [(1, 0, 2, 0, 0), (False, True, 1, False, False),
+                                        (False, None, False, False, False)])
+    def test_membership_table_holds_bools(self, member):
+        # ZSet(8, 2, (1, 0, 2, 0, 0)) used to construct, with members (0, 2).
+        with pytest.raises(ValueError, match="bools"):
+            ZSet(8, 2, member)
+
     def test_as_interval(self):
         assert ZSet(8, 2, (False, True, True, True, False)).as_interval() == (1, 3)
         assert ZSet(4, 1, (False, False, True)).as_interval() == (2, 2)

@@ -534,14 +534,14 @@ class TestSearchKernel:
                     assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("p,q,nodes,searches", [
-        (14, 3, 71, 5), (20, 4, 61, 5), (22, 5, 1_673, 6), (24, 5, 96, 5), (28, 6, 138, 8)])
+        (14, 3, 99, 5), (20, 4, 80, 4), (22, 5, 1_660, 4), (24, 5, 182, 5), (28, 6, 282, 5)])
     def test_relation_searches_spend_what_the_backjumping_kernel_spent(
             self, monkeypatch, p, q, nodes, searches):
         # k4_omega's piece around its 14/3: the verdict-only searches of
         # _relation (none of chi_random's 500 graphs at seed 1 has a
         # repeated piece) keep the mask and the number of searches of the
         # kernel before, in no more nodes: the kernel has no refuted parts
-        # to meet again, so at 22/5, where they are met, it spends 2,785.
+        # to meet again, so at 22/5, where they are met, it spends 2,772.
         h = k4_omega()._pieces[3][0]
         got = []
         for search in (oracles.backjump_search, solver._search):
@@ -913,9 +913,8 @@ class TestRepeatedPieces:
 
     @settings(max_examples=300, deadline=None)
     @given(signed_graphs(min_n=2, max_n=9, max_m=20), grids(16))
-    # A negative edge at 6/3 forces offset 0: d = 3 is refuted, and the
-    # union search over d = 0, 1, 2 and their mirrors finds a coloring
-    # before it refutes.
+    # A negative edge at 6/3 forces offset 0: the first search colors
+    # vertex 1 at 0, and the search over every other offset refutes.
     @example(SignedGraph.from_triples(2, [(0, 1, NEG)]), (6, 3))
     def test_relation_is_the_chronological_verdict_at_every_offset(self, h, pq):
         # Bit d of the relation is set exactly when the chronological search
@@ -932,11 +931,11 @@ class TestRepeatedPieces:
         assert solver._relation(h, 0, 1, p, q, SolveBudget(max_nodes=1_000_000)) == want
 
     def test_a_found_coloring_settles_the_separations_it_shows(self, monkeypatch):
-        # wenger_tilde at 18/4 with its terminals 8 and 9: pinned searches
-        # walk down from d = 9.  The colorings found at d = 9, 7, 4 and 3
-        # show d = 8, 6 and 5 as well, so those searches are skipped; d = 2
-        # is refuted, and one search with vertex 9 free over {0, 1, 17}
-        # (d = 0 and 1 and their mirrors) refutes the rest.
+        # wenger_tilde at 18/4 with its terminals 8 and 9: each search lets
+        # vertex 9 take every separation not yet shown.  The first colors it
+        # at 8 and shows 8 to 10; the next, over the rest, colors it at 4 and
+        # shows 4 to 7 and their mirrors; the third colors it at 15, which
+        # shows 3 and 15; the last, over {0, 1, 2, 16, 17}, is refuted.
         g, p, q = wenger_tilde(), 18, 4
         adj = solver._adjacency(g, p, q)
         full = (1 << p) - 1
@@ -956,7 +955,8 @@ class TestRepeatedPieces:
 
         monkeypatch.setattr(solver, "_search", counted)
         assert solver._relation(g, 8, 9, p, q, SolveBudget()) == want
-        assert calls == [(9,), (7,), (4,), (3,), (2,), (0, 1, 17)]
+        assert calls == [tuple(range(p)), (*range(8), *range(11, p)),
+                         (0, 1, 2, 3, 15, 16, 17), (0, 1, 2, 16, 17)]
 
     @pytest.mark.parametrize("p,q", [(18, 5), (14, 4), (22, 6)])
     def test_a_digon_refutes_below_4_before_any_relation(self, p, q):
