@@ -19,10 +19,10 @@ exactly when they print the same digest:
 one line for each graph whose verdict or witness moved, then per seed the
 nodes spent on both sides and how many graphs are identical, differ in their
 nodes only, are newly decided or newly undecided, or have a moved bracket
-(undecided on both sides).  It exits 1 when a graph decided on both sides
-changes its value, refuted rung or witness, or when a newly decided value
+(undecided on both sides, the two brackets overlapping).  It exits 1 when a graph decided on both sides
+changes its value, refuted rung or witness, when a newly decided value
 lies outside the old bracket (or a newly undecided bracket misses the old
-value):
+value), or when a graph undecided on both sides has two disjoint brackets:
 
     PYTHONPATH=src python3 scripts/outcome_digest.py --seeds 1 2 > old.txt  # old checkout
     PYTHONPATH=src python3 scripts/outcome_digest.py --seeds 1 2 --against old.txt
@@ -148,7 +148,9 @@ def kind(was: tuple[str, str], now: tuple[str, str]) -> str:
         return "newly-decided" if a[0] < b <= a[1] else "changed"
     if isinstance(a, Fraction):
         return "newly-undecided" if b[0] < a <= b[1] else "changed"
-    return "bracket-moved"
+    # Both hold the value, so two brackets (lo, hi] that share no point
+    # cannot both be right.
+    return "bracket-moved" if max(a[0], b[0]) < min(a[1], b[1]) else "changed"
 
 
 def compare(old_lines: list[str], new_lines: list[str]) -> tuple[list[str], bool]:

@@ -51,10 +51,16 @@ class EvenRational:
     def value(self) -> Fraction:
         return Fraction(self.p, self.q)
 
+    # Only EvenRationals compare: against a Fraction or an int, Python
+    # raises TypeError rather than mix the two orders.
     def __lt__(self, other: "EvenRational"):
+        if not isinstance(other, EvenRational):
+            return NotImplemented
         return self.value < other.value
 
     def __le__(self, other: "EvenRational"):
+        if not isinstance(other, EvenRational):
+            return NotImplemented
         return self.value <= other.value
 
     def __str__(self):
@@ -82,7 +88,14 @@ def normalize_even(p: int, q: int) -> EvenRational:
 
 
 def circ_dist(i: int, j: int, p: int) -> int:
-    """Distance on the integer color circle: min(|i-j|, p-|i-j|)."""
+    """Distance on the integer color circle: min(|i-j|, p-|i-j|).
+
+    p must be even and i, j ints (not bools) in 0..p-1; ValueError otherwise.
+    """
+    if p % 2:
+        raise ValueError(f"p must be even, got {p}")
+    if not (_is_int(i) and _is_int(j)):
+        raise ValueError(f"colors must be ints, got {i!r},{j!r}")
     if not 0 <= i < p or not 0 <= j < p:
         raise ValueError(f"colors {i},{j} out of range for p={p}")
     d = abs(i - j)

@@ -3,9 +3,9 @@
 Which function owns which rule:
 
 - _search: the one search kernel (arc consistency over bitmask domains,
-  backjumping, the rotation pin, the reflection cut, refuted parts), its
-  two branching orders (canonical, which fixes the witnesses, and
-  verdict_only), and what a node is.
+  backjumping, the rotation pin, the reflection cut, refuted parts, free
+  colors), its two branching orders (canonical, which fixes the
+  witnesses, and verdict_only), and what a node is.
 - _windows, _adjacency: each adjacent pair's mask of allowed offsets.
 - _runs, _support: a domain's support across such a mask.
 - _relation: the terminal offsets a piece or an indicator allows
@@ -270,12 +270,14 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     unassigned neighbors come first and the smaller domain breaks a tie.  A
     vertex with one color left is assigned, whether a decision, a root
     domain or propagation put it there, and each such vertex is queued.  It
-    is marked assigned in one place, as it leaves the queue: its key becomes
-    taken = p + 1, above every other, and with verdict_only each unassigned
-    neighbor's key gains p + 1, on the trail (a vertex assigned for want of
-    unassigned neighbors changes none).  Until then a cut lowers its key by
-    the colors it removes, as it does any vertex's.  Keys are read only at a
-    pick, once the queue is empty, and the pop needs no trail entry of its
+    is marked assigned as it leaves the queue (a free color, below, marks
+    its vertex at the pick): its key becomes taken = p + 1, above every
+    other, and the one pass that revises its neighbors against its color
+    also adds p + 1 to each unassigned one's key with verdict_only, in the
+    trail entry of the neighbor's cut or in one of its own.  Until then a
+    cut lowers its key by the colors it removes, as it does any vertex's.
+    Keys are read only at a pick, once the queue is empty, and the pop
+    needs no trail entry of its
     own: the decision's or the cut's entry on the same trail restores the
     key, and the root's trail is never undone.  Only callers that use
     the verdict alone set verdict_only, since the first solution depends on
@@ -284,25 +286,41 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     when not given).
 
     A node is one assignment made by branching, and only a real choice
-    costs one: a vertex cut to one color is never picked (its neighbors were
-    revised against that color already), and a picked vertex with no
-    unassigned neighbor takes its lowest color on the current trail, with
-    no node and no propagation.  Arc consistency holds between it and every
-    neighbor, and no unassigned vertex shares a pair with it, so that color
-    cannot fail, and it is the color the canonical order tries first.
+    costs one.  A vertex cut to one color is never picked (its neighbors
+    were revised against that color already).  A picked vertex takes a free
+    color without a node: one that cuts no color of any unassigned
+    neighbor.  Such a color is compatible with every color those neighbors
+    have left, and arc consistency makes it compatible with the assigned
+    ones, so every coloring of the other vertices extends by it: it cannot
+    fail, and no other color of the vertex need be tried (it is
+    neighborhood substitutable for them; Freuder 1991).  In the canonical
+    order only the lowest color qualifies, the one that order tries first,
+    so the first solution stays the same; with verdict_only the lowest free
+    color is taken, whichever it is.  A free color is set on the current
+    trail with no propagation and no bit in why, since it cuts nothing, and
+    with verdict_only each unassigned neighbor's key gains p + 1 on the
+    trail, as for any assignment.  The test costs O(degree) memo lookups
+    per pick.  In the canonical order, the lowest color's support across
+    each pair's mask (propagation's memo) must hold the neighbor's domain.
+    With verdict_only, the colors compatible with every color of a domain,
+    full & ~_support(full & ~mask, domain), are memoised per mask and
+    domain and ANDed over the unassigned neighbors, stopping at 0.
 
     Propagation pops a vertex whose domain shrank and intersects each
     neighbor's domain with that domain's support (_support, memoised per
     offset mask for this call, with the mask's runs taken once), queueing
-    the neighbors that shrink; a group whose support is every color is
-    skipped, as no domain would shrink.  Arc consistency has a unique
-    fixpoint, so the domains at a node depend only on the decisions above
-    it.  Revising an assigned vertex never changes it, since its neighbors
-    were all revised against its color first, so the loop does not test
-    for one.  A decision's trail starts with the branching vertex's own
-    domain, why and key as they were when it was picked, then keeps the
-    same three for each vertex changed below it; undo restores the trail,
-    and with it the decision, in one loop.
+    the neighbors that shrink.  A group whose support is every color is
+    skipped, as no domain would shrink, unless the popped vertex is newly
+    assigned and keys must gain (a full relation in _quotient_refuted's
+    quotient is such a mask).  Arc consistency has a unique fixpoint, so
+    the domains at a node depend only on the decisions above it.  Revising
+    an assigned vertex never changes it, since its neighbors were all
+    revised against its color first or its free color cut none of them, so
+    the loop tests for one only where a neighbor is not cut, to leave an
+    assigned one's key alone.  A decision's trail starts with the branching
+    vertex's own domain, why and key as they were when it was picked, then
+    keeps the same three for each vertex changed below it; undo restores
+    the trail, and with it the decision, in one loop.
 
     Backjumping (conflict-directed, Prosser 1993): why[x] is a bitmask of
     the decision vertices behind the colors removed from x's domain (a
@@ -322,7 +340,7 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
 
     Reflection: every offset mask is symmetric under t -> -t, so while each
     root domain is closed under c -> -c and every vertex assigned above a
-    decision, by branching or for want of unassigned neighbors, has color 0
+    decision, by branching or by a free color, has color 0
     or p/2, so is every domain (and a vertex cut to one color has one of
     those colors).  A vertex picked in such a state tries only its colors
     0..p/2.  Colors go in ascending order, so each color -c above p/2 comes
@@ -358,12 +376,15 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     which amortises those walks to O(1) vertices per node.  The records
     live for this call only.
 
-    Backjumping, the reflection cut and refuted parts skip only subtrees
-    that hold no solution, whatever the branching order: the search returns
-    the first solution of the chronological search in the same order
-    (unpinned when the root domains are full and verdict_only is not set),
-    in no more nodes.  domains is consumed destructively.  Returns that
-    solution, or None, also when a root domain or a pair's mask is empty.
+    Free colors, backjumping, the reflection cut and refuted parts skip
+    only subtrees that hold no solution, whatever the branching order.  In
+    the canonical order the search returns the first solution of the
+    chronological search (unpinned when the root domains are full), in no
+    more nodes.  With verdict_only a free color may be another than the
+    lowest, so the solution may differ from the chronological search's in
+    the same order, and the verdict cannot.  domains is consumed
+    destructively.  Returns the solution, or None, also when a root domain
+    or a pair's mask is empty.
     """
     if n == 0:
         return []
@@ -377,6 +398,12 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     if 0 in memos or 0 in domains:  # no allowed offset or color: nothing to search
         return None
     runs = {mask: _runs(mask, p) for mask in memos}
+    if verdict_only:  # for its free colors
+        # compat[x] = [(the offsets mask forbids, their runs, memo of the
+        # colors compatible with every color of a domain across mask,
+        # neighbors over mask)]
+        banned = {mask: (full & ~mask, _runs(full & ~mask, p), {}) for mask in memos}
+        compat = [[(*banned[mask], ws) for mask, _, ws in gx] for gx in groups]
     # A full domain supports every color across a non-empty mask, so only
     # the vertices with a smaller domain have anything to revise at the root.
     queue = [x for x in range(n) if domains[x] != full]
@@ -417,8 +444,8 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     # A frame is (vertex, colors not yet tried, conflicts of its failed
     # colors, whether reflection holds at it, trail of (vertex, old domain,
     # old why, old key) written since its color was set: the vertex's own
-    # entry first, then its neighbors' key gains, then propagation's, then
-    # the vertices assigned for want of unassigned neighbors).
+    # entry first, then propagation's cuts and key gains, then the free
+    # colors' and their neighbors' key gains).
     frames: list[tuple[int, int, int, bool, list]] = []
     mirrored = all(d == full or _reflect(d, p) == d for d in domains)
     v, untried, conf, trail = -1, 0, 0, []
@@ -429,24 +456,20 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
             queued[x] = False
             dx = domains[x]
             yx = why[x]
-            if not dx & (dx - 1) and size[x] != taken:  # one color left: x is assigned
+            gain = 0  # what each unassigned neighbor's key gains from x
+            if not dx & (dx - 1):  # one color left: x is assigned
                 size[x] = taken
-                if step:  # one more assigned neighbor for each of x's
-                    for y in neighbors[x]:
-                        sy = size[y]
-                        if sy != taken:
-                            trail.append((y, domains[y], why[y], sy))
-                            size[y] = sy + step
+                gain = step
             for mask, memo, ws in groups[x]:
                 sup = memo.get(dx)
                 if sup is None:
                     sup = memo[dx] = _support(mask, dx, p, runs[mask])
-                if sup == full:  # supports every color: no domain shrinks
+                if sup == full and not gain:  # supports every color: no domain shrinks
                     continue
                 for w in ws:
                     dw = domains[w]
                     nd = dw & sup
-                    if nd != dw:
+                    if nd != dw:  # w is unassigned: an assigned vertex never shrinks
                         yw = why[w]
                         if not nd:
                             conflict = yw | yx
@@ -455,10 +478,15 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                         trail.append((w, dw, yw, sw))
                         domains[w] = nd
                         why[w] = yw | yx
-                        size[w] = sw - (dw ^ nd).bit_count()
+                        size[w] = sw - (dw ^ nd).bit_count() + gain
                         if not queued[w]:
                             queued[w] = True
                             queue.append(w)
+                    elif gain:
+                        sw = size[w]
+                        if sw != taken:
+                            trail.append((w, dw, why[w], sw))
+                            size[w] = sw + gain
                 if conflict >= 0:
                     break
             if conflict >= 0:
@@ -472,18 +500,48 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                 if smallest == taken:
                     return [d.bit_length() - 1 for d in domains]
                 w = size.index(smallest)
-                for x in neighbors[w]:
-                    if size[x] != taken:
-                        break
-                else:  # no unassigned neighbor: its lowest color, without a node
-                    dw = domains[w]
-                    low = dw & -dw
-                    trail.append((w, dw, why[w], smallest))
-                    domains[w] = low
-                    size[w] = taken
-                    sym = sym and low & fixed != 0
-                    continue
-                break  # a real choice: branch on w
+                dw = domains[w]
+                if step:  # any color compatible with every unassigned neighbor's
+                    free = dw
+                    for ban, ban_runs, memo, ws in compat[w]:
+                        for x in ws:
+                            if size[x] != taken:
+                                dx = domains[x]
+                                ok = memo.get(dx)
+                                if ok is None:
+                                    ok = memo[dx] = full & ~_support(ban, dx, p, ban_runs)
+                                free &= ok
+                                if not free:
+                                    break
+                        if not free:
+                            break
+                else:  # the lowest color, if it cuts no neighbor (an assigned
+                    # one's color is compatible with all of w's already)
+                    free = dw & -dw
+                    for mask, memo, ws in groups[w]:
+                        sup = memo.get(free)
+                        if sup is None:
+                            sup = memo[free] = _support(mask, free, p, runs[mask])
+                        for x in ws:
+                            if domains[x] & ~sup:
+                                free = 0
+                                break
+                        if not free:
+                            break
+                if not free:
+                    break  # a real choice: branch on w
+                # A free color: the lowest, on the current trail, without a node.
+                low = free & -free
+                trail.append((w, dw, why[w], smallest))
+                domains[w] = low
+                size[w] = taken
+                sym = sym and low & fixed != 0
+                if step:
+                    for x in neighbors[w]:
+                        sx = size[x]
+                        if sx != taken:
+                            trail.append((x, domains[x], why[x], sx))
+                            size[x] = sx + step
             entry = refuted.get((w, domains[w])) if refuted else None
             found = entry and part(w, entry[0])
             if found and key(found) in entry[1]:

@@ -193,7 +193,7 @@ def test_10_reference_coloring_verifies():
 
 def test_11_apex_separations_exclude_small():
     apexes = Indicator(wenger_tilde(), 8, 9)
-    # 1,718 nodes: a node bound, unlike a wall-clock one, holds on any host.
+    # 1,542 nodes: a node bound, unlike a wall-clock one, holds on any host.
     members = z_set(apexes, 18, 4, budget=SolveBudget(max_nodes=5_000)).members()
     assert 0 not in members
     assert 1 not in members
@@ -205,7 +205,7 @@ def test_12_clique_composition_stretch():
         assert verify_coloring(k4_omega(), k4_omega_coloring(28, 6))
     budget = SolveBudget(max_nodes=3_000_000)
     assert feasible_pq(k4_omega(), 18, 4, budget=budget) is None
-    assert budget.nodes <= 5_000  # 1,602
+    assert budget.nodes <= 5_000  # 1,437
 
 
 # ---------------------------------------------------------------------------

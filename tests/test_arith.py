@@ -39,6 +39,20 @@ class TestEvenRational:
         assert EvenRational(8, 3) < EvenRational(6, 2) <= EvenRational(6, 2)
         assert str(EvenRational(8, 3)) == "8/3"
 
+    @pytest.mark.parametrize("other", [Fraction(5), 5, Fraction(7, 2), 4.5])
+    @pytest.mark.parametrize("compare", [
+        lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b,
+        lambda a, b: b < a, lambda a, b: b <= a], ids=["lt", "le", "gt", "ge", "rlt", "rle"])
+    def test_compares_only_with_even_rationals(self, other, compare):
+        with pytest.raises(TypeError):
+            compare(EvenRational(4, 1), other)
+
+    def test_sorting_is_by_value(self):
+        ladder = [EvenRational(6, 2), EvenRational(14, 3), EvenRational(8, 3),
+                  EvenRational(2, 1), EvenRational(10, 4)]
+        assert sorted(ladder) == sorted(ladder, key=lambda x: x.value)
+        assert [str(x) for x in sorted(ladder)] == ["2/1", "10/4", "8/3", "6/2", "14/3"]
+
     def test_equality_is_value_equality(self):
         # Normal form is unique per value, so dataclass equality suffices.
         assert EvenRational(6, 2) == EvenRational(6, 2)
@@ -88,12 +102,17 @@ class TestIntegerCircle:
         assert circ_dist(7, 0, 8) == 1
         assert circ_dist(4, 4, 8) == 0
 
-    def test_circ_dist_range_check(self):
-        with pytest.raises(ValueError):
-            circ_dist(0, 8, 8)
+    @pytest.mark.parametrize("i,j,p,message", [
+        (0, 8, 8, "out of range"), (-1, 0, 8, "out of range"),
+        (0, 1, 3, "p must be even"), (0, 0, 7, "p must be even"),
+        (True, 0, 4, "colors must be ints"), (0, False, 4, "colors must be ints"),
+        (1.0, 0, 4, "colors must be ints"), (0, Fraction(1), 4, "colors must be ints")])
+    def test_circ_dist_range_check(self, i, j, p, message):
+        with pytest.raises(ValueError, match=message):
+            circ_dist(i, j, p)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 30), st.data())
+    @given(st.integers(1, 15).map(lambda half: 2 * half), st.data())
     def test_circ_dist_symmetric_and_bounded(self, p, data):
         i = data.draw(st.integers(0, p - 1))
         j = data.draw(st.integers(0, p - 1))

@@ -416,6 +416,22 @@ class TestSearchKernel:
             out = ("exhausted", exc.nodes)
         return out, budget.nodes
 
+    @staticmethod
+    def _picks(n, adj, p, verdict_only, neighbors=None):
+        """_search from full root domains: its result, the vertex each node
+        branched on, and the nodes."""
+        budget, picks = SolveBudget(), []
+
+        class Picks(list):  # root domains that note each node's vertex
+            def __setitem__(self, x, d):
+                if budget.nodes > len(picks):  # a node is spent, then its vertex set
+                    picks.append(x)
+                super().__setitem__(x, d)
+
+        solution = solver._search(n, adj, p, Picks([(1 << p) - 1] * n), budget, verdict_only,
+                                  neighbors)
+        return solution, picks, budget.nodes
+
     @pytest.mark.parametrize("negative", [False, True])
     def test_deep_cycle_does_not_recurse(self, negative):
         g = signed_cycle(999, negative)
@@ -464,31 +480,83 @@ class TestSearchKernel:
         if not isinstance(want, tuple):
             assert got == want
 
+    @staticmethod
+    def _agrees(got, want, verdict_only, met, g, p, q, domains):
+        """The kernel's run against the backjumping kernel's, each (result
+        or ("exhausted", nodes), nodes).  That kernel spends a node on every
+        picked vertex with an unassigned neighbor; _search takes a color
+        that cuts no unassigned neighbor without one.  In the canonical
+        order only the lowest color is free, which is the color that kernel
+        tries first and cannot fail, so _search keeps its first solution in
+        no more nodes.  The verdict order may take another free color, so
+        another solution: the same verdict where both decide.  Meeting a
+        refuted part again, which that kernel never does, takes other steps:
+        then the same answer where both decide.  A coloring _search returns
+        keeps its root domains and verifies."""
+        if isinstance(got[0], list):
+            assert all(d >> c & 1 for d, c in zip(domains, got[0]))
+            assert verify_coloring(g, Coloring(p, q, tuple(got[0])))
+        if not verdict_only and not met:
+            if not isinstance(want[0], tuple):
+                assert got[0] == want[0] and got[1] <= want[1]
+        elif not isinstance(got[0], tuple) and not isinstance(want[0], tuple):
+            assert (got[0] is None) == (want[0] is None)
+            if not verdict_only:
+                assert got[0] == want[0]
+
     @settings(max_examples=500, deadline=None)
     @given(signed_graphs(min_n=2, max_n=14, max_m=40), grids(24), st.booleans(),
            st.booleans(), st.data())
-    def test_same_trace_as_the_backjumping_kernel_it_replaced(
+    def test_the_backjumping_kernels_answers_in_no_more_nodes(
             self, g, pq, closed, verdict_only, data):
-        # Undoing a decision through its trail entry, and cutting a picked
-        # vertex to colors 0..p/2 while reflection holds, change no step:
-        # the same result, or the same exhausted budget, in the same nodes.
-        # Only meeting a refuted part again, which that kernel never does,
-        # takes other steps: then the same answer, where both decide.
+        # Undoing a decision through its trail entry, cutting a picked vertex
+        # to colors 0..p/2 while reflection holds, and free colors (_agrees).
+        # The canonical order is held to the budget drawn; the verdict
+        # order, which may spend more, gets the same cap as that kernel.
         p, q = pq
         adj = solver._adjacency(g, p, q)
         # A pair that allows no offset refutes at set-up, before any step.
         assume(all(mask for groups in adj for mask, _ in groups))
         domains = [data.draw(root_domains(p, closed)) for _ in range(g.n)]
-        max_nodes = data.draw(st.integers(1, 2000))
+        max_nodes = 20_000 if verdict_only else data.draw(st.integers(1, 2000))
         with refuted_parts_met() as met:
             got = self._run(lambda *args: solver._search(*args, verdict_only, g._neighbors),
                             g.n, adj, p, list(domains), max_nodes=max_nodes)
         want = self._run(lambda *args: oracles.backjump_search(*args, verdict_only, g._neighbors),
                          g.n, adj, p, list(domains), max_nodes=20_000 if met else max_nodes)
-        if not met:
-            assert got == want
-        elif not isinstance(got[0], tuple) and not isinstance(want[0], tuple):
-            assert got[0] == want[0]
+        self._agrees(got, want, verdict_only, met, g, p, q, domains)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(gadget_compositions(), signed_graphs(min_n=2, max_n=14, max_m=40)),
+           st.one_of(grids(24), st.sampled_from([(8, 2), (10, 3), (14, 3), (18, 4), (22, 5)])),
+           st.booleans(), st.data())
+    def test_free_colors_keep_the_first_solution_and_the_verdict(self, g, pq, closed, data):
+        # A color that cuts no unassigned neighbor takes no node.  In the
+        # canonical order (only the lowest color) the first solution is the
+        # chronological search's, in no more nodes; in the verdict order
+        # (any such color) the verdict is the backjumping kernel's.  Every
+        # coloring keeps its root domains and verifies.  Gadget compositions
+        # sit near their values at these rungs (4, 10/3, 14/3, 9/2, 22/5).
+        p, q = pq
+        adj = solver._adjacency(g, p, q)
+        assume(all(mask for groups in adj for mask, _ in groups))
+        domains = [data.draw(root_domains(p, closed)) for _ in range(g.n)]
+        first, first_nodes = self._run(oracles.chrono_search, g.n, adj, p, list(domains),
+                                       max_nodes=20_000)
+        assume(not isinstance(first, tuple))
+        runs = [self._run(lambda *args: solver._search(*args, verdict_only, g._neighbors),
+                          g.n, adj, p, list(domains), max_nodes=20_000)
+                for verdict_only in (False, True)]
+        (got, nodes), (verdict, _) = runs
+        assert got == first and nodes <= first_nodes
+        want, _ = self._run(lambda *args: oracles.backjump_search(*args, True, g._neighbors),
+                            g.n, adj, p, list(domains), max_nodes=20_000)
+        if not isinstance(verdict, tuple) and not isinstance(want, tuple):
+            assert (verdict is None) == (want is None)
+        for found, _ in runs:
+            if isinstance(found, list):
+                assert all(d >> c & 1 for d, c in zip(domains, found))
+                assert verify_coloring(g, Coloring(p, q, tuple(found)))
 
     @pytest.mark.parametrize("verdict_only", [False, True])
     def test_same_trace_as_the_backjumping_kernel_on_a_pinned_refutation(self, verdict_only):
@@ -504,12 +572,13 @@ class TestSearchKernel:
                 for search in (oracles.backjump_search, solver._search)]
         assert runs[0] == runs[1] == (None, 2)
 
-    def test_same_trace_as_the_backjumping_kernel_at_tight_rungs(self):
+    def test_the_backjumping_kernels_answers_at_tight_rungs(self):
         # Random simple graphs at their value and at the rung refuted below
         # it: there the first picks fail and back up often, so trying a
-        # mirror color the kernel before skipped, or a restore that misses a
-        # field, shows as another node count.  Open roots, vertex 0 pinned
-        # at p/2 (still closed under c -> -c) and at 1 (not closed).
+        # mirror color the kernel before skipped, a restore that misses a
+        # field, or a free color that cuts a neighbor, shows as another
+        # answer or more nodes (_agrees).  Open roots, vertex 0 pinned at p/2
+        # (still closed under c -> -c) and at 1 (not closed).
         rng = random.Random(3)
         for _ in range(40):
             n = rng.randint(8, 16)
@@ -528,20 +597,27 @@ class TestSearchKernel:
                 full = (1 << p) - 1
                 for root in (full, 1 << p // 2, 2):
                     domains = [root] + [full] * (n - 1)
-                    runs = [self._run(lambda *args: search(*args, verdict_only, g._neighbors),
-                                      n, adj, p, list(domains), max_nodes=5000)
-                            for search in (oracles.backjump_search, solver._search)]
-                    assert runs[0] == runs[1]
+                    with refuted_parts_met() as met:
+                        got = self._run(lambda *args: solver._search(*args, verdict_only,
+                                                                     g._neighbors),
+                                        n, adj, p, list(domains), max_nodes=5000)
+                    want = self._run(lambda *args: oracles.backjump_search(*args, verdict_only,
+                                                                           g._neighbors),
+                                     n, adj, p, list(domains), max_nodes=5000)
+                    self._agrees(got, want, verdict_only, met, g, p, q, domains)
 
     @pytest.mark.parametrize("p,q,nodes,searches", [
-        (14, 3, 99, 5), (20, 4, 80, 4), (22, 5, 1_660, 4), (24, 5, 182, 5), (28, 6, 282, 5)])
-    def test_relation_searches_spend_what_the_backjumping_kernel_spent(
+        (14, 3, 82, 5), (20, 4, 65, 4), (22, 5, 1_469, 4), (24, 5, 172, 6), (28, 6, 271, 6)])
+    def test_relation_searches_keep_the_backjumping_kernels_masks(
             self, monkeypatch, p, q, nodes, searches):
         # k4_omega's piece around its 14/3: the verdict-only searches of
         # _relation (none of chi_random's 500 graphs at seed 1 has a
-        # repeated piece) keep the mask and the number of searches of the
-        # kernel before, in no more nodes: the kernel has no refuted parts
-        # to meet again, so at 22/5, where they are met, it spends 2,772.
+        # repeated piece) keep the mask of the kernel before, in no more
+        # nodes: that kernel has no refuted parts to meet again (at 22/5,
+        # where they are met, it spends 2,772) and no free colors.  A free
+        # color may be another than the one that kernel finds, so a coloring
+        # may show other separations, and the number of searches may differ
+        # (5 there at 24/5 and at 28/6).
         h = k4_omega()._pieces[3][0]
         got = []
         for search in (oracles.backjump_search, solver._search):
@@ -554,8 +630,8 @@ class TestSearchKernel:
             monkeypatch.setattr(solver, "_search", counted)
             budget = SolveBudget()
             got.append((solver._relation(h, 0, 1, p, q, budget), budget.nodes, len(calls)))
-        (want_mask, want_nodes, want_searches), (mask, spent, made) = got
-        assert (mask, made) == (want_mask, want_searches)
+        (want_mask, want_nodes, _), (mask, spent, made) = got
+        assert mask == want_mask
         assert (spent, made) == (nodes, searches)
         assert spent <= want_nodes
 
@@ -615,23 +691,29 @@ class TestSearchKernel:
 
     def test_degree_weighted_order_never_branches_an_assigned_vertex_again(self):
         # Vertex 0 (three neighbors, the most) is pinned by rotation; then
-        # the others keep five colors each, 1 and 2 one unassigned neighbor
-        # (key 2 * 9 + 5) and 3 none (3 * 9 + 5), and 0's key, 4 * 9, must
-        # still top theirs.  Vertex 1 is the one branch: 2 and 3, left with
-        # no unassigned neighbor, take their lowest colors without a node.
-        g = sg(4, [(0, 1, POS), (0, 2, POS), (0, 3, POS), (1, 2, NEG)])
+        # the others keep the five colors 2..6 each, 1 and 2 one unassigned
+        # neighbor (key 5 - 9) and 3 none (key 5), and 0's key, taken = 9,
+        # must still top theirs.  Vertex 1 is the one branch: no color of it
+        # is at least 2 from each of 2's five, so none is free.  At 2 it cuts
+        # 2 to 4..6; then 2 and 3, left with no unassigned neighbor, take
+        # their lowest colors without a node.
+        g = sg(4, [(0, 1, POS), (0, 2, POS), (0, 3, POS), (1, 2, POS)])
         adj = solver._adjacency(g, 8, 2)
         budget = SolveBudget(max_nodes=100)
-        assert solver._search(4, adj, 8, [255] * 4, budget, verdict_only=True) == [0, 2, 2, 2]
+        assert solver._search(4, adj, 8, [255] * 4, budget, verdict_only=True) == [0, 2, 4, 2]
         assert budget.nodes == 1
 
-    @pytest.mark.parametrize("g", [sg(4, K4), circular_clique_signed(6, 2)],
+    @pytest.mark.parametrize("g,same_run", [(sg(4, K4), True),
+                                            (circular_clique_signed(6, 2), False)],
                              ids=["K4", "clique6/2"])
-    def test_verdict_only_is_the_canonical_order_when_degrees_are_equal(self, g):
+    def test_verdict_only_is_the_canonical_order_when_degrees_are_equal(self, g, same_run):
         # Both graphs are complete, so at every pick each unassigned vertex
         # has as many unassigned neighbors as any other, and the verdict
-        # order ranks the vertices as domain size does: the same first
-        # solution in the same nodes.
+        # order ranks the vertices as domain size does.  On K4(+) it takes
+        # no free color the canonical order does not, so it finds the same
+        # first solution in the same nodes.  On the signed clique it takes
+        # free colors above the lowest, where the canonical order branches:
+        # the same verdict, in no more nodes.
         for p in range(2, 13, 2):
             for q in range(1, p // 2 + 1):
                 adj = solver._adjacency(g, p, q)
@@ -642,11 +724,16 @@ class TestSearchKernel:
                                      max_nodes=20_000)
                     got = self._run(lambda *args: solver._search(*args, verdict_only=True),
                                     g.n, adj, p, list(domains), max_nodes=20_000)
-                    assert got == want
+                    if same_run:
+                        assert got == want
+                    assert (got[0] is None) == (want[0] is None) and got[1] <= want[1]
+                    if got[0] is not None:
+                        assert verify_coloring(g, Coloring(p, q, tuple(got[0])))
+                        assert pin is None or got[0][pin] == 1
 
     @pytest.mark.parametrize("g,canonical,verdict_only", [
         (signed_cycle(5, False), [1, 2, 3], [2, 3]),
-        (signed_cycle(6, True), [1, 2, 3, 4], [2, 4])], ids=["C5+", "C6-"])
+        (signed_cycle(6, True), [1, 2, 3], [2, 4])], ids=["C5+", "C6-"])
     def test_verdict_only_branches_on_the_most_unassigned_neighbors_first(
             self, g, canonical, verdict_only):
         # At 6/2, vertex 0 pinned by rotation: its neighbors 1 and n-1 keep
@@ -655,20 +742,42 @@ class TestSearchKernel:
         # order picks 2.  Next it picks 3 on C5+ (3 and 4 have one unassigned
         # neighbor and two colors each: the lower index) and 4 on C6-, the
         # one vertex with two unassigned neighbors left.  Vertex 1, left with
-        # none, takes its lowest color without a node.
-        class Picks(list):  # root domains that note each node's vertex
-            def __setitem__(self, x, d):
-                if budget.nodes > len(picks):  # a node is spent, then its vertex set
-                    picks.append(x)
-                super().__setitem__(x, d)
-
+        # none, takes its lowest color without a node.  On C6- the canonical
+        # order leaves 4 with {4, 5} and 5 with {0, 1}; color 4 of vertex 4
+        # cuts no color of 5, so 4 takes it without a node.
         adj = solver._adjacency(g, 6, 2)
         for order, want in ((False, canonical), (True, verdict_only)):
-            budget, picks = SolveBudget(), []
-            solution = solver._search(g.n, adj, 6, Picks([63] * g.n), budget, order,
-                                      g._neighbors)
+            solution, picks, nodes = self._picks(g.n, adj, 6, order, g._neighbors)
             assert verify_coloring(g, Coloring(6, 2, tuple(solution)))
-            assert picks == want and budget.nodes == len(want)
+            assert picks == want and nodes == len(want)
+
+    def test_a_free_color_counts_for_its_neighbors_keys(self):
+        # A wheel at 8/2: hub 0, pinned by rotation, with spoke 0-1 negative
+        # and 0-2, 0-3, 0-4 positive, and the rim 1-2-3-4-1 positive.  Vertex
+        # 1 keeps {6, 7, 0, 1, 2} and the others {2, ..., 6}; all four have
+        # two unassigned neighbors, so the verdict order picks 1, and its
+        # color 0 is at least 2 from every color 2 and 4 have left: free.
+        # Then 2 and 4 have one unassigned neighbor left and 3 two, so 3 is
+        # the one branch; still counting 1 as unassigned would branch 2.
+        g = sg(5, [(0, 1, NEG), (0, 2, POS), (0, 3, POS), (0, 4, POS), (1, 2, POS),
+                   (2, 3, POS), (3, 4, POS), (4, 1, POS)])
+        adj = solver._adjacency(g, 8, 2)
+        assert self._picks(5, adj, 8, True, g._neighbors) == ([0, 0, 4, 2, 4], [3], 1)
+
+    def test_a_full_relation_still_counts_its_neighbor_as_assigned(self):
+        # A quotient path 0-1-2-3 (signs +, +, -) whose relation on the
+        # edge-free pair 1, 3 is full, at 6/2: that pair's mask supports
+        # every color, so 1's color cuts nothing from 3, and still 3 has one
+        # unassigned neighbor fewer once 1 is assigned.  Vertex 0 pinned by
+        # rotation, the verdict order picks 1 (two unassigned neighbors) at
+        # 2, which cuts 2 to {4, 5, 0}; then 2 (three colors, key 3 - 7)
+        # comes before 3 (six colors, key 6 - 7).  Counting 1 as unassigned
+        # for 3 would pick 3 first (key 6 - 14), where color 5 is free.
+        quotient = sg(4, [(0, 1, POS), (1, 2, POS), (2, 3, NEG)])
+        adj = solver._adjacency(quotient, 6, 2, [(1, 3, 63)])
+        assert [mask for mask, ws in adj[1] if 3 in ws] == [63]
+        solution, picks, nodes = self._picks(4, adj, 6, True)
+        assert (solution, picks, nodes) == ([0, 2, 0, 0], [1, 2], 2)
 
     def test_empty_root_domain_is_refuted_at_set_up(self):
         # No pair mask reaches either vertex, so propagation never sees the
@@ -812,15 +921,19 @@ class TestRefutedParts:
 
     def test_a_refuted_part_met_again_keeps_every_answer(self):
         # At each drawn graph's value and the rung refuted below it, where
-        # searches back up most, in both orders: the answer of the search
-        # without records (the first solution, or None), and in the
-        # canonical order the chronological search's first solution in no
-        # more nodes; the verdict-only order keeps its verdict.  Meeting a
+        # searches back up most, in both orders: the verdict of the search
+        # without records, and in the canonical order its first solution
+        # and the chronological search's, in no more nodes than the latter;
+        # the verdict-only order, whose free colors may differ from that
+        # search's, keeps its verdict with a coloring that verifies.  Meeting a
         # part again saves nodes against the search without records on some
         # drawn graph, though its conflict, every why in the part, may hold
         # decisions that the part's own refutation did not need, so not on
         # every one.  Few graphs meet a part again (about one in twenty
-        # joined compositions), so the draws are fixed.
+        # joined compositions), so the draws are fixed.  The verdict-only
+        # order is not held to a budget: on one drawn joined composition
+        # (n = 35) it refutes 70/18 in 35,986 nodes, where the chronological
+        # search spends 2,450 and the canonical order 17.
         fewer = []
 
         @settings(max_examples=150, deadline=None, derandomize=True,
@@ -853,11 +966,14 @@ class TestRefutedParts:
                         lambda *args: oracles.backjump_search(*args, verdict_only, g._neighbors),
                         g.n, adj, p, list(domains), max_nodes=10_000)
                     if not isinstance(want, tuple):  # the search without records decided
-                        assert got == want
+                        assert (got is None) == (want is None)
+                        assert verdict_only or got == want
                         saved = saved or nodes < want_nodes
+                    if isinstance(got, list):
+                        assert verify_coloring(g, Coloring(p, q, tuple(got)))
                     if not isinstance(first, tuple):  # the chronological search decided
-                        if verdict_only:
-                            assert (got is None) == (first is None)
+                        if verdict_only:  # and so did the kernel (it may spend more)
+                            assert isinstance(got, tuple) or (got is None) == (first is None)
                         else:
                             assert got == first and nodes <= first_nodes
                     meets = meets or bool(met)
@@ -1136,9 +1252,9 @@ class TestChiC:
     # witness at its upper side).  A witness is (p, q, colors).
     SEEDED_GOLDEN = [
         ('4', '11/3', 0, (4, 1, (0, 1, 1, 2, 1, 1, 1, 0, 0, 0, 0, 0))),
-        ('4', '15/4', 9, (4, 1, (0, 0, 2, 1, 1, 0, 1, 2, 0, 0, 1, 0, 0, 2, 2, 1))),
+        ('4', '15/4', 7, (4, 1, (0, 0, 2, 1, 1, 0, 1, 2, 0, 0, 1, 0, 0, 2, 2, 1))),
         ('4', '26/7', 6, (4, 1, (0, 0, 2, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1))),
-        ('4', '15/4', 7, (4, 1, (0, 2, 3, 1, 3, 2, 2, 0, 1, 0, 3, 2, 3, 2, 0))),
+        ('4', '15/4', 6, (4, 1, (0, 2, 3, 1, 3, 2, 2, 0, 1, 0, 3, 2, 3, 2, 0))),
         ('4', '26/7', 0, (4, 1, (0, 0, 0, 3, 2, 1, 0, 0, 1, 1, 1, 2, 1, 0))),
         ('4', '11/3', 5, (4, 1, (0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0, 3))),
         ('4', '26/7', 0, (4, 1, (1, 1, 0, 1, 0, 0, 2, 0, 3, 2, 2, 1, 1, 0))),
@@ -1147,14 +1263,14 @@ class TestChiC:
         ('4', '19/5', 13, (4, 1, (0, 0, 1, 0, 0, 1, 1, 0, 2, 0, 1, 0, 0, 1, 2, 0, 3, 3, 2, 0))),
         ('4', '11/3', 3, (4, 1, (0, 0, 1, 3, 0, 1, 0, 0, 2, 0, 3, 1))),
         ('6', '11/2', 20, (6, 1, (0, 2, 1, 1, 0, 0, 0, 0, 2, 1, 1, 3, 0))),
-        ('4', '15/4', 10, (4, 1, (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 0, 0, 1))),
+        ('4', '15/4', 9, (4, 1, (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 0, 0, 1))),
         ('4', '34/9', 4, (4, 1, (0, 0, 0, 1, 0, 0, 1, 0, 2, 1, 3, 0, 0, 0, 0, 1, 1))),
-        ('4', '34/9', 10, (4, 1, (0, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0))),
+        ('4', '34/9', 9, (4, 1, (0, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0))),
         ('4', '11/3', 3, (4, 1, (0, 1, 2, 0, 0, 0, 3, 1, 3, 3, 1, 0))),
         ('4', '15/4', 0, (4, 1, (0, 0, 1, 0, 0, 2, 1, 0, 2, 0, 0, 0, 3, 1, 1))),
         ('4', '15/4', 5, (4, 1, (0, 1, 1, 0, 1, 3, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1))),
         ('4', '34/9', 0, (4, 1, (0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 2, 1, 1, 0, 0, 1))),
-        ('4', '34/9', 12, (4, 1, (0, 1, 2, 0, 0, 1, 0, 0, 0, 3, 3, 0, 1, 0, 0, 3, 2, 1))),
+        ('4', '34/9', 11, (4, 1, (0, 1, 2, 0, 0, 1, 0, 0, 0, 3, 3, 0, 1, 0, 0, 3, 2, 1))),
     ]
 
     def test_seeded_values_and_node_counts_are_pinned(self):
