@@ -177,9 +177,10 @@ class SignedGraph:
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's distinct neighbors, ascending, loops left out: the
-        search asks whether a picked vertex has any left unassigned, and
-        _block_pairs walks the graph over them once for its blocks and
-        their separation pairs."""
+        search counts them into its verdict-order keys, walks the parts of
+        unassigned vertices over them and raises their keys when a free
+        color is taken, and _block_pairs walks the graph over them once for
+        its blocks and their separation pairs."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for a, b, _ in self._pair_signs:  # ascending and loop-free: so is each list
             nbrs[a].append(b)

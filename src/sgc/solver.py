@@ -277,13 +277,12 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     trail entry of the neighbor's cut or in one of its own.  Until then a
     cut lowers its key by the colors it removes, as it does any vertex's.
     Keys are read only at a pick, once the queue is empty, and the pop
-    needs no trail entry of its
-    own: the decision's or the cut's entry on the same trail restores the
-    key, and the root's trail is never undone.  Only callers that use
-    the verdict alone set verdict_only, since the first solution depends on
-    the order.  neighbors[x] lists x's distinct neighbors in adj
-    (SignedGraph._neighbors when adj is the graph's own; derived from adj
-    when not given).
+    needs no trail entry of its own: the decision's or the cut's entry on
+    the same trail restores the key, and the root's trail is never undone.
+    Only callers that use the verdict alone set verdict_only, since the
+    first solution depends on the order.  neighbors[x] lists x's distinct
+    neighbors in adj (SignedGraph._neighbors when adj is the graph's own;
+    derived from adj when not given).
 
     A node is one assignment made by branching, and only a real choice
     costs one.  A vertex cut to one color is never picked (its neighbors
@@ -300,11 +299,11 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     trail with no propagation and no bit in why, since it cuts nothing, and
     with verdict_only each unassigned neighbor's key gains p + 1 on the
     trail, as for any assignment.  The test costs O(degree) memo lookups
-    per pick.  In the canonical order, the lowest color's support across
-    each pair's mask (propagation's memo) must hold the neighbor's domain.
-    With verdict_only, the colors compatible with every color of a domain,
-    full & ~_support(full & ~mask, domain), are memoised per mask and
-    domain and ANDed over the unassigned neighbors, stopping at 0.
+    per pick, in both orders: the colors compatible with every color of a
+    domain, full & ~_support(full & ~mask, domain), are memoised per mask
+    and domain and ANDed over the unassigned neighbors, from the lowest
+    color alone in the canonical order and from the whole domain with
+    verdict_only, stopping at 0.
 
     Propagation pops a vertex whose domain shrank and intersects each
     neighbor's domain with that domain's support (_support, memoised per
@@ -398,12 +397,10 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     if 0 in memos or 0 in domains:  # no allowed offset or color: nothing to search
         return None
     runs = {mask: _runs(mask, p) for mask in memos}
-    if verdict_only:  # for its free colors
-        # compat[x] = [(the offsets mask forbids, their runs, memo of the
-        # colors compatible with every color of a domain across mask,
-        # neighbors over mask)]
-        banned = {mask: (full & ~mask, _runs(full & ~mask, p), {}) for mask in memos}
-        compat = [[(*banned[mask], ws) for mask, _, ws in gx] for gx in groups]
+    # For the free colors: banned[mask] = (the offsets mask forbids, their
+    # runs, memo of the colors compatible with every color of a domain
+    # across mask)
+    banned = {mask: (full & ~mask, _runs(full & ~mask, p), {}) for mask in memos}
     # A full domain supports every color across a non-empty mask, so only
     # the vertices with a smaller domain have anything to revise at the root.
     queue = [x for x in range(n) if domains[x] != full]
@@ -501,33 +498,22 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                     return [d.bit_length() - 1 for d in domains]
                 w = size.index(smallest)
                 dw = domains[w]
-                if step:  # any color compatible with every unassigned neighbor's
-                    free = dw
-                    for ban, ban_runs, memo, ws in compat[w]:
-                        for x in ws:
-                            if size[x] != taken:
-                                dx = domains[x]
-                                ok = memo.get(dx)
-                                if ok is None:
-                                    ok = memo[dx] = full & ~_support(ban, dx, p, ban_runs)
-                                free &= ok
-                                if not free:
-                                    break
-                        if not free:
-                            break
-                else:  # the lowest color, if it cuts no neighbor (an assigned
-                    # one's color is compatible with all of w's already)
-                    free = dw & -dw
-                    for mask, memo, ws in groups[w]:
-                        sup = memo.get(free)
-                        if sup is None:
-                            sup = memo[free] = _support(mask, free, p, runs[mask])
-                        for x in ws:
-                            if domains[x] & ~sup:
-                                free = 0
+                # The colors of w compatible with every color each unassigned
+                # neighbor has left; the canonical order asks it of the lowest.
+                free = dw if step else dw & -dw
+                for mask, _, ws in groups[w]:
+                    ban, ban_runs, memo = banned[mask]
+                    for x in ws:
+                        if size[x] != taken:
+                            dx = domains[x]
+                            ok = memo.get(dx)
+                            if ok is None:
+                                ok = memo[dx] = full & ~_support(ban, dx, p, ban_runs)
+                            free &= ok
+                            if not free:
                                 break
-                        if not free:
-                            break
+                    if not free:
+                        break
                 if not free:
                     break  # a real choice: branch on w
                 # A free color: the lowest, on the current trail, without a node.

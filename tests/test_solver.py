@@ -703,33 +703,44 @@ class TestSearchKernel:
         assert solver._search(4, adj, 8, [255] * 4, budget, verdict_only=True) == [0, 2, 4, 2]
         assert budget.nodes == 1
 
-    @pytest.mark.parametrize("g,same_run", [(sg(4, K4), True),
-                                            (circular_clique_signed(6, 2), False)],
-                             ids=["K4", "clique6/2"])
-    def test_verdict_only_is_the_canonical_order_when_degrees_are_equal(self, g, same_run):
-        # Both graphs are complete, so at every pick each unassigned vertex
-        # has as many unassigned neighbors as any other, and the verdict
-        # order ranks the vertices as domain size does.  On K4(+) it takes
-        # no free color the canonical order does not, so it finds the same
-        # first solution in the same nodes.  On the signed clique it takes
-        # free colors above the lowest, where the canonical order branches:
-        # the same verdict, in no more nodes.
+    @staticmethod
+    def _both_orders(g):
+        """Every (canonical run, verdict-only run) on g for p up to 12, from
+        full domains and with each vertex pinned to color 0 in turn; each
+        coloring either run returns verifies and keeps the pin."""
         for p in range(2, 13, 2):
             for q in range(1, p // 2 + 1):
                 adj = solver._adjacency(g, p, q)
                 full = (1 << p) - 1
                 for pin in [None, *range(g.n)]:
                     domains = [2 if v == pin else full for v in range(g.n)]
-                    want = self._run(solver._search, g.n, adj, p, list(domains),
-                                     max_nodes=20_000)
-                    got = self._run(lambda *args: solver._search(*args, verdict_only=True),
-                                    g.n, adj, p, list(domains), max_nodes=20_000)
-                    if same_run:
-                        assert got == want
-                    assert (got[0] is None) == (want[0] is None) and got[1] <= want[1]
-                    if got[0] is not None:
-                        assert verify_coloring(g, Coloring(p, q, tuple(got[0])))
-                        assert pin is None or got[0][pin] == 1
+                    want = TestSearchKernel._run(solver._search, g.n, adj, p, list(domains),
+                                                 max_nodes=20_000)
+                    got = TestSearchKernel._run(
+                        lambda *args: solver._search(*args, verdict_only=True),
+                        g.n, adj, p, list(domains), max_nodes=20_000)
+                    for colors, _ in (want, got):
+                        if colors is not None:
+                            assert verify_coloring(g, Coloring(p, q, tuple(colors)))
+                            assert pin is None or colors[pin] == 1
+                    yield want, got
+
+    def test_verdict_only_is_the_canonical_order_when_degrees_are_equal(self):
+        # K4(+) is complete, so at every pick each unassigned vertex has as
+        # many unassigned neighbors as any other, and the verdict order
+        # ranks the vertices as domain size does.  It takes no free color
+        # the canonical order does not, so it finds the same first solution
+        # in the same nodes.
+        for want, got in self._both_orders(sg(4, K4)):
+            assert got == want
+
+    def test_verdict_only_on_a_signed_clique_keeps_the_verdict_in_no_more_nodes(self):
+        # The signed clique is complete too, so the two orders rank the
+        # vertices alike, but the verdict order takes free colors above the
+        # lowest where the canonical order branches: the same verdict, in
+        # no more nodes.
+        for want, got in self._both_orders(circular_clique_signed(6, 2)):
+            assert (got[0] is None) == (want[0] is None) and got[1] <= want[1]
 
     @pytest.mark.parametrize("g,canonical,verdict_only", [
         (signed_cycle(5, False), [1, 2, 3], [2, 3]),
@@ -930,10 +941,10 @@ class TestRefutedParts:
         # drawn graph, though its conflict, every why in the part, may hold
         # decisions that the part's own refutation did not need, so not on
         # every one.  Few graphs meet a part again (about one in twenty
-        # joined compositions), so the draws are fixed.  The verdict-only
-        # order is not held to a budget: on one drawn joined composition
-        # (n = 35) it refutes 70/18 in 35,986 nodes, where the chronological
-        # search spends 2,450 and the canonical order 17.
+        # joined compositions), so the draws are fixed.  The searches get
+        # 40,000 nodes: on one drawn joined composition (n = 35) the
+        # verdict-only order refutes 70/18 in 35,986, where the
+        # chronological search spends 2,450 and the canonical order 17.
         fewer = []
 
         @settings(max_examples=150, deadline=None, derandomize=True,
@@ -961,10 +972,10 @@ class TestRefutedParts:
                     with refuted_parts_met() as met:
                         got, nodes = TestSearchKernel._run(
                             lambda *args: solver._search(*args, verdict_only, g._neighbors),
-                            g.n, adj, p, list(domains), max_nodes=10_000)
+                            g.n, adj, p, list(domains), max_nodes=40_000)
                     want, want_nodes = TestSearchKernel._run(
                         lambda *args: oracles.backjump_search(*args, verdict_only, g._neighbors),
-                        g.n, adj, p, list(domains), max_nodes=10_000)
+                        g.n, adj, p, list(domains), max_nodes=40_000)
                     if not isinstance(want, tuple):  # the search without records decided
                         assert (got is None) == (want is None)
                         assert verdict_only or got == want
@@ -972,8 +983,8 @@ class TestRefutedParts:
                     if isinstance(got, list):
                         assert verify_coloring(g, Coloring(p, q, tuple(got)))
                     if not isinstance(first, tuple):  # the chronological search decided
-                        if verdict_only:  # and so did the kernel (it may spend more)
-                            assert isinstance(got, tuple) or (got is None) == (first is None)
+                        if verdict_only:
+                            assert (got is None) == (first is None)
                         else:
                             assert got == first and nodes <= first_nodes
                     meets = meets or bool(met)
