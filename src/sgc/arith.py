@@ -87,17 +87,25 @@ def normalize_even(p: int, q: int) -> EvenRational:
     return EvenRational(p, q)
 
 
+def _check_colors(p: int, *colors: int) -> None:
+    """Raise ValueError unless p is an even int and each color an int in
+    0..p-1, none of them a bool."""
+    if not _is_int(p) or p % 2:
+        raise ValueError(f"p must be even (an int, not a bool), got {p!r}")
+    if not all(map(_is_int, colors)):
+        raise ValueError(f"colors must be ints, got {', '.join(map(repr, colors))}")
+    for x in colors:
+        if not 0 <= x < p:
+            raise ValueError(f"color {x} out of range for p={p}")
+
+
 def circ_dist(i: int, j: int, p: int) -> int:
     """Distance on the integer color circle: min(|i-j|, p-|i-j|).
 
-    p must be even and i, j ints (not bools) in 0..p-1; ValueError otherwise.
+    p must be an even int and i, j ints in 0..p-1, none a bool; ValueError
+    otherwise.
     """
-    if p % 2:
-        raise ValueError(f"p must be even, got {p}")
-    if not (_is_int(i) and _is_int(j)):
-        raise ValueError(f"colors must be ints, got {i!r},{j!r}")
-    if not 0 <= i < p or not 0 <= j < p:
-        raise ValueError(f"colors {i},{j} out of range for p={p}")
+    _check_colors(p, i, j)
     d = abs(i - j)
     return min(d, p - d)
 
@@ -123,11 +131,12 @@ def circle_edge_ok(a, b, shift, r, q=1) -> bool:
 
 
 def antipode(i: int, p: int) -> int:
-    """The color opposite i on the even circle: i + p/2 mod p."""
-    if p % 2:
-        raise ValueError(f"p must be even, got {p}")
-    if not 0 <= i < p:
-        raise ValueError(f"color {i} out of range for p={p}")
+    """The color opposite i on the even circle: i + p/2 mod p.
+
+    p must be an even int and i an int in 0..p-1, neither a bool;
+    ValueError otherwise.
+    """
+    _check_colors(p, i)
     return (i + p // 2) % p
 
 

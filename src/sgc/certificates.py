@@ -18,7 +18,9 @@ coloring on one integer grid: the circle of circumference r cut into
 R = r*D steps of 1/D, where D is the least common denominator of r/2 and
 the colors.  Gaps, tight steps, the turn count a and refinement moves are
 then integer arithmetic, and exact; refine doubles the grid when it needs a
-half step.
+half step.  Each edge's gap comes from solver._gaps, the one edge check
+that verify_coloring also reads on the p-grid: an edge holds iff
+D <= gap <= R - D, as it holds there iff q <= gap <= p - q.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional, Sequence
 
 from .arith import _is_int
 from .core import POS, Edge, SignedGraph
-from .solver import Coloring, _validate_coloring, _validate_pq
+from .solver import Coloring, _gaps, _validate_coloring, _validate_pq
 
 __all__ = ["CorruptCertificateError", "NotRefinableError", "RationalColoring",
            "TightCycleCertificate", "TightDigraph", "cert_value", "find_tight_cycle",
@@ -101,27 +103,14 @@ def _grid(c: RationalColoring) -> tuple[int, int, list[int]]:
                                                   for x in c.colors]
 
 
-def _gap(e: Edge, xs: Sequence[int], big_r: int) -> int:
-    """Clockwise gap, in grid steps, from u's color to v's target point.
-
-    The target is v's color for a positive edge, its antipode for a negative
-    one.  With D steps per unit, the edge holds iff D <= gap <= R - D; the
-    step (u, v) is tight iff gap == D, and the step (v, u), whose gap is
-    R - gap, iff gap == R - D.
-    """
-    return (xs[e.v] - xs[e.u] - (0 if e.sign is POS else big_r // 2)) % big_r
-
-
 def _edge_gaps(g: SignedGraph, c: RationalColoring
                ) -> Optional[tuple[int, int, list[int], list[int]]]:
-    """(D, R, X, gaps): c's grid and one gap per edge of g in edge order, or
-    None when an edge fails."""
+    """(D, R, X, gaps): c's grid and one gap per edge of g in edge order
+    (solver._gaps, width D), or None when an edge fails."""
     if len(c.colors) != g.n:
         raise ValueError(f"coloring has {len(c.colors)} entries for {g.n} vertices")
     d, big_r, xs = _grid(c)
-    half = big_r // 2
-    gaps = [(xs[v] - xs[u] - (0 if sign is POS else half)) % big_r  # _gap, inline
-            for u, v, sign in g.edges]
+    gaps = _gaps(g.edges, xs, big_r)
     if gaps and (min(gaps) < d or max(gaps) > big_r - d):
         return None
     return d, big_r, xs, gaps
@@ -136,7 +125,8 @@ def _is_arc(arc) -> bool:
 
 
 def _tight_steps(e: Edge, idx: int, gap: int, d: int, big_r: int) -> list[Arc]:
-    """The tight steps along edge idx, given its gap on the grid (D, R)."""
+    """The tight steps along edge idx, given its gap (solver._gaps) on the
+    grid (D, R): (u, v) when the gap is D, (v, u) when it is R - D."""
     steps = [(e.u, e.v, idx)] if gap == d else []
     if gap == big_r - d and not e.is_loop:
         steps.append((e.v, e.u, idx))
@@ -175,7 +165,9 @@ class TightDigraph:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {self.n!r}")
-        for arc in self.arcs:
+        arcs = tuple(self.arcs)  # a caller's list must not change the digraph later
+        object.__setattr__(self, "arcs", arcs)
+        for arc in arcs:
             if not _is_arc(arc):
                 raise ValueError(f"arc {arc!r} is not a triple of ints")
             if not (0 <= arc[0] < self.n and 0 <= arc[1] < self.n):
@@ -315,8 +307,8 @@ def refine(g: SignedGraph, c: RationalColoring) -> RationalColoring:
             xs = [2 * x for x in xs]
             gaps = [2 * gap for gap in gaps]
         xs[v] = (xs[v] + slack // 2) % big_r
-        for idx in at_v:
-            gaps[idx] = _gap(g.edges[idx], xs, big_r)
+        for idx, gap in zip(at_v, _gaps([g.edges[idx] for idx in at_v], xs, big_r)):
+            gaps[idx] = gap
         new_arcs = {arc for arc in arcs if arc[2] not in at_v}.union(
             *(_tight_steps(g.edges[idx], idx, gaps[idx], d, big_r) for idx in at_v))
         if len(new_arcs) >= len(arcs):

@@ -61,10 +61,12 @@ class ZSet:
 
     def __post_init__(self) -> None:
         _validate_pq(self.p, self.q)
-        if len(self.member) != self.p // 2 + 1:
+        member = tuple(self.member)  # a caller's list must not change the Z-set later
+        object.__setattr__(self, "member", member)
+        if len(member) != self.p // 2 + 1:
             raise ValueError("membership table must have p//2 + 1 entries")
-        if not all(type(x) is bool for x in self.member):
-            raise ValueError(f"membership table must hold bools, got {self.member!r}")
+        if not all(type(x) is bool for x in member):
+            raise ValueError(f"membership table must hold bools, got {member!r}")
 
     def members(self) -> tuple[int, ...]:
         return tuple(d for d, ok in enumerate(self.member) if ok)

@@ -6,6 +6,8 @@ Which function owns which rule:
   backjumping, the rotation pin, the reflection cut, refuted parts, free
   colors), its two branching orders (canonical, which fixes the
   witnesses, and verdict_only), and what a node is.
+- _gaps: each edge's gap, the one edge check of a coloring, which
+  verify_coloring and the certificate layer read.
 - _windows, _adjacency: each adjacent pair's mask of allowed offsets.
 - _runs, _support: a domain's support across such a mask.
 - _relation: the terminal offsets a piece or an indicator allows
@@ -25,13 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .arith import EvenRational, _is_int
 # chi_c's ladder as integer (p, q) pairs; it keeps the name candidates,
 # under which the bench traces the ladder layer.
 from .arith import candidate_pairs as candidates
-from .core import (CapacityError, POS, SignedGraph, UncolorableError,
+from .core import (CapacityError, POS, Edge, SignedGraph, UncolorableError,
                    _group, _lift_bfs, degeneracy, is_balanced)
 
 __all__ = ["BudgetExhausted", "ChiResult", "ChiUndecided", "Coloring", "Pin", "SolveBudget",
@@ -134,21 +136,32 @@ def _validate_coloring(c: Coloring, n: int | None = None):
             raise ValueError(f"color {x!r} of vertex {i} out of range for p={c.p}")
 
 
+def _gaps(edges: Iterable[Edge], xs: Sequence[int], r: int) -> list[int]:
+    """Each edge's clockwise gap, in edge order, on a circle of r grid steps.
+
+    An edge (u, v, sign)'s gap runs from u's color xs[u] to v's target
+    point: v's color for a positive edge, its antipode for a negative one
+    (r is even), so it is arith.circle_gap(xs[v], xs[u], 0 or r/2, r).
+    With colors a width of w steps apart (q on the p-grid, D on the
+    certificates' R-grid) the edge holds iff w <= gap <= r - w; the step
+    (u, v) is tight iff gap == w, and the step (v, u), whose gap is r - gap,
+    iff gap == r - w.  A negative loop's gap is r/2, which always holds; a
+    positive loop's is 0, which never does.
+    """
+    half = r // 2
+    return [(xs[v] - xs[u] - (0 if sign is POS else half)) % r for u, v, sign in edges]
+
+
 def verify_coloring(g: SignedGraph, c: Coloring) -> bool:
-    """Check a (p,q)-coloring against every edge.
+    """Check a (p,q)-coloring against every edge: q <= gap <= p - q for
+    each edge's gap (_gaps).
 
     Malformed colorings (wrong length, out-of-range colors, bad p/q) raise;
     a well-formed coloring that breaks an edge constraint returns False.
-    Loops need no special case: a negative loop always passes, a positive
-    loop always fails.
     """
     _validate_coloring(c, g.n)
-    p, q, half, xs = c.p, c.q, c.p // 2, c.colors
-    top = p - q
-    for u, v, sign in g.edges:  # circle_edge_ok, inline
-        if not q <= (xs[u] - xs[v] - (0 if sign is POS else half)) % p <= top:
-            return False
-    return True
+    gaps = _gaps(g.edges, c.colors, c.p)
+    return not gaps or (c.q <= min(gaps) and max(gaps) <= c.p - c.q)
 
 
 def _windows(p: int, q: int) -> tuple[int, int, int, int]:
@@ -211,19 +224,17 @@ def _runs(mask: int, p: int) -> list[tuple[int, int]]:
 def _support(mask: int, dx: int, p: int, runs: list[tuple[int, int]]) -> int:
     """The colors at an offset in mask from some color of dx: their sumset.
 
-    Two cases take O(1) big-int operations.  A one-color domain {c} gives
-    mask turned by c.  When |dx| + |mask| > p the support is every color: a
-    color y is supported when one of the |mask| colors y - t, t in mask,
-    lies in dx, and by pigeonhole one does.  Otherwise, for each of mask's
-    runs (_runs(mask, p), which the caller derives once per mask), this ORs
-    the rotations of dx by every offset of the run, by doubling, which is
-    O(log p) operations per run.  Bits pushed past p - 1 (up to 3p - 3) are
-    folded back round the circle at the end.
+    When |dx| + |mask| > p the support is every color, in O(1) big-int
+    operations: a color y is supported when one of the |mask| colors y - t,
+    t in mask, lies in dx, and by pigeonhole one does.  Otherwise, for each
+    of mask's runs (_runs(mask, p), which the caller derives once per mask),
+    this ORs the rotations of dx by every offset of the run, by doubling,
+    which is O(log p) operations per run.  Bits pushed past p - 1 (up to
+    3p - 3) are folded back round the circle at the end.  A one-color domain
+    {c} needs no case of its own: the doubling turns each run by c, so the
+    support is mask turned by c.
     """
     full = (1 << p) - 1
-    if dx and not dx & (dx - 1):  # one color c: the mask turned by c
-        c = dx.bit_length() - 1
-        return (mask << c | mask >> (p - c)) & full
     if dx.bit_count() + mask.bit_count() > p:
         return full
     acc = 0

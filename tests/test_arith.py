@@ -136,6 +136,24 @@ class TestIntegerCircle:
         with pytest.raises(ValueError, match="color 5 out of range for p=4"):
             antipode(5, 4)
 
+    @pytest.mark.parametrize("i,p", [(True, 4), (False, 4), (1.5, 4), (1.0, 4), (1, 4.0),
+                                     (1, True), (Fraction(1), 4), ("1", 4)])
+    def test_antipode_takes_only_ints(self, i, p):
+        # antipode(True, 4) was 3, antipode(1.5, 4) 3.5 and antipode(1, 4.0)
+        # 3.0: the same colors and circles circ_dist refuses.
+        with pytest.raises(ValueError):
+            antipode(i, p)
+        with pytest.raises(ValueError):
+            circ_dist(i, 0, p)
+
+    @pytest.mark.parametrize("p", [4.0, 8.0, True, Fraction(4), "4"])
+    def test_circ_dist_takes_only_an_int_p(self, p):
+        # circ_dist(1, 2, 4.0) used to return 1.
+        with pytest.raises(ValueError, match="p must be even"):
+            circ_dist(1, 2, p)
+        with pytest.raises(ValueError, match="p must be even"):
+            antipode(1, p)
+
 
 class TestRationalCircle:
     def test_rational_point(self):

@@ -204,6 +204,18 @@ class TestFindTightCycle:
         with pytest.raises(ValueError, match="int"):
             TightDigraph(n, arcs)
 
+    def test_a_list_of_arcs_is_kept_as_a_tuple(self):
+        # Like Coloring and RationalColoring: a caller's list is copied, so
+        # appending to it later neither changes the digraph nor slips an
+        # unchecked arc past the endpoint check, and the digraph hashes.
+        arcs = [(0, 1, 0), (1, 0, 0)]
+        d = TightDigraph(2, arcs)
+        arcs.append((5, 9, "x"))
+        assert d.arcs == ((0, 1, 0), (1, 0, 0))
+        assert find_tight_cycle(d) == ((0, 1, 0), (1, 0, 0))
+        assert d == TightDigraph(2, ((0, 1, 0), (1, 0, 0)))
+        assert hash(d) == hash(TightDigraph(2, ((0, 1, 0), (1, 0, 0))))
+
     def test_empty(self):
         assert find_tight_cycle(TightDigraph(3, ())) is None
 

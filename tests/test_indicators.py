@@ -83,6 +83,17 @@ class TestZSetContainer:
         with pytest.raises(ValueError, match="bools"):
             ZSet(8, 2, member)
 
+    def test_a_list_of_members_is_kept_as_a_tuple(self):
+        # A caller's list is copied: changing it later neither adds a
+        # member (nor a non-bool one) to the Z-set, and the Z-set hashes.
+        member = [False, False, True, False, False]
+        z = ZSet(8, 2, member)
+        member[1] = 7
+        assert z.member == (False, False, True, False, False)
+        assert z.members() == (2,)
+        assert z == ZSet(8, 2, (False, False, True, False, False))
+        assert hash(z) == hash(ZSet(8, 2, (False, False, True, False, False)))
+
     def test_as_interval(self):
         assert ZSet(8, 2, (False, True, True, True, False)).as_interval() == (1, 3)
         assert ZSet(4, 1, (False, False, True)).as_interval() == (2, 2)

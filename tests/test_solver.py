@@ -22,7 +22,7 @@ from gen import (gadget_compositions, grids, joined_compositions, necklaces, pri
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sgc import core, solver
-from sgc.arith import EvenRational, candidate_pairs, normalize_even
+from sgc.arith import EvenRational, candidate_pairs, circle_gap, normalize_even
 from sgc.constructions import (big_gamma, circular_clique_signed, k4_omega,
                                positive_clique, signed_cycle, wenger_tilde)
 from sgc.core import (NEG, POS, CapacityError, Edge, SignedGraph, UncolorableError,
@@ -130,6 +130,22 @@ class TestVerifyColoring:
         expected = all(oracles.edge_ok(p, q, e.sign, colors[e.u], colors[e.v])
                        for e in g.edges)
         assert verify_coloring(g, Coloring(p, q, colors)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs(max_n=6, max_m=14, positive_loops=True),
+           st.one_of(st.integers(1, 20), st.integers(21, 5000)).map(lambda half: 2 * half),
+           st.data())
+    def test_gaps_are_the_circle_gaps_edge_by_edge(self, g, r, data):
+        # Loops and parallel edges of both signs: each edge's gap is the
+        # single-pair gap from u's color to v's color, or to its antipode on
+        # a negative edge, in edge order, and so on any list of the edges
+        # (refine re-reads those at one vertex).
+        xs = [data.draw(st.integers(0, r - 1)) for _ in range(g.n)]
+        want = [circle_gap(xs[e.v], xs[e.u], 0 if e.sign is POS else r // 2, r)
+                for e in g.edges]
+        assert solver._gaps(g.edges, xs, r) == want
+        idxs = data.draw(st.lists(st.integers(0, g.m - 1))) if g.m else []
+        assert solver._gaps([g.edges[i] for i in idxs], xs, r) == [want[i] for i in idxs]
 
     @settings(max_examples=300, deadline=None)
     @given(signed_graphs(max_n=6, max_m=14, positive_loops=True), grids(10), st.data())
@@ -866,6 +882,37 @@ class TestSearchKernel:
                 mask = pair_mask(signs, p, q)
                 runs = solver._runs(mask, p)
                 assert [solver._support(mask, 1 << c, p, runs) for c in range(p)] == masks[kind]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.integers(1, 60), st.just(999)).map(lambda half: 2 * half),
+           st.lists(st.tuples(st.integers(0, 1997), st.integers(1, 1998)), max_size=4),
+           st.booleans())
+    @example(1998, [(3, 4), (300, 50), (900, 30), (1990, 20)], True)
+    def test_a_one_color_domain_gives_the_mask_turned_by_its_color(self, p, runs, mirror):
+        # One-color domains take the run doubling like any other domain.
+        # Masks of up to four runs that may wrap, mirrored when asked so
+        # that they are symmetric like the relation masks _quotient_refuted
+        # stamps in, at p up to 120 and at p = 1,998 (the positive C999's
+        # value), where the search's memo rarely answers first.
+        mask = 0
+        for lo, width in runs:
+            mask |= rotate((1 << min(width, p)) - 1, lo % p, p)
+        if mirror:
+            mask |= solver._reflect(mask, p)
+        spans = solver._runs(mask, p)
+        assert [solver._support(mask, 1 << c, p, spans) for c in range(p)] == [
+            rotate(mask, c, p) for c in range(p)]
+
+    def test_a_one_color_domain_across_a_piece_relation(self):
+        # The relation of wenger_tilde's piece at 18/4 (the zset_apex
+        # relation), alone and ANDed with each sign's window as _adjacency
+        # stamps it onto a quotient pair: one run, or two for a negative
+        # or a parallel pair.
+        relation = solver._relation(wenger_tilde(), 8, 9, 18, 4, SolveBudget())
+        for mask in [relation] + [relation & pair_mask(signs, 18, 4) for signs in KINDS.values()]:
+            spans = solver._runs(mask, 18)
+            assert [solver._support(mask, 1 << c, 18, spans) for c in range(18)] == [
+                rotate(mask, c, 18) for c in range(18)]
 
     @settings(max_examples=200, deadline=None)
     @given(grids(60), st.sampled_from(sorted(KINDS)), st.data())
