@@ -23,8 +23,8 @@ __all__ = ["GadgetEmbedding", "big_gamma", "circular_clique_signed", "gadget_int
 
 def positive_clique(n: int) -> SignedGraph:
     """Complete graph on n vertices, all edges positive, lex edge order."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"need at least one vertex, got {n!r}")
     return SignedGraph.from_triples(
         n, [(i, j, POS) for i in range(n) for j in range(i + 1, n)]
     )
@@ -37,8 +37,8 @@ def signed_cycle(length: int, negative: bool) -> SignedGraph:
     Any representative of the switching class would do; this one puts the
     lone negative sign on the closing edge.
     """
-    if length < 1:
-        raise ValueError("cycle length must be at least 1")
+    if not _is_int(length) or length < 1:
+        raise ValueError(f"cycle length must be at least 1, got {length!r}")
     triples: list[tuple[int, int, Sign]] = [(i, i + 1, POS) for i in range(length - 1)]
     triples.append((length - 1, 0, NEG if negative else POS))
     return SignedGraph.from_triples(length, triples)
@@ -92,8 +92,8 @@ def gamma(i: int) -> Indicator:
     separation shrinks by one ladder step per level, alternating between
     losing the top of the range (odd depth) and the bottom (even depth).
     """
-    if i < 1:
-        raise ValueError("depth must be at least 1")
+    if not _is_int(i) or i < 1:
+        raise ValueError(f"depth must be at least 1, got {i!r}")
     triples: list[tuple[int, int, Sign]] = [(1, 0, POS), (0, 2, POS)]
     for k in range(2, i + 1):
         uk, vk = 2 * k - 1, 2 * k
@@ -113,8 +113,8 @@ def gamma_prime(i: int) -> SignedGraph:
     4 - 2*eps with 1/(2*eps) < i < 1/eps, so the glued graph (a simple
     bipartite planar graph) is not colorable at those sizes.
     """
-    if i < 1:
-        raise ValueError("index must be at least 1")
+    if not _is_int(i) or i < 1:
+        raise ValueError(f"index must be at least 1, got {i!r}")
     first = gamma(2 * i - 1)
     edges = list(first.graph.edges)
     n = _graft(edges, gamma(2 * i), first.u, first.v, first.graph.n)
@@ -160,8 +160,8 @@ def omega_d(d: int) -> SignedGraph:
     its circular chromatic number is d + 2; the repo checks d = 4 only
     (chi_c(omega_d(4)) = 6 in tests/test_acceptance.py::test_03).
     """
-    if d < 4 or d % 2:
-        raise ValueError("d must be even and at least 4")
+    if not _is_int(d) or d < 4 or d % 2:
+        raise ValueError(f"d must be even and at least 4, got {d!r}")
     triples: list[tuple[int, int, Sign]] = [
         (i, j, POS) for i in range(d) for j in range(i + 1, d)
     ]
@@ -357,6 +357,7 @@ def wenger_coloring(p: int, q: int) -> Coloring:
     In circle units: u = v = 0, w = 3, x1 = 2, x2 = 1, x3 = 2, x4 = 1/3,
     x5 = 4, z = t = 1.  As 3p = 14q, 3 divides q, so 1/3 unit is q/3 steps.
     """
+    _validate_pq(p, q)
     if 3 * p != 14 * q:
         raise ValueError("reference coloring lives at circle size 14/3")
     third = q // 3

@@ -176,11 +176,10 @@ class SignedGraph:
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's distinct neighbors, ascending, loops left out: the
-        search counts them into its verdict-order keys, walks the parts of
-        unassigned vertices over them and raises their keys when a free
-        color is taken, and _block_pairs walks the graph over them once for
-        its blocks and their separation pairs."""
+        """Each vertex's distinct neighbors, ascending, loops left out:
+        _block_pairs walks the graph over them once for its blocks and their
+        separation pairs, and _repeated_pieces walks the pieces hung on each
+        pair over them."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for a, b, _ in self._pair_signs:  # ascending and loop-free: so is each list
             nbrs[a].append(b)

@@ -269,8 +269,8 @@ def _allowed(groups: Sequence[tuple[int, Sequence[int]]], colors: Sequence[int],
 
 
 def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
-            domains: list[int], budget: SolveBudget, verdict_only: bool = False,
-            neighbors: Sequence[Sequence[int]] | None = None) -> list[int] | None:
+            domains: list[int], budget: SolveBudget, verdict_only: bool = False
+            ) -> list[int] | None:
     """Backtracking with arc consistency over bitmask domains, iteratively,
     with conflict-directed backjumping, a rotation pin and a reflection cut.
 
@@ -280,20 +280,21 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     less p + 1 per unassigned neighbor with verdict_only, so that the most
     unassigned neighbors come first and the smaller domain breaks a tie.  A
     vertex with one color left is assigned, whether a decision, a root
-    domain or propagation put it there, and each such vertex is queued.  It
-    is marked assigned as it leaves the queue (a free color, below, marks
-    its vertex at the pick): its key becomes taken = p + 1, above every
-    other, and the one pass that revises its neighbors against its color
-    also adds p + 1 to each unassigned one's key with verdict_only, in the
-    trail entry of the neighbor's cut or in one of its own.  Until then a
-    cut lowers its key by the colors it removes, as it does any vertex's.
+    domain or propagation put it there, and each such vertex goes on the
+    queue.  It is marked assigned as it leaves the queue (a free color,
+    below, marks its vertex at the pick): its key becomes taken = p + 1,
+    above every other, and the one pass that revises its neighbors against
+    its color also adds p + 1 to each unassigned one's key with
+    verdict_only, in the trail entry of the neighbor's cut or in one of its
+    own.  Until then a cut lowers its key by the colors it removes, as it
+    does any vertex's.
     Keys are read only at a pick, once the queue is empty, and the pop
     needs no trail entry of its own: the decision's or the cut's entry on
     the same trail restores the key, and the root's trail is never undone.
     Only callers that use the verdict alone set verdict_only, since the
-    first solution depends on the order.  neighbors[x] lists x's distinct
-    neighbors in adj (SignedGraph._neighbors when adj is the graph's own;
-    derived from adj when not given).
+    first solution depends on the order.  x's neighbor list, which the keys
+    count, the parts walk and a free color's key gains visit, is derived
+    from adj[x], each neighbor once (adj groups a pair under one mask).
 
     A node is one assignment made by branching, and only a real choice
     costs one.  A vertex cut to one color is never picked (its neighbors
@@ -319,7 +320,9 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     Propagation pops a vertex whose domain shrank and intersects each
     neighbor's domain with that domain's support (_support, memoised per
     offset mask for this call, with the mask's runs taken once), queueing
-    the neighbors that shrink.  A group whose support is every color is
+    the neighbors that shrink.  The queue is one insertion-ordered dict,
+    popped last in first out; a vertex already in it keeps its place, and
+    a conflict clears it.  A group whose support is every color is
     skipped, as no domain would shrink, unless the popped vertex is newly
     assigned and keys must gain (a full relation in _quotient_refuted's
     quotient is such a mask).  Arc consistency has a unique fixpoint, so
@@ -414,18 +417,16 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     banned = {mask: (full & ~mask, _runs(full & ~mask, p), {}) for mask in memos}
     # A full domain supports every color across a non-empty mask, so only
     # the vertices with a smaller domain have anything to revise at the root.
-    queue = [x for x in range(n) if domains[x] != full]
+    queue = dict.fromkeys(x for x in range(n) if domains[x] != full)
     if not queue:  # every root domain full: pin vertex 0 to color 0 (rotation)
         domains[0] = 1
-        queue = [0]
-    if neighbors is None:
-        neighbors = [[w for _, ws in gx for w in ws] for gx in adj]
+        queue = {0: None}
+    neighbors = [[w for _, ws in gx for w in ws] for gx in adj]
     taken = p + 1  # the key of an assigned vertex, above every domain size
     step = taken if verdict_only else 0  # what a key gains per neighbor assigned
-    # domain size - step per neighbor, until the queued singletons' pops
+    # domain size - step per neighbor, until the singletons' pops from the queue
     size = [d.bit_count() - len(ws) * step for d, ws in zip(domains, neighbors)]
     spend = budget.spend
-    queued = [d != full for d in domains]
     # refuted[(v, v's domain)] = [the most vertices in a part recorded at v,
     # keys of those parts]
     refuted: dict[tuple[int, int], list] = {}
@@ -460,8 +461,7 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
     while True:
         conflict = -1
         while queue:
-            x = queue.pop()
-            queued[x] = False
+            x, _ = queue.popitem()
             dx = domains[x]
             yx = why[x]
             gain = 0  # what each unassigned neighbor's key gains from x
@@ -487,9 +487,7 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                         domains[w] = nd
                         why[w] = yw | yx
                         size[w] = sw - (dw ^ nd).bit_count() + gain
-                        if not queued[w]:
-                            queued[w] = True
-                            queue.append(w)
+                        queue[w] = None  # a vertex already in the queue keeps its place
                     elif gain:
                         sw = size[w]
                         if sw != taken:
@@ -552,8 +550,6 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
                 untried = domains[v] & half if sym else domains[v]
                 conf = 0
         if conflict >= 0:  # undo v's failed color; back up to the deepest decision in conflict
-            for x in queue:
-                queued[x] = False
             queue.clear()
             while True:
                 if not conflict:
@@ -582,8 +578,7 @@ def _search(n: int, adj: Sequence[Sequence[tuple[int, Sequence[int]]]], p: int,
         trail = [(v, domains[v], why[v], size[v])]
         domains[v] = lsb
         why[v] = 1 << v
-        queue.append(v)
-        queued[v] = True
+        queue[v] = None
 
 
 def _separations(adj: Sequence[Sequence[tuple[int, Sequence[int]]]], sol: Sequence[int],
@@ -605,14 +600,18 @@ def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudge
     The one loop over separations: a repeated piece's relation (u, v = 0,
     1) and an indicator's Z-set (its bits 0..p/2).  Its searches keep their
     verdict alone, so they branch on the most unassigned neighbors
-    (verdict_only), which refutes in fewer nodes than the canonical order.
+    (verdict_only).  Neither order is the cheaper on every graph:
+    wenger_tilde's apex relation (8, 9) at 18/4 takes 1,542 nodes in this
+    order and 23,133 in the canonical one, while a 22-vertex gadget
+    composition that tests/test_solver.py draws is refuted at 34/9 from
+    full domains in 18,979 nodes in this order and 735 in the canonical one.
     Each search pins u at 0 and lets v take every separation not yet in the
     mask.  A coloring shows more than its own separation: every one that
     recoloring u or v alone reaches (_separations), and all it shows joins
     the mask before the next search; the loop ends at the first refutation
-    or when the mask is full.  Every mask _separations returns is symmetric,
-    so v's root domain stays closed under c -> -c and the reflection cut
-    holds at the root.
+    or when the mask is full.  Every mask _separations returns is
+    symmetric, so v's root domain stays closed under c -> -c and the
+    reflection cut holds at the root.
     """
     adj = _adjacency(g, p, q)
     full = (1 << p) - 1
@@ -620,7 +619,7 @@ def _relation(g: SignedGraph, u: int, v: int, p: int, q: int, budget: SolveBudge
     while mask != full:
         domains = [full] * g.n
         domains[u], domains[v] = 1, full ^ mask
-        sol = _search(g.n, adj, p, domains, budget, True, g._neighbors)
+        sol = _search(g.n, adj, p, domains, budget, True)
         if sol is None:
             break
         mask |= _separations(adj, sol, u, v, p)
@@ -696,7 +695,7 @@ def feasible_pq(g: SignedGraph, p: int, q: int,
         return None
     if _quotient_refuted(g, p, q, domains, budget):
         return None
-    sol = _search(g.n, _adjacency(g, p, q), p, domains, budget, False, g._neighbors)
+    sol = _search(g.n, _adjacency(g, p, q), p, domains, budget)
     if sol is None:
         return None
     c = Coloring(p, q, tuple(sol))

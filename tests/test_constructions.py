@@ -427,3 +427,14 @@ class TestCliqueComposition:
         assert len(c.colors) == 124
         assert c.colors[:4] == (0, 0, 0, 0)
         assert verify_coloring(k4_omega(), c)
+
+
+@pytest.mark.parametrize("build,args", [
+    (gamma, (True,)), (gamma_prime, (True,)), (signed_cycle, (3.0, False)),
+    (positive_clique, (2.5,)), (omega_d, (4.0,)), (gamma, (2.0,)), (gamma_prime, (2.0,)),
+    (wenger_coloring, (28.0, 6)), (wenger_coloring, (28, True)),
+])
+def test_counts_must_be_ints_not_bools(build, args):
+    # bool subclasses int and 2.0 compares equal to 2, but neither is a count.
+    with pytest.raises(ValueError):
+        build(*args)

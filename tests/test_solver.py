@@ -433,7 +433,7 @@ class TestSearchKernel:
         return out, budget.nodes
 
     @staticmethod
-    def _picks(n, adj, p, verdict_only, neighbors=None):
+    def _picks(n, adj, p, verdict_only):
         """_search from full root domains: its result, the vertex each node
         branched on, and the nodes."""
         budget, picks = SolveBudget(), []
@@ -444,8 +444,7 @@ class TestSearchKernel:
                     picks.append(x)
                 super().__setitem__(x, d)
 
-        solution = solver._search(n, adj, p, Picks([(1 << p) - 1] * n), budget, verdict_only,
-                                  neighbors)
+        solution = solver._search(n, adj, p, Picks([(1 << p) - 1] * n), budget, verdict_only)
         return solution, picks, budget.nodes
 
     @pytest.mark.parametrize("negative", [False, True])
@@ -536,7 +535,7 @@ class TestSearchKernel:
         domains = [data.draw(root_domains(p, closed)) for _ in range(g.n)]
         max_nodes = 20_000 if verdict_only else data.draw(st.integers(1, 2000))
         with refuted_parts_met() as met:
-            got = self._run(lambda *args: solver._search(*args, verdict_only, g._neighbors),
+            got = self._run(lambda *args: solver._search(*args, verdict_only),
                             g.n, adj, p, list(domains), max_nodes=max_nodes)
         want = self._run(lambda *args: oracles.backjump_search(*args, verdict_only, g._neighbors),
                          g.n, adj, p, list(domains), max_nodes=20_000 if met else max_nodes)
@@ -560,7 +559,7 @@ class TestSearchKernel:
         first, first_nodes = self._run(oracles.chrono_search, g.n, adj, p, list(domains),
                                        max_nodes=20_000)
         assume(not isinstance(first, tuple))
-        runs = [self._run(lambda *args: solver._search(*args, verdict_only, g._neighbors),
+        runs = [self._run(lambda *args: solver._search(*args, verdict_only),
                           g.n, adj, p, list(domains), max_nodes=20_000)
                 for verdict_only in (False, True)]
         (got, nodes), (verdict, _) = runs
@@ -583,7 +582,7 @@ class TestSearchKernel:
         # draws above rarely back up at such a state, so this case is fixed.
         g = sg(4, [(0, 2, POS), (1, 2, POS), (2, 3, POS), (1, 3, POS)])
         adj = solver._adjacency(g, 8, 3)
-        runs = [self._run(lambda *args: search(*args, verdict_only, g._neighbors),
+        runs = [self._run(lambda *args: search(*args, verdict_only),
                           4, adj, 8, [255] * 4, max_nodes=100)
                 for search in (oracles.backjump_search, solver._search)]
         assert runs[0] == runs[1] == (None, 2)
@@ -614,8 +613,7 @@ class TestSearchKernel:
                 for root in (full, 1 << p // 2, 2):
                     domains = [root] + [full] * (n - 1)
                     with refuted_parts_met() as met:
-                        got = self._run(lambda *args: solver._search(*args, verdict_only,
-                                                                     g._neighbors),
+                        got = self._run(lambda *args: solver._search(*args, verdict_only),
                                         n, adj, p, list(domains), max_nodes=5000)
                     want = self._run(lambda *args: oracles.backjump_search(*args, verdict_only,
                                                                            g._neighbors),
@@ -774,7 +772,7 @@ class TestSearchKernel:
         # cuts no color of 5, so 4 takes it without a node.
         adj = solver._adjacency(g, 6, 2)
         for order, want in ((False, canonical), (True, verdict_only)):
-            solution, picks, nodes = self._picks(g.n, adj, 6, order, g._neighbors)
+            solution, picks, nodes = self._picks(g.n, adj, 6, order)
             assert verify_coloring(g, Coloring(6, 2, tuple(solution)))
             assert picks == want and nodes == len(want)
 
@@ -789,7 +787,7 @@ class TestSearchKernel:
         g = sg(5, [(0, 1, NEG), (0, 2, POS), (0, 3, POS), (0, 4, POS), (1, 2, POS),
                    (2, 3, POS), (3, 4, POS), (4, 1, POS)])
         adj = solver._adjacency(g, 8, 2)
-        assert self._picks(5, adj, 8, True, g._neighbors) == ([0, 0, 4, 2, 4], [3], 1)
+        assert self._picks(5, adj, 8, True) == ([0, 0, 4, 2, 4], [3], 1)
 
     def test_a_full_relation_still_counts_its_neighbor_as_assigned(self):
         # A quotient path 0-1-2-3 (signs +, +, -) whose relation on the
@@ -1018,7 +1016,7 @@ class TestRefutedParts:
                 for verdict_only in (False, True):
                     with refuted_parts_met() as met:
                         got, nodes = TestSearchKernel._run(
-                            lambda *args: solver._search(*args, verdict_only, g._neighbors),
+                            lambda *args: solver._search(*args, verdict_only),
                             g.n, adj, p, list(domains), max_nodes=40_000)
                     want, want_nodes = TestSearchKernel._run(
                         lambda *args: oracles.backjump_search(*args, verdict_only, g._neighbors),
