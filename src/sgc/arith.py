@@ -26,7 +26,8 @@ class EvenRational:
     """A rational p/q >= 2 in even-numerator normal form.
 
     Normal form: p is even and cannot be halved to a smaller even-numerator
-    representation.  Equivalently gcd(p, q) is 1, or it is 2 and p/2 is odd.
+    representation; equivalently gcd(p/2, q) = 1, so p/q is twice the
+    lowest-terms fraction (p/2)/q.
     Two EvenRationals are equal iff their values are equal, so dataclass
     equality on (p, q) is value equality.
     """
@@ -41,8 +42,7 @@ class EvenRational:
             raise ValueError(f"not a positive rational: {self.p}/{self.q}")
         if self.p % 2:
             raise ValueError(f"numerator must be even: {self.p}/{self.q}")
-        g = gcd(self.p, self.q)
-        if g > 2 or (g == 2 and (self.p // 2) % 2 == 0):
+        if gcd(self.p // 2, self.q) != 1:
             raise ValueError(f"not in normal form: {self.p}/{self.q}")
         if self.p < 2 * self.q:
             raise ValueError(f"value below 2: {self.p}/{self.q}")
@@ -70,8 +70,8 @@ class EvenRational:
 def normalize_even(p: int, q: int) -> EvenRational:
     """Bring p/q >= 2 into even-numerator normal form.
 
-    Reduce to lowest terms, then double numerator and denominator if the
-    numerator came out odd.  Raises ValueError for values below 2 (no such
+    The normal form is twice p/(2q) in lowest terms: with g = gcd(p, 2q),
+    it is (2p/g)/(2q/g).  Raises ValueError for values below 2 (no such
     graph has a coloring) or nonpositive input.
     """
     if not (_is_int(p) and _is_int(q)):
@@ -80,11 +80,8 @@ def normalize_even(p: int, q: int) -> EvenRational:
         raise ValueError(f"not a positive rational: {p}/{q}")
     if p < 2 * q:
         raise ValueError(f"value below 2: {p}/{q}")
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    if p % 2:
-        p, q = 2 * p, 2 * q
-    return EvenRational(p, q)
+    g = gcd(p, 2 * q)
+    return EvenRational(2 * p // g, 2 * q // g)
 
 
 def _check_colors(p: int, *colors: int) -> None:
@@ -151,12 +148,11 @@ def candidate_pairs(n: int, lo, hi) -> list[tuple[int, int]]:
     in the same ascending order, built as integer pairs only.
 
     The bounds cut each numerator's q range by integer cross-multiplication
-    (lo <= p/q <= hi).  Distinct fractions with denominators <= n differ by
-    at least 1/n^2, so floor(p * n^2 / q) is one exact key per value, and it
-    orders them.  p ascends, so the first (p, q) seen at a key has the least
-    even numerator: it is the value's even-numerator normal form.  No gcd
-    and no Fraction is taken.  n must be an int, not a bool, that is at
-    least 1; lo and hi each an int (not a bool), a Fraction or an
+    (lo <= p/q <= hi), and a pair is kept iff it is in normal form,
+    gcd(p/2, q) = 1, so each value appears once.  Distinct fractions with
+    denominators <= n differ by at least 1/n^2, so floor(p * n^2 / q) is one
+    exact key per value, and it orders them.  n must be an int, not a bool,
+    that is at least 1; lo and hi each an int (not a bool), a Fraction or an
     EvenRational, since a float or a str has no exact value to cut by.
     """
     if not (_is_int(n) and n >= 1):
@@ -169,17 +165,15 @@ def candidate_pairs(n: int, lo, hi) -> list[tuple[int, int]]:
         return []
     lo_n, lo_d = lo_v.numerator, lo_v.denominator
     hi_n, hi_d = hi_v.numerator, hi_v.denominator
-    scale = n * n
-    first: dict[int, tuple[int, int]] = {}
+    pairs = []
     for p in range(2, 2 * n + 1, 2):
         q_min = -(-p * hi_d // hi_n)  # p/q <= hi  <=>  q >= p*hi_d/hi_n
         q_max = p // 2 if lo_n <= 0 else min(p // 2, p * lo_d // lo_n)
-        ps = p * scale
-        for q in range(max(q_min, 1), q_max + 1):
-            key = ps // q
-            if key not in first:
-                first[key] = (p, q)
-    return [first[key] for key in sorted(first)]
+        a = p // 2
+        pairs += [(p, q) for q in range(max(q_min, 1), q_max + 1) if gcd(a, q) == 1]
+    scale = n * n
+    pairs.sort(key=lambda pq: pq[0] * scale // pq[1])
+    return pairs
 
 
 def candidates(n: int, lo, hi) -> list[EvenRational]:

@@ -36,7 +36,7 @@ from .core import (NEG, POS, CapacityError, Edge, SignedGraph, StructuralMismatc
                    UncolorableError, girth_types, switching_equivalent)
 from .indicators import Indicator, ShapeError, z_set
 from .solver import (BudgetExhausted, ChiUndecided, Coloring, SolveBudget,
-                     _validate_coloring, chi_c, chi_s, verify_coloring)
+                     _validate_coloring, _validate_pq, chi_c, chi_s, verify_coloring)
 
 __all__ = ["ParseError", "parse_coloring", "parse_sg", "render_coloring", "render_sg"]
 
@@ -71,9 +71,6 @@ def _digits(token: str) -> int | None:
     return None
 
 
-_SHORT = 19  # fast-path digit tokens are shorter: int() raises beyond 4,300 digits
-
-
 def _int(token: str, lineno: int, message: str) -> int:
     """The integer a text field holds (_digits), or a ParseError with message."""
     x = _digits(token)
@@ -91,12 +88,7 @@ def _arg_int(token: str) -> int:
 
 
 def parse_sg(text: str) -> SignedGraph:
-    """Parse the .sg format; raises ParseError with a line number.
-
-    In an all-ASCII text, an edge line whose endpoints are digit tokens
-    shorter than _SHORT takes a fast path that reads them with int()
-    directly; any other token falls back to _int, so the same records parse
-    (`e -0 1 +` too) and every malformed one gets the same line and message."""
+    """Parse the .sg format; raises ParseError with a line number."""
     records = _records(text)
     lineno, parts = next(records, (0, None))
     if parts is None:
@@ -106,17 +98,15 @@ def parse_sg(text: str) -> SignedGraph:
     n = _int(parts[1], lineno, f"bad vertex count {parts[1]!r}")
     if n < 0:
         raise ParseError(lineno, "vertex count must be nonnegative")
-    fast = text.isascii()  # then a token's isdigit() means ASCII digits
     edges = []
     for lineno, parts in records:
         if parts[0] == "e":
             if len(parts) != 4:
                 raise ParseError(lineno, "expected 'e <u> <v> <+|->'")
             _, a, b, s = parts
-            if fast and a.isdigit() and b.isdigit() and len(a) < _SHORT and len(b) < _SHORT:
-                u, v = int(a), int(b)
-            else:
-                u, v = (_int(t, lineno, "edge endpoints must be integers") for t in (a, b))
+            u, v = _digits(a), _digits(b)
+            if u is None or v is None:
+                raise ParseError(lineno, "edge endpoints must be integers")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(lineno, f"endpoint out of range 0..{n - 1}")
             if s != "+" and s != "-":
@@ -142,7 +132,7 @@ def render_sg(g: SignedGraph) -> str:
 
 def parse_coloring(text: str, n: int) -> Coloring:
     """Parse a coloring file for an n-vertex graph; must cover every vertex.
-    Record lines take parse_sg's fast path for digit tokens."""
+    The header's p and q must pass the solver's grid check (_validate_pq)."""
     records = _records(text)
     lineno, parts = next(records, (0, None))
     if parts is None:
@@ -152,16 +142,17 @@ def parse_coloring(text: str, n: int) -> Coloring:
     p, q = (_int(t, lineno, f"bad p/q {parts[1]!r}") for t in parts[1].split("/", 1))
     if min(p, q) < 1:
         raise ParseError(lineno, f"p and q must be at least 1, got {parts[1]!r}")
-    fast = text.isascii()
+    try:
+        _validate_pq(p, q)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
     seen: dict[int, int] = {}
     for lineno, parts in records:
         if len(parts) != 2:
             raise ParseError(lineno, "expected '<vertex> <color>'")
-        a, b = parts
-        if fast and a.isdigit() and b.isdigit() and len(a) < _SHORT and len(b) < _SHORT:
-            v, c = int(a), int(b)
-        else:
-            v, c = (_int(t, lineno, "vertex and color must be integers") for t in parts)
+        v, c = _digits(parts[0]), _digits(parts[1])
+        if v is None or c is None:
+            raise ParseError(lineno, "vertex and color must be integers")
         if not 0 <= v < n:
             raise ParseError(lineno, f"vertex {v} out of range 0..{n - 1}")
         if v in seen:
@@ -200,12 +191,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def fmt_value(x: Fraction) -> str:
-    """Lowest-terms display, with the even normal form appended when distinct."""
+    """Lowest-terms display, with the even normal form appended when distinct:
+    from 2 up, that is when the numerator is odd, and the form doubles both."""
     low = str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if x >= 2:
-        er = normalize_even(x.numerator, x.denominator)
-        if (er.p, er.q) != (x.numerator, x.denominator):
-            return f"{low} ({er.p}/{er.q})"
+    if x >= 2 and x.numerator % 2:
+        return f"{low} ({2 * x.numerator}/{2 * x.denominator})"
     return low
 
 

@@ -756,16 +756,15 @@ def _probe(ladder: Sequence[tuple[int, int]], lo: int, hi: int) -> int:
 
     A rung costs more to decide the larger its p (p colors per vertex), so
     among the rungs within about a tenth of the span of the index midpoint
-    (those at least w = max(1, 9 * span // 20) from either end) take the
-    least p, then the nearest to the midpoint, then the lower index.  Either
+    (those at least w = max(1, 9 * (hi - lo) // 20) from either end) take the
+    one with the least p.  It is unique: a rung is 2a/b with a/b >= 1 in
+    lowest terms, and of two rungs 2a/b' < 2a/b the rung of (a - 1)/b lies
+    between them, since a >= b + 1, with a smaller numerator.  Either
     verdict removes at least w of the span rungs, so the probe count stays
     within about 1.16 log2 of the ladder length.
     """
-    span = hi - lo
-    w = max(1, 9 * span // 20)
-    mid = lo + span // 2
-    return min(range(lo + w, hi - w + 1),
-               key=lambda i: (ladder[i][0], abs(i - mid), i))
+    w = max(1, 9 * (hi - lo) // 20)
+    return min(range(lo + w, hi - w + 1), key=ladder.__getitem__)
 
 
 def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
@@ -776,10 +775,12 @@ def chi_c(g: SignedGraph, budget: SolveBudget | None = None) -> ChiResult:
     switching set.  Otherwise the value is found by bisecting the finite
     candidate ladder, bracketed between 2 (infeasible) and a greedy upper
     bound (feasible).  Each probe is the rung with the least p near the
-    bracket's index midpoint (_probe), not the midpoint itself; the walk
-    still ends on two adjacent rungs, so the value, the refuted rung and
-    the witness (the search's coloring at the value, or the greedy seed)
-    do not depend on the probe rule.
+    bracket's index midpoint (_probe), not the midpoint itself; that rung
+    is unique, since of two rungs 2a/b' < 2a/b in lowest terms the rung of
+    (a - 1)/b lies between them.  The walk still ends on two adjacent
+    rungs, so the value, the refuted rung and the witness (the search's
+    coloring at the value, or the greedy seed) do not depend on the probe
+    rule.
 
     A pair with both signs bounds the value below by 4, and a graph with
     one is never balanced under negation, so there the bound picks the

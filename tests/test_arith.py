@@ -58,6 +58,18 @@ class TestEvenRational:
         assert EvenRational(6, 2) == EvenRational(6, 2)
         assert EvenRational(6, 2) != EvenRational(8, 3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 200))
+    def test_normal_form_is_twice_half_in_lowest_terms(self, q, k):
+        # An even p >= 2q is accepted iff p/(2q) in lowest terms keeps p/2
+        # as its numerator.
+        p = 2 * (q + k)
+        if 2 * Fraction(p, 2 * q).numerator == p:
+            assert EvenRational(p, q).value == Fraction(p, q)
+        else:
+            with pytest.raises(ValueError, match="not in normal form"):
+                EvenRational(p, q)
+
 
 class TestNormalizeEven:
     @pytest.mark.parametrize("p,q,ep,eq", [
@@ -93,6 +105,14 @@ class TestNormalizeEven:
         if g == 2:
             assert (er.p // 2) % 2 == 1
         assert normalize_even(er.p, er.q) == er
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 400))
+    def test_doubles_half_the_value_in_lowest_terms(self, q, extra):
+        p = 2 * q + extra
+        half = Fraction(p, 2 * q)
+        er = normalize_even(p, q)
+        assert (er.p, er.q) == (2 * half.numerator, half.denominator)
 
 
 class TestIntegerCircle:

@@ -197,6 +197,9 @@ class TestParseColoring:
             ("coloring 8/3\n0 1\n0 2", 3, "colored twice"),
             ("coloring 8/3\n0 8", 2, "color 8 out of range"),
             ("coloring 8/3\n0 1", 1, "vertices without a color: [1]"),
+            # "coloring 5/2" used to parse to a Coloring that render_coloring refuses
+            ("coloring 5/2\n0 0\n1 1", 1, "line 1: p must be an even integer >= 2, got 5"),
+            ("coloring 4/3\n0 0\n1 1", 1, "line 1: need 1 <= q <= p/2, got q=3, p=4"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -224,6 +227,14 @@ class TestFmtValue:
     )
     def test_lowest_terms_with_even_form_when_distinct(self, value, shown):
         assert fmt_value(value) == shown
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=0, max_value=40, max_denominator=60))
+    def test_doubled_pair_exactly_from_two_up_at_odd_numerators(self, x):
+        low = str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        doubled = x >= 2 and x.numerator % 2 == 1
+        assert fmt_value(x) == (f"{low} ({2 * x.numerator}/{2 * x.denominator})"
+                                if doubled else low)
 
 
 @pytest.fixture
@@ -430,6 +441,17 @@ class TestCliCheck:
         code, out, err = run("check", c4_file, "--r", "3", "--coloring", col)
         assert (code, out) == (1, "")
         assert err == f"parse error: line 1: p and q must be at least 1, got '{pq}'\n"
+
+    @pytest.mark.parametrize("pq, message", [
+        ("5/2", "p must be an even integer >= 2, got 5"),
+        ("4/3", "need 1 <= q <= p/2, got q=3, p=4"),
+    ], ids=["odd_p", "q_above_half"])
+    @pytest.mark.parametrize("command", ["check", "refine"])
+    def test_coloring_header_off_the_grid(self, run, c4_file, tmp_path, command, pq, message):
+        col = tmp_path / "c.col"
+        col.write_text(f"coloring {pq}\n0 0\n1 1\n2 0\n3 1\n")
+        assert run(command, c4_file, "--r", pq, "--coloring", col) == (
+            1, "", f"parse error: line 1: {message}\n")
 
 
 class TestCliZset:

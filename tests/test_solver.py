@@ -987,9 +987,10 @@ class TestRefutedParts:
         # decisions that the part's own refutation did not need, so not on
         # every one.  Few graphs meet a part again (about one in twenty
         # joined compositions), so the draws are fixed.  The searches get
-        # 40,000 nodes: on one drawn joined composition (n = 35) the
-        # verdict-only order refutes 70/18 in 35,986, where the
-        # chronological search spends 2,450 and the canonical order 17.
+        # 40,000 nodes: on one drawn composition (n = 19) the search
+        # without records refutes 36/11 in 31,215 in the canonical order,
+        # where _search spends 1,948; the dearest verdict-only search, on
+        # another 19-vertex draw, refutes 38/10 in 6,356 (231 canonical).
         fewer = []
 
         @settings(max_examples=150, deadline=None, derandomize=True,
@@ -1496,18 +1497,21 @@ class TestChiC:
             assert ladder[-1] == (4, 1) and ladder[-2] == below
             assert Fraction(*below) == max(Fraction(p, p // 4 + 1) for p in range(2, 2 * n + 1, 2))
 
-    def test_probe_is_the_cheapest_rung_near_the_midpoint(self):
-        rng = random.Random(0)
-        for span in range(2, 200):
-            ladder = [(2 * rng.randint(1, 40), 1) for _ in range(span + 5)]
-            lo = rng.randint(0, 4)
-            hi = lo + span
-            w = max(1, 9 * span // 20)
-            mid = (lo + hi) // 2
-            window = range(lo + w, hi - w + 1)
-            cheapest = [j for j in window if ladder[j][0] == min(ladder[k][0] for k in window)]
-            nearest = [j for j in cheapest if abs(j - mid) == min(abs(k - mid) for k in cheapest)]
-            assert lo < nearest[0] < hi and solver._probe(ladder, lo, hi) == nearest[0]
+    def test_probe_is_the_unique_cheapest_rung_in_its_window(self):
+        # On real ladders the least p in the probe window occurs once, so
+        # _probe needs no tie rule.
+        for n in range(1, 25):
+            for bottom in (2, 4):
+                ladder = candidate_pairs(n, bottom, 2 * n)
+                ps = [p for p, _ in ladder]
+                for lo in range(len(ladder)):
+                    for hi in range(lo + 2, len(ladder)):
+                        w = max(1, 9 * (hi - lo) // 20)
+                        window = ps[lo + w:hi - w + 1]
+                        least = min(window)
+                        assert window.count(least) == 1
+                        probe = solver._probe(ladder, lo, hi)
+                        assert lo < probe < hi and ps[probe] == least
 
 
 class TestGreedySeed:
